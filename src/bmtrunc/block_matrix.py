@@ -6,7 +6,8 @@ Core containers and checks for level-phase Markov chains with block size d:
 - block-monotonicity, block-wise dominance, block-increasing predicates
   (all computed via suffix-sum passes over level blocks)
 - last-column-block-augmented (LCB) truncation
-- stationary distributions via subtraction-free state reduction
+- closed-class check and stationary distributions via subtraction-free
+  state reduction, all on the block band
 - total-variation and weighted-norm distances
 
 Levels index the unbounded coordinate, phases the finite one; state (k, i)
@@ -15,9 +16,10 @@ maps to flat index k*d + i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -28,6 +30,7 @@ __all__ = [
     "MultipleClosedClassesError",
     "PhaseStructureError",
     "StationarySolveError",
+    "closed_classes",
     "is_block_monotone",
     "block_dominates",
     "vector_dominates",
@@ -66,41 +69,96 @@ class StationarySolveError(RuntimeError):
     """The stationary solve failed a numerical sanity check."""
 
 
-@dataclass(frozen=True, eq=False)
-class BlockStochasticMatrix:
-    """Finite corner of a block-partitioned (sub)stochastic matrix.
+def _slot_columns(levels: int, width: int, lower: int) -> np.ndarray:
+    """Column level of every band slot: slot o of row level k holds column k - lower + o."""
+    return np.arange(levels)[:, None] + np.arange(width) - lower
 
-    Stores levels 0..levels-1 as rows and 0..col_levels-1 as columns of d x d
-    blocks, in one dense array of shape (levels*d, col_levels*d). Rectangular
-    corners (col_levels > levels) hold complete rows of a larger matrix whose
-    remaining rows, if any, are described by `tail` (a GI/G/1-type model
-    object that can regenerate them).
+
+def _band_of(blocks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Band and lower width of a dense (levels, d, col_levels, d) block array."""
+    k, l = np.nonzero(np.any(blocks != 0.0, axis=(1, 3)))
+    lower = max(0, int((k - l).max())) if k.size else 0
+    upper = max(0, int((l - k).max())) if k.size else 0
+    d = blocks.shape[1]
+    band = np.zeros((blocks.shape[0], lower + upper + 1, d, d))
+    band[k, l - k + lower] = blocks[k, :, l, :]
+    return band, lower
+
+
+class BlockStochasticMatrix:
+    """Finite corner of a block-partitioned (sub)stochastic matrix, stored as a block band.
+
+    Rows are levels 0..levels-1 and columns levels 0..col_levels-1 of d x d
+    blocks. Only the blocks within `lower` levels below and `upper` levels
+    above the diagonal are stored: band[k, o] is the block at row level k,
+    column level k - lower + o, and the band slots outside the column range
+    are zero. Rectangular corners (col_levels > levels) hold complete rows of
+    a larger matrix whose remaining rows, if any, are described by `tail` (a
+    GI/G/1-type model object that can regenerate them).
+
+    Build from a dense (levels*d, col_levels*d) array `values`, whose band is
+    read off the nonzero blocks, or from `band` with its `lower` width and
+    `col_levels`. `values` and as_blocks() are dense views built from the
+    band on first use and cached; the truncation, closed-class check and
+    stationary solve never build them.
     """
 
-    d: int
-    values: np.ndarray
-    substochastic: bool = False
-    tail: object | None = field(default=None, repr=False)
-    row_tolerance: float = ROW_SUM_TOLERANCE
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.d < 1:
+    def __init__(
+        self,
+        d: int,
+        values=None,
+        substochastic: bool = False,
+        tail: object | None = None,
+        row_tolerance: float = ROW_SUM_TOLERANCE,
+        *,
+        band=None,
+        lower: int = 0,
+        col_levels: int | None = None,
+    ):
+        if d < 1:
             raise ValueError("block size d must be >= 1")
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-D array")
-        rows, cols = values.shape
-        if rows == 0 or rows % self.d or cols % self.d or cols < rows:
-            raise ValueError(
-                f"values shape {values.shape} is not (R*d, C*d) with C >= R >= 1 for d={self.d}"
-            )
-        if not np.all(np.isfinite(values)):
+        if (values is None) == (band is None):
+            raise ValueError("give exactly one of values and band")
+        if values is not None:
+            values = np.asarray(values, dtype=float)
+            if values.ndim != 2:
+                raise ValueError("values must be a 2-D array")
+            rows, cols = values.shape
+            if rows == 0 or rows % d or cols % d or cols < rows:
+                raise ValueError(
+                    f"values shape {values.shape} is not (R*d, C*d) with C >= R >= 1 for d={d}"
+                )
+            col_levels = cols // d
+            band, lower = _band_of(values.reshape(rows // d, d, col_levels, d))
+        else:
+            band = np.asarray(band, dtype=float)
+            if band.ndim != 4 or band.shape[0] == 0 or band.shape[2:] != (d, d):
+                raise ValueError(f"band shape {band.shape} is not (levels, width, {d}, {d})")
+            col_levels = band.shape[0] if col_levels is None else col_levels
+            if col_levels < band.shape[0] or not 0 <= lower < band.shape[1]:
+                raise ValueError("band needs col_levels >= levels and 0 <= lower < width")
+            cols = _slot_columns(band.shape[0], band.shape[1], lower)
+            if np.any(band[(cols < 0) | (cols >= col_levels)] != 0.0):
+                raise ValueError("band holds entries outside the column range")
+        self.d = d
+        self.band = band
+        self.lower = lower
+        self.col_levels = col_levels
+        self.substochastic = substochastic
+        self.tail = tail
+        self.row_tolerance = row_tolerance
+        self._values = values
+        self._check_rows()
+
+    def _check_rows(self):
+        band = self.band
+        if not np.all(np.isfinite(band)):
             raise ValueError("matrix entries must be finite")
-        if np.any(values < 0):
-            k, i = divmod(int(np.argmin(values.min(axis=1))), self.d)
+        mins = band.min(axis=(1, 3)).reshape(-1)
+        if np.any(mins < 0):
+            k, i = divmod(int(np.argmin(mins)), self.d)
             raise ValueError(f"negative entry in row (level {k}, phase {i})")
-        sums = values.sum(axis=1)
+        sums = band.sum(axis=(1, 3)).reshape(-1)
         if self.substochastic:
             bad = sums > 1.0 + self.row_tolerance
         else:
@@ -115,25 +173,39 @@ class BlockStochasticMatrix:
     @property
     def levels(self) -> int:
         """Number of stored row levels."""
-        return self.values.shape[0] // self.d
+        return self.band.shape[0]
 
     @property
-    def col_levels(self) -> int:
-        """Number of stored column levels."""
-        return self.values.shape[1] // self.d
+    def upper(self) -> int:
+        """Widest upward block offset the band stores."""
+        return self.band.shape[1] - 1 - self.lower
 
     @property
     def square(self) -> bool:
-        return self.values.shape[0] == self.values.shape[1]
+        return self.levels == self.col_levels
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense (levels*d, col_levels*d) array, built from the band on first use."""
+        if self._values is None:
+            d = self.d
+            blocks = np.zeros((self.levels, d, self.col_levels, d))
+            cols = _slot_columns(self.levels, self.band.shape[1], self.lower)
+            k, o = np.nonzero((cols >= 0) & (cols < self.col_levels))
+            blocks[k, :, cols[k, o], :] = self.band[k, o]
+            self._values = blocks.reshape(self.levels * d, self.col_levels * d)
+        return self._values
 
     def as_blocks(self) -> np.ndarray:
-        """View of shape (levels, d, col_levels, d); [k, i, l, j] indexing."""
+        """Dense view of shape (levels, d, col_levels, d); [k, i, l, j] indexing."""
         return self.values.reshape(self.levels, self.d, self.col_levels, self.d)
 
     def block(self, k: int, l: int) -> np.ndarray:
         """The d x d block at row level k, column level l (copy)."""
-        d = self.d
-        return self.values[k * d:(k + 1) * d, l * d:(l + 1) * d].copy()
+        o = l - k + self.lower
+        if 0 <= o < self.band.shape[1] and 0 <= l < self.col_levels:
+            return self.band[k, o].copy()
+        return np.zeros((self.d, self.d))
 
     @classmethod
     def from_blocks(
@@ -230,9 +302,19 @@ class PhaseMatrix:
         return self.psi.shape[0]
 
 
-def _suffix_sums(blocks: np.ndarray) -> np.ndarray:
-    # S[k, i, l, j] = sum over m >= l of blocks[k, i, m, j]
-    return np.flip(np.cumsum(np.flip(blocks, axis=2), axis=2), axis=2)
+def _band_tails(P: BlockStochasticMatrix, levels: int, lower: int, upper: int) -> np.ndarray:
+    """Block tail sums of P in a band frame at least as wide as P's band.
+
+    T[k, e, i, j] = sum over column levels m >= k - lower + e of
+    p(k,i;m,j), for e = 0..lower+upper; rows beyond P's levels are zero.
+    Left of the frame every tail sum is the whole row, T[k, 0], and right of
+    it zero, which no non-negative tail sum can break an order against. The
+    sums run from the rightmost column down, as a dense pass would.
+    """
+    frame = np.zeros((levels, lower + upper + 1, P.d, P.d))
+    start = lower - P.lower
+    frame[: P.levels, start:start + P.band.shape[1]] = P.band
+    return np.flip(np.cumsum(np.flip(frame, axis=1), axis=1), axis=1)
 
 
 def is_block_monotone(S, tol: float = CHECK_TOLERANCE) -> bool:
@@ -241,18 +323,15 @@ def is_block_monotone(S, tol: float = CHECK_TOLERANCE) -> bool:
     True iff for every stored pair of consecutive row levels k, k+1 and every
     (l, i, j): sum over m >= l of s(k,i;m,j) <= the same sum at k+1, within
     tol. GI/G/1-type model objects are checked analytically via their own
-    method (their repeating rows cannot be enumerated).
+    method (their repeating rows cannot be enumerated). Stored corners are
+    checked on their band.
     """
     if hasattr(S, "is_block_monotone"):
         return S.is_block_monotone(tol)
-    sums = _suffix_sums(S.as_blocks())
-    return bool(np.all(sums[:-1] <= sums[1:] + tol))
-
-
-def _padded_suffix_sums(P: BlockStochasticMatrix, levels: int, col_levels: int) -> np.ndarray:
-    blocks = np.zeros((levels, P.d, col_levels, P.d))
-    blocks[: P.levels, :, : P.col_levels, :] = P.as_blocks()
-    return _suffix_sums(blocks)
+    tails = _band_tails(S, S.levels, S.lower, S.upper)
+    # column k - lower + e sits at slot e in row k and slot e - 1 in row k+1
+    below = np.maximum(np.arange(tails.shape[1]) - 1, 0)
+    return bool(np.all(tails[:-1] <= tails[1:, below] + tol))
 
 
 def block_dominates(P1, P2, tol: float = CHECK_TOLERANCE) -> bool:
@@ -260,15 +339,13 @@ def block_dominates(P1, P2, tol: float = CHECK_TOLERANCE) -> bool:
 
     Rows and columns are compared over the union of stored levels; the
     shorter operand is zero-padded, so a truncated corner can be compared
-    against a larger corner of the original chain.
+    against a larger corner of the original chain. Both are compared on one
+    band frame wide enough for either.
     """
     if P1.d != P2.d:
         raise ValueError(f"block size mismatch: {P1.d} != {P2.d}")
-    levels = max(P1.levels, P2.levels)
-    col_levels = max(P1.col_levels, P2.col_levels)
-    s1 = _padded_suffix_sums(P1, levels, col_levels)
-    s2 = _padded_suffix_sums(P2, levels, col_levels)
-    return bool(np.all(s1 <= s2 + tol))
+    frame = (max(P1.levels, P2.levels), max(P1.lower, P2.lower), max(P1.upper, P2.upper))
+    return bool(np.all(_band_tails(P1, *frame) <= _band_tails(P2, *frame) + tol))
 
 
 def vector_dominates(mu: BlockVector, eta: BlockVector, tol: float = CHECK_TOLERANCE) -> bool:
@@ -295,14 +372,15 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
     Keeps rows/columns 0..n, copying columns l < n and folding all mass from
     column levels >= n into column n. Accepts either a stored corner with at
     least n+1 complete rows or a GI/G/1-type model object (exact analytic
-    fold).
+    fold). The fold stays inside the band: a row's column-n slot is at most
+    `upper` levels above it whenever the row has mass at or beyond n.
 
     Args:
         P: BlockStochasticMatrix (complete rows) or GI/G/1-type model.
         n: truncation level, >= 1.
 
     Returns:
-        Square (n+1)-level BlockStochasticMatrix.
+        Square (n+1)-level BlockStochasticMatrix with the band width of P.
     """
     if n < 1:
         raise ValueError("truncation level n must be >= 1")
@@ -314,80 +392,131 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
         raise ValueError(
             f"n={n} exceeds the {P.levels} stored levels and no tail descriptor is attached"
         )
-    d = P.d
-    blocks = P.as_blocks()
-    out = np.zeros((n + 1, d, n + 1, d))
-    out[:, :, :n, :] = blocks[: n + 1, :, :n, :]
-    out[:, :, n, :] = blocks[: n + 1, :, n:, :].sum(axis=2)
+    band = P.band[: n + 1].copy()
+    width = band.shape[1]
+    beyond = _slot_columns(n + 1, width, P.lower) >= n
+    fold = np.where(beyond[:, :, None, None], band, 0.0).sum(axis=1)
+    band[beyond] = 0.0
+    k = np.arange(max(0, n - P.upper), n + 1)
+    band[k, n - k + P.lower] = fold[k]
     return BlockStochasticMatrix(
-        d=d,
-        values=out.reshape((n + 1) * d, (n + 1) * d),
+        d=P.d,
+        band=band,
+        lower=P.lower,
         substochastic=P.substochastic,
         row_tolerance=P.row_tolerance,
     )
 
 
-def _closed_classes(pattern: np.ndarray) -> list[np.ndarray]:
-    """State lists of the closed strongly connected classes of a 0/1 pattern."""
-    graph = sparse.csr_matrix(pattern)
+def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
+    """Padded state-level band (W, lo, up) of a square corner.
+
+    State s = k*d + i keeps columns s-lo..s+up: W[up + s, t - s + lo] is the
+    entry (s, t). The first `up` rows are zero padding, so the strided views
+    of _gth_band never leave the array.
+    """
+    d, width = P.d, P.band.shape[1]
+    lo = P.lower * d + d - 1
+    up = P.upper * d + d - 1
+    W = np.zeros((P.levels * d + up, lo + up + 1))
+    o = np.arange(width)[:, None, None]
+    i = np.arange(d)[None, :, None]
+    j = np.arange(d)[None, None, :]
+    rows = np.broadcast_to(i, (width, d, d))
+    W[up:].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
+    return W, lo, up
+
+
+def _band_closed_classes(W: np.ndarray, lo: int) -> list[np.ndarray]:
+    """Increasing state lists of the closed classes of an unpadded state band."""
+    states = W.shape[0]
+    rows, slots = np.nonzero(W)
+    cols = rows + slots - lo
+    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(states, states))
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    rows, cols = np.nonzero(pattern)
     is_open = np.zeros(n_comp, dtype=bool)
     crossing = labels[rows] != labels[cols]
     is_open[labels[rows[crossing]]] = True
-    return [np.nonzero(labels == c)[0] for c in range(n_comp) if not is_open[c]]
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return [members[c] for c in np.nonzero(~is_open)[0]]
 
 
-def _gth_stationary(W: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible stochastic matrix, GTH elimination.
+def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
+    """Closed communicating classes of a square corner, as flat state lists.
 
-    Subtraction-free state reduction: no cancellation, stable for nearly
-    reducible inputs. The rank-1 update is restricted to the nonzero support
-    of the pivot row/column, which keeps banded matrices near O(states).
+    State (k, i) is k*d + i; each list is increasing. The pattern graph is
+    read off the band, so the cost is linear in the number of levels.
     """
-    A = np.array(W, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
-    trim = np.empty(n)
-    for s in range(n - 1, 0, -1):
-        row = A[s, :s]
+    if not P.square:
+        raise ValueError("closed classes need a square corner; apply lcb_truncate first")
+    W, lo, up = _state_band(P)
+    return _band_closed_classes(W[up:], lo)
+
+
+def _gth_band(W: np.ndarray, lo: int, up: int, states: list[int], d: int) -> np.ndarray:
+    """Stationary vector of one closed class by GTH state reduction on the band.
+
+    Subtraction-free top-down elimination (Grassmann, Taksar & Heyman 1985),
+    in place on the padded band from _state_band. Eliminating state s adds
+    col(s) row(s) / sum(row(s)) to the entries (i, j), s-up <= i < s and
+    s-lo <= j < s: all inside the band, so the band never grows. A skewed
+    strided view exposes each of those windows as a plain 2-D array.
+
+    States outside `states` are skipped. A closed class has no entries
+    leading out of it, so its rows reduce exactly as in the class's own
+    submatrix; skipped rows pick up updates but get zero mass.
+    """
+    total_states = W.shape[0] - up
+    width = lo + up + 1
+    flat = W.reshape(-1)
+    step = flat.strides[0]
+    rows = W[up:, :lo]  # rows[s, c] = (s, s - lo + c)
+    cols = as_strided(flat[lo + up:], (total_states, up), (width * step, (width - 1) * step))
+    windows = as_strided(
+        flat[up:], (total_states, up, lo), (width * step, (width - 1) * step, step)
+    )  # windows[s, r, c] = (s - up + r, s - lo + c); cols[s, r] = (s - up + r, s)
+    trim = np.empty(total_states)
+    for s in reversed(states[1:]):
+        # Near the top-left corner the band reaches past state 0: clip to the
+        # real columns, so a short full kernel reduces exactly as a dense one.
+        row = rows[s] if s >= lo else rows[s, lo - s:]
         total = row.sum()
         if total <= 0.0:
             raise StationarySolveError(
-                f"state {s} cannot reach lower states inside its class (numerical degeneracy)"
+                f"state (level {s // d}, phase {s % d}) cannot reach lower states inside "
+                "its class (numerical degeneracy)"
             )
         trim[s] = total
-        col = A[:s, s]
-        rows_nz = np.nonzero(col)[0]
-        cols_nz = np.nonzero(row)[0]
-        if rows_nz.size and cols_nz.size:
-            A[np.ix_(rows_nz, cols_nz)] += np.outer(col[rows_nz], row[cols_nz] / total)
-    pi = np.empty(n)
-    pi[0] = 1.0
-    for s in range(1, n):
-        pi[s] = (pi[:s] @ A[:s, s]) / trim[s]
+        window = windows[s] if s >= lo else windows[s, :, lo - s:]
+        window += np.multiply.outer(cols[s], row / total)
+    pi = np.zeros(total_states)
+    pi[states[0]] = 1.0
+    for s in states[1:]:
+        if s >= up:
+            pi[s] = (pi[s - up:s] @ cols[s]) / trim[s]
+        else:
+            pi[s] = (pi[:s] @ cols[s, up - s:]) / trim[s]
     return pi / pi.sum()
 
 
-def _stationary_flat(W: np.ndarray, residual_tol: float, d: int) -> np.ndarray:
-    classes = _closed_classes(W > 0.0)
-    if len(classes) > 1:
-        as_states = [[(int(s) // d, int(s) % d) for s in cls] for cls in classes]
-        raise MultipleClosedClassesError(as_states)
-    cls = classes[0]
-    pi = np.zeros(W.shape[0])
-    pi[cls] = _gth_stationary(W[np.ix_(cls, cls)])
-    residual = float(np.max(np.abs(pi @ W - pi)))
-    if residual > residual_tol:
-        raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {residual_tol:g}")
-    return pi
+def _left_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
+    """x P for x of shape (levels, d), computed on the band; shape (col_levels, d)."""
+    width = P.band.shape[1]
+    terms = np.einsum("ki,koij->koj", x, P.band)
+    out = np.zeros((max(P.levels + width - 1, P.lower + P.col_levels), P.d))
+    for o in range(width):
+        out[o:o + P.levels] += terms[:, o]
+    return out[P.lower:P.lower + P.col_levels]
 
 
 def stationary(
     P: BlockStochasticMatrix, residual_tol: float = STATIONARY_RESIDUAL_TOLERANCE
 ) -> BlockVector:
     """Stationary distribution of a finite stochastic corner.
+
+    Closed-class check, GTH elimination and residual all run on the band:
+    O(levels (L+U)^2 d^3) time and O(levels (L+U) d^2) memory for a corner
+    with L block levels below and U above the diagonal.
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).
@@ -399,14 +528,24 @@ def stationary(
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
         ValueError: non-square or substochastic input.
-        StationarySolveError: residual check failed.
+        StationarySolveError: a zero pivot or a failed residual check.
     """
     if not P.square:
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
     if P.substochastic:
         raise ValueError("stationary needs stochastic rows")
-    pi = _stationary_flat(P.values, residual_tol, P.d)
-    return BlockVector(P.d, pi.reshape(P.levels, P.d))
+    d = P.d
+    W, lo, up = _state_band(P)
+    classes = _band_closed_classes(W[up:], lo)
+    if len(classes) > 1:
+        raise MultipleClosedClassesError(
+            [[(int(s) // d, int(s) % d) for s in cls] for cls in classes]
+        )
+    pi = _gth_band(W, lo, up, classes[0].tolist(), d).reshape(P.levels, d)
+    residual = float(np.max(np.abs(_left_product(P, pi) - pi)))
+    if residual > residual_tol:
+        raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {residual_tol:g}")
+    return BlockVector(d, pi)
 
 
 def tv_distance(x: BlockVector, y: BlockVector) -> float:
@@ -442,14 +581,14 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
     """
     if hasattr(P, "phase_matrix"):
         return P.phase_matrix(tol)
-    per_level = P.as_blocks().sum(axis=2)
+    per_level = P.band.sum(axis=1)
     spread = float(np.max(np.abs(per_level - per_level[0]))) if P.levels > 1 else 0.0
     if spread > tol:
         raise PhaseStructureError(
             f"row phase sums vary across levels by {spread:.3e} (> {tol:g})"
         )
     psi = per_level[0]
-    varpi = _stationary_flat(psi, STATIONARY_RESIDUAL_TOLERANCE, d=1)
+    varpi = stationary(BlockStochasticMatrix(d=1, values=psi, row_tolerance=P.row_tolerance)).flat
     return PhaseMatrix(psi=psi, varpi=varpi)
 
 

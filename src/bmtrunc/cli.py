@@ -17,7 +17,7 @@ from .block_matrix import (
     BlockStochasticMatrix,
     MultipleClosedClassesError,
     PhaseStructureError,
-    _closed_classes,
+    closed_classes,
     is_block_monotone,
     lcb_truncate,
 )
@@ -34,7 +34,13 @@ from .drift_bounds import (
     compare_against_oracle,
     optimize_m,
 )
-from .gig1 import GIG1Model, certificate_for_model, find_alpha, mean_drift
+from .gig1 import (  # noqa: F401 - find_alpha stays importable here for perfbench's tracer
+    GIG1Model,
+    SpectralPoint,
+    certificate_for_model,
+    find_alpha,
+    mean_drift,
+)
 from .model_io import (
     ModelSchemaError,
     load_model,
@@ -130,12 +136,12 @@ def _emit(text: str, out: str | None):
 
 
 def _gig1_drift_section(model: GIG1Model, data) -> dict:
-    if data is not None:
+    if isinstance(data, SpectralPoint):
+        point = data
+        gamma_prime, b_prime, K = None, None, 0
+    else:
         point = data.spectral
         gamma_prime, b_prime, K = data.gamma_prime, data.b_prime, data.K
-    else:
-        _, point = find_alpha(model)
-        gamma_prime, b_prime, K = None, None, 0
     return {
         "alpha": point.z,
         "delta": point.delta,
@@ -184,7 +190,7 @@ def _validate_gig1(model: GIG1Model) -> dict:
 
 def _validate_finite(P: BlockStochasticMatrix) -> dict:
     monotone = is_block_monotone(P)
-    closed = len(_closed_classes(P.values > 0)) if P.square else None
+    closed = len(closed_classes(P)) if P.square else None
     report = {
         "kind": "finite",
         "d": P.d,

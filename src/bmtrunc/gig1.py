@@ -24,12 +24,11 @@ from scipy.sparse import csgraph
 from .block_matrix import (
     CHECK_TOLERANCE,
     ROW_SUM_TOLERANCE,
-    STATIONARY_RESIDUAL_TOLERANCE,
     BlockStochasticMatrix,
     BlockVector,
     PhaseMatrix,
     PhaseStructureError,
-    _stationary_flat,
+    stationary,
 )
 from .drift_bounds import (
     VERIFY_TOLERANCE,
@@ -86,6 +85,11 @@ def _is_irreducible(pattern: np.ndarray) -> bool:
         sparse.csr_matrix(pattern), directed=True, connection="strong"
     )
     return n_comp == 1
+
+
+def _kernel_stationary(psi: np.ndarray, row_tolerance: float) -> np.ndarray:
+    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels."""
+    return stationary(BlockStochasticMatrix(d=1, values=psi, row_tolerance=row_tolerance)).flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +210,7 @@ class GIG1Model:
             raise PhaseStructureError(
                 f"boundary row phase sums deviate from the A-sum by {spread:.3e} (> {tol:g})"
             )
-        varpi = _stationary_flat(psi, STATIONARY_RESIDUAL_TOLERANCE, self.d)
-        return PhaseMatrix(psi=psi, varpi=varpi)
+        return PhaseMatrix(psi=psi, varpi=_kernel_stationary(psi, self.row_tolerance))
 
     def mg1_pattern_mismatches(self, tol: float = 1e-12) -> list[str]:
         """Deviations from the skip-free-downward pattern, empty when it matches.
@@ -225,24 +228,31 @@ class GIG1Model:
                 problems.append(f"B({l}) != A({l - 1})")
         return problems
 
+    def _band(self, levels: int, last: int) -> tuple[np.ndarray, int]:
+        """Band and lower width of rows 0..levels-1, keeping column levels <= last."""
+        L = max(self.L_A, self.L_B)
+        band = np.zeros((levels, L + max(self.U_A, self.U_B) + 1, self.d, self.d))
+        for l, blk in self.B.items():
+            if l < 0:
+                if -l < levels:
+                    band[-l, L + l] = blk  # column 0 of row -l
+            elif l <= last:
+                band[0, L + l] = blk
+        for j, blk in self.A.items():
+            band[max(1, 1 - j):min(levels, last - j + 1), L + j] = blk
+        return band, L
+
     def truncate(self, n: int) -> BlockStochasticMatrix:
         """Exact LCB truncation at level n (column n absorbs all deeper mass)."""
         if n < 1:
             raise ValueError("truncation level n must be >= 1")
-        d = self.d
-        out = np.zeros((n + 1, d, n + 1, d))
-        for l, blk in ((l, b) for l, b in self.B.items() if 0 <= l < n):
-            out[0, :, l, :] = blk
-        out[0, :, n, :] = self.b_suffix(n)
-        for k in range(1, n + 1):
-            out[k, :, 0, :] = self.B_block(-k)
-            for j, blk in self.A.items():
-                l = k + j
-                if 1 <= l < n:
-                    out[k, :, l, :] = blk
-            out[k, :, n, :] = self.a_suffix(n - k)
+        band, L = self._band(n + 1, n - 1)
+        if n <= self.U_B:
+            band[0, L + n] = self.b_suffix(n)
+        for x in range(min(self.U_A, n - 1) + 1):
+            band[n - x, L + x] = self.a_suffix(x)
         return BlockStochasticMatrix(
-            d=d, values=out.reshape((n + 1) * d, (n + 1) * d), row_tolerance=self.row_tolerance
+            d=self.d, band=band, lower=L, row_tolerance=self.row_tolerance
         )
 
     def verify_drift(self, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
@@ -427,7 +437,7 @@ def mean_drift(model: GIG1Model) -> float:
     Negative drift certifies positive recurrence and guarantees a growth
     rate alpha > 1 with delta(alpha) < 1 exists.
     """
-    varpi = _stationary_flat(model.a_sum(), STATIONARY_RESIDUAL_TOLERANCE, model.d)
+    varpi = _kernel_stationary(model.a_sum(), model.row_tolerance)
     step = sum(
         (j * blk.sum(axis=1) for j, blk in model.A.items()), np.zeros(model.d)
     )
@@ -554,10 +564,6 @@ class GIG1DriftData:
             raise ValueError("w must be element-wise non-decreasing in the level")
 
 
-def _find_alpha_opts(model: GIG1Model, alpha_opts: dict | None) -> tuple[float, SpectralPoint]:
-    return find_alpha(model, **(alpha_opts or {}))
-
-
 def build_certificate_gig1(
     model: GIG1Model, alpha_opts: dict | None = None
 ) -> tuple[GIG1DriftData, DriftCertificate]:
@@ -578,7 +584,7 @@ def build_certificate_gig1(
     """
     if not model.is_block_monotone():
         raise ValueError("certificate construction needs a block-monotone model")
-    alpha, point = _find_alpha_opts(model, alpha_opts)
+    alpha, point = find_alpha(model, **(alpha_opts or {}))
     gamma_prime = point.delta
     k_star = model.k_star
     K = k_star - 1
@@ -608,6 +614,21 @@ def build_certificate_gig1(
     return data, cert
 
 
+def _mg1_certificate(
+    model: GIG1Model, alpha_opts: dict | None
+) -> tuple[SpectralPoint, DriftCertificate]:
+    problems = model.mg1_pattern_mismatches()
+    if problems:
+        raise ValueError("not a skip-free-downward model: " + "; ".join(problems))
+    alpha, point = find_alpha(model, **(alpha_opts or {}))
+    gamma = point.delta
+    b = (alpha - 1.0) * float(point.v.max())
+    ks = np.arange(model.k_star + 1)
+    v = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
+    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
+    return point, DriftCertificate(v=v, gamma=gamma, b=b, K=0, tail=tail)
+
+
 def mg1_certificate(model: GIG1Model, alpha_opts: dict | None = None) -> DriftCertificate:
     """Direct certificate for skip-free-downward models (no lift needed).
 
@@ -615,29 +636,23 @@ def mg1_certificate(model: GIG1Model, alpha_opts: dict | None = None) -> DriftCe
     weights satisfy the drift inequality everywhere with rate delta(alpha)
     and boundary constant (alpha - 1) * max_i v(alpha, i) at level 0 only.
     """
-    problems = model.mg1_pattern_mismatches()
-    if problems:
-        raise ValueError("not a skip-free-downward model: " + "; ".join(problems))
-    alpha, point = _find_alpha_opts(model, alpha_opts)
-    gamma = point.delta
-    b = (alpha - 1.0) * float(point.v.max())
-    ks = np.arange(model.k_star + 1)
-    v = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
-    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
-    return DriftCertificate(v=v, gamma=gamma, b=b, K=0, tail=tail)
+    return _mg1_certificate(model, alpha_opts)[1]
 
 
 def certificate_for_model(
     model: GIG1Model, alpha_opts: dict | None = None
-) -> tuple[str, GIG1DriftData | None, DriftCertificate]:
+) -> tuple[str, GIG1DriftData | SpectralPoint, DriftCertificate]:
     """Certificate via the tightest applicable path.
 
-    Returns (path label, drift data or None, certificate); the skip-free
-    shortcut applies when the block pattern matches, the boundary lift
-    otherwise.
+    Returns (path label, drift data, certificate). The skip-free shortcut
+    applies when the block pattern matches, and its drift data is the
+    SpectralPoint at alpha; otherwise the boundary lift runs and its drift
+    data is the GIG1DriftData of the construction. Either way alpha is
+    searched once.
     """
     if not model.mg1_pattern_mismatches():
-        return PATH_SKIP_FREE, None, mg1_certificate(model, alpha_opts)
+        point, cert = _mg1_certificate(model, alpha_opts)
+        return PATH_SKIP_FREE, point, cert
     data, cert = build_certificate_gig1(model, alpha_opts)
     return PATH_BOUNDARY_LIFT, data, cert
 
@@ -653,20 +668,13 @@ def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
         raise ValueError(
             f"levels={levels} too small: boundary structure extends to level {model.k_star - 1}"
         )
-    d = model.d
     col_levels = max(levels - 1 + model.U_A, model.U_B) + 1
-    out = np.zeros((levels, d, col_levels, d))
-    for l, blk in model.B.items():
-        if l >= 0:
-            out[0, :, l, :] = blk
-    for k in range(1, levels):
-        out[k, :, 0, :] = model.B_block(-k)
-        for j, blk in model.A.items():
-            if 1 <= k + j:
-                out[k, :, k + j, :] = blk
+    band, L = model._band(levels, col_levels - 1)
     return BlockStochasticMatrix(
-        d=d,
-        values=out.reshape(levels * d, col_levels * d),
+        d=model.d,
+        band=band,
+        lower=L,
+        col_levels=col_levels,
         tail=model,
         row_tolerance=model.row_tolerance,
     )

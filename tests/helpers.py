@@ -8,8 +8,16 @@ cross-check the suffix-sum implementations.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from bmtrunc import BlockStochasticMatrix, BlockVector, GIG1Model, assemble
+from bmtrunc import (
+    BlockStochasticMatrix,
+    BlockVector,
+    GIG1Model,
+    MultipleClosedClassesError,
+    assemble,
+)
 
 # deterministic seed for the randomly generated acceptance model
 RANDOM_MODEL_SEED = 20260814
@@ -42,6 +50,54 @@ def oracle_dominates(P1: BlockStochasticMatrix, P2: BlockStochasticMatrix, tol=1
     """Def-style oracle: P1 T <= P2 T element-wise, with T materialized."""
     T = t_matrix(P1.col_levels, P1.d)
     return bool(np.all(P1.values @ T <= P2.values @ T + tol))
+
+
+# --- dense stationary oracle (tests only) ---
+
+
+def dense_closed_classes(pattern: np.ndarray) -> list[np.ndarray]:
+    """State lists of the closed strongly connected classes of an N x N 0/1 pattern."""
+    n_comp, labels = csgraph.connected_components(
+        sparse.csr_matrix(pattern), directed=True, connection="strong"
+    )
+    rows, cols = np.nonzero(pattern)
+    is_open = np.zeros(n_comp, dtype=bool)
+    crossing = labels[rows] != labels[cols]
+    is_open[labels[rows[crossing]]] = True
+    return [np.nonzero(labels == c)[0] for c in range(n_comp) if not is_open[c]]
+
+
+def dense_gth(W: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible stochastic matrix, dense GTH elimination."""
+    A = np.array(W, dtype=float)
+    n = A.shape[0]
+    trim = np.empty(n)
+    for s in range(n - 1, 0, -1):
+        row = A[s, :s]
+        trim[s] = row.sum()
+        A[:s, :s] += np.outer(A[:s, s], row / trim[s])
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for s in range(1, n):
+        pi[s] = (pi[:s] @ A[:s, s]) / trim[s]
+    return pi / pi.sum()
+
+
+def dense_stationary(P: BlockStochasticMatrix) -> np.ndarray:
+    """Flat stationary vector of a square corner from its N x N dense view.
+
+    Raises MultipleClosedClassesError (classes as (level, phase) lists) like
+    the library's banded solver.
+    """
+    W = P.values
+    classes = dense_closed_classes(W > 0.0)
+    if len(classes) > 1:
+        raise MultipleClosedClassesError(
+            [[(int(s) // P.d, int(s) % P.d) for s in cls] for cls in classes]
+        )
+    pi = np.zeros(W.shape[0])
+    pi[classes[0]] = dense_gth(W[np.ix_(classes[0], classes[0])])
+    return pi
 
 
 # --- fixed models used across module and acceptance tests ---
@@ -234,6 +290,33 @@ def random_dominated_vectors(rng, d: int, levels: int):
     eta = (np.diff(eta_cdf, axis=1, prepend=0.0) * marginal[:, None]).T
     mu = (np.diff(mu_cdf, axis=1, prepend=0.0) * marginal[:, None]).T
     return BlockVector(d, mu), BlockVector(d, eta)
+
+
+def band_columns(levels: int, width: int, lower: int) -> np.ndarray:
+    """Column level of each band slot: slot o of row level k is column k - lower + o."""
+    return np.arange(levels)[:, None] + np.arange(width) - lower
+
+
+def random_band(rng, d: int, levels: int, lower: int, upper: int, density: float = 1.0):
+    """Random non-negative square-corner band, shape (levels, lower+upper+1, d, d).
+
+    Entries are kept with probability `density`; every state keeps a small
+    self-loop so no row is empty. Slots outside the corner are zero.
+    """
+    width = lower + upper + 1
+    band = rng.uniform(0.05, 1.0, size=(levels, width, d, d))
+    band *= rng.uniform(size=band.shape) < density
+    band[:, lower] += 0.01 * np.eye(d)
+    cols = band_columns(levels, width, lower)
+    band[(cols < 0) | (cols >= levels)] = 0.0
+    return band
+
+
+def band_corner(d: int, band: np.ndarray, lower: int) -> BlockStochasticMatrix:
+    """Square corner from a non-negative band, rows normalised to sum 1."""
+    return BlockStochasticMatrix(
+        d=d, band=band / band.sum(axis=(1, 3), keepdims=True), lower=lower
+    )
 
 
 def random_block_increasing(rng, d: int, levels: int) -> BlockVector:

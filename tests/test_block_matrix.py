@@ -1,5 +1,7 @@
 """Containers, monotonicity/dominance checks, truncation, stationary, distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,24 @@ class TestStationary:
         P = BlockStochasticMatrix(d=1, values=np.array([[0.5, 0.3, 0.2]]))
         with pytest.raises(ValueError, match="square"):
             stationary(P)
+
+    def test_linear_memory_on_ten_thousand_levels(self):
+        # 20002 states: one dense N x N copy would need 3.2 GB.
+        tracemalloc.start()
+        try:
+            P = lcb_truncate(mg1_d2(), 10_000)
+            pi = stationary(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        x = pi.entries
+        image = np.zeros_like(x)
+        for o in range(P.band.shape[1]):
+            shift = o - P.lower  # slot o maps row level k to column level k + shift
+            k = np.arange(max(0, -shift), min(P.levels, P.levels - shift))
+            image[k + shift] += np.einsum("ki,kij->kj", x[k], P.band[k, o])
+        assert np.abs(image - x).max() <= 1e-10
 
     def test_residual_small_on_larger_corner(self):
         P = lcb_truncate(natural_walk(), 200)

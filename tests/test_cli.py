@@ -119,6 +119,24 @@ class TestValidate:
         assert doc["drift"]["b_prime"] is None
         assert doc["drift"]["K"] == 0
 
+    def test_skip_free_model_searches_alpha_once(self, capsys, mg1_path, monkeypatch):
+        from bmtrunc import gig1
+
+        calls = []
+        search = gig1.find_alpha
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(gig1, "find_alpha", counted)
+        monkeypatch.setattr(cli, "find_alpha", counted)
+        code, out, _ = run(capsys, "--model", mg1_path, "--command", "validate")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        _, point = search(mg1_walk())
+        assert json.loads(out)["drift"]["alpha"] == point.z
+
     def test_zero_drift_has_no_certificate(self, capsys, tmp_path):
         from test_gig1 import symmetric_walk
 

@@ -285,6 +285,18 @@ class TestCompareAgainstOracle:
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] <= 1e-6  # n=50 is already far into the tail
 
+    def test_walk_errors_match_the_closed_form(self):
+        # The walk's stationary vector is (1/3)(2/3)^k and its level-n LCB
+        # truncation is that vector renormalised on 0..n, so the TV error is
+        # exactly 2 (2/3)^(n+1): an oracle that needs no truncation.
+        model = natural_walk()
+        _, _, cert = certificate_for_model(model)
+        ns = list(range(10, 201, 10))
+        reports = compare_against_oracle(model, ns, cert, reference_level=1600)
+        assert [r.n for r in reports] == ns
+        for r in reports:
+            assert abs(r.measured_error - 2.0 * (2.0 / 3.0) ** (r.n + 1)) <= 1e-12
+
     def test_threads_do_not_change_results(self):
         model = natural_walk()
         cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)

@@ -19,6 +19,7 @@ from bmtrunc.gig1 import (
     PATH_BOUNDARY_LIFT,
     PATH_SKIP_FREE,
     GIG1DriftData,
+    SpectralPoint,
     a_hat,
     assemble,
     build_certificate_gig1,
@@ -310,7 +311,8 @@ class TestCertificates:
         assert data is not None and cert.K == 0
         path, data, cert = certificate_for_model(mg1_walk())
         assert path == PATH_SKIP_FREE
-        assert data is None and cert.K == 0
+        assert isinstance(data, SpectralPoint) and cert.K == 0
+        assert data.z == cert.tail.alpha and data.delta == cert.gamma
 
     def test_every_emitted_certificate_verifies(self):
         for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(),

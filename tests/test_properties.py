@@ -2,7 +2,7 @@
 
 Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
-from helpers are materialized only here.
+and the dense stationary oracle from helpers are materialized only here.
 """
 
 import numpy as np
@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from bmtrunc import (
     BlockStochasticMatrix,
     BlockVector,
+    MultipleClosedClassesError,
     block_dominates,
+    closed_classes,
     is_block_increasing,
     is_block_monotone,
     lcb_truncate,
@@ -23,6 +25,10 @@ from bmtrunc import (
 )
 
 from helpers import (
+    band_columns,
+    band_corner,
+    dense_closed_classes,
+    dense_stationary,
     oracle_block_monotone,
     oracle_dominates,
     random_block_increasing,
@@ -30,11 +36,14 @@ from helpers import (
     random_corner,
     random_dominated_corner,
     random_dominated_vectors,
+    random_band,
+    random_monotone_gig1,
 )
 
 dims = st.integers(min_value=1, max_value=3)
 level_counts = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+band_widths = st.integers(min_value=0, max_value=3)
 
 
 def make_rng(seed):
@@ -150,3 +159,77 @@ def test_truncation_error_shrinks_with_n(seed, d, levels):
     errors = [tv_distance(stationary(lcb_truncate(P, n)), pi) for n in range(1, levels)]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-9
+
+
+# --- banded stationary solver against the dense GTH oracle ---
+
+
+def assert_stationary_matches_dense(P):
+    try:
+        expected = dense_stationary(P)
+    except MultipleClosedClassesError as want:
+        with pytest.raises(MultipleClosedClassesError) as got:
+            stationary(P)
+        assert got.value.classes == want.classes
+        return
+    pi = stationary(P).flat
+    assert np.max(np.abs(pi - expected)) <= 1e-13
+    assert np.all(pi[expected == 0.0] == 0.0)
+
+
+@given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
+def test_banded_stationary_matches_dense_oracle(seed, d, levels, lower, upper, density):
+    P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
+    want = dense_closed_classes(P.values > 0.0)
+    assert [c.tolist() for c in closed_classes(P)] == [c.tolist() for c in want]
+    assert_stationary_matches_dense(P)
+
+
+@given(seeds, dims, level_counts, band_widths, st.integers(min_value=1, max_value=3))
+def test_banded_stationary_gives_transient_states_zero_mass(seed, d, levels, lower, upper):
+    # No row above level 0 returns to it while level 0 moves up: level 0 is
+    # transient, and with lower = 0 every level below the last one is too.
+    band = random_band(make_rng(seed), d, levels, lower, upper)
+    cols = band_columns(levels, band.shape[1], lower)
+    band[1:][cols[1:] == 0] = 0.0
+    P = band_corner(d, band, lower)
+    assert np.all(stationary(P).entries[0] == 0.0)
+    assert_stationary_matches_dense(P)
+
+
+@given(seeds, dims, level_counts, band_widths, band_widths)
+def test_banded_stationary_reports_every_closed_class(seed, d, levels, lower, upper):
+    # Cutting every block between the two halves of the levels leaves at
+    # least one closed class in each half.
+    band = random_band(make_rng(seed), d, levels, lower, upper)
+    split = levels // 2
+    rows = np.arange(levels)[:, None]
+    band[(rows < split) != (band_columns(levels, band.shape[1], lower) < split)] = 0.0
+    P = band_corner(d, band, lower)
+    with pytest.raises(MultipleClosedClassesError) as err:
+        dense_stationary(P)
+    assert len(err.value.classes) >= 2
+    assert_stationary_matches_dense(P)
+
+
+@given(seeds, st.integers(min_value=1, max_value=12))
+def test_band_monotone_check_on_truncations_matches_transform_oracle(seed, n):
+    # support -2..2 and boundary blocks up to level 3: narrow against n
+    P = lcb_truncate(random_monotone_gig1(seed), n)
+    assert is_block_monotone(P) and oracle_block_monotone(P)
+
+
+@given(seeds, dims, level_counts, band_widths, band_widths)
+def test_band_order_checks_match_transform_oracles(seed, d, levels, lower, upper):
+    band = random_band(make_rng(seed), d, levels, lower, upper, density=0.5)
+    P = band_corner(d, band, lower)
+    # Moving half of every row's mass to its rightmost column raises every
+    # tail sum: Q dominates P on the same band.
+    cols = band_columns(levels, band.shape[1], lower)
+    last = np.where(cols < levels, np.arange(band.shape[1]), -1).max(axis=1)
+    moved = P.band * 0.5
+    moved[np.arange(levels), last] += P.band.sum(axis=1) * 0.5
+    Q = BlockStochasticMatrix(d=d, band=moved, lower=lower)
+    assert is_block_monotone(P) == oracle_block_monotone(P)
+    assert block_dominates(P, Q) and oracle_dominates(P, Q)
+    assert block_dominates(Q, P) == oracle_dominates(Q, P)
