@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .block_matrix import (
@@ -31,6 +30,7 @@ from .drift_bounds import (
     BoundReport,
     BoundViolationError,
     ReferenceNotConvergedError,
+    _map_levels,
     compare_against_oracle,
     optimize_m,
 )
@@ -245,11 +245,7 @@ def cmd_bound(config: RunConfig) -> int:
         m_star, value = optimize_m(cert, n, config.m_max, which="bound2")
         return BoundReport(n=n, m=m_star, bound2=value)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(one, ns))
-    else:
-        reports = [one(n) for n in ns]
+    reports = _map_levels(one, ns, config.threads)
     _emit(_render_reports(reports, config.format), config.out)
     return EXIT_OK
 

@@ -64,7 +64,11 @@ B_PRIME_FLOOR = 1e-15
 PATH_SKIP_FREE = "skip-free-shortcut"
 PATH_BOUNDARY_LIFT = "boundary-lift"
 
-_DENSE_EIG_LIMIT = 64
+# Upper end of the doubling bracket in find_alpha. delta(z) can fall for ever
+# (U_A = 0, or every up-move forced straight back down), and then it has no
+# finite minimiser. Past 2^30 the weights alpha^k leave float range by level
+# 35, so a larger alpha would not give a usable certificate anyway.
+_ALPHA_LIMIT = 2.0 ** 30
 
 
 def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
@@ -361,34 +365,11 @@ def a_hat(model: GIG1Model, z: float) -> np.ndarray:
     )
 
 
-def _power_perron(M: np.ndarray, tol: float) -> tuple[float, np.ndarray, np.ndarray]:
-    # Power iteration on M + I, which is primitive whenever M is irreducible,
-    # so the iteration converges even for periodic nonzero patterns.
-    n = M.shape[0]
-    shifted = M + np.eye(n)
-
-    def leading_vector(T: np.ndarray) -> np.ndarray:
-        x = np.full(n, 1.0 / n)
-        for _ in range(500_000):
-            y = T @ x
-            y /= y.sum()
-            if float(np.max(np.abs(y - x))) < tol:
-                return y
-            x = y
-        raise ArithmeticError("power iteration did not converge")
-
-    v = leading_vector(shifted)
-    mu = leading_vector(shifted.T)
-    delta = float(mu @ shifted @ v) / float(mu @ v) - 1.0
-    return delta, mu, v
-
-
 def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron triple (delta, mu, v) of a non-negative irreducible matrix.
 
     The right eigenvector is scaled to min_i v_i = 1 (so v >= 1 everywhere)
-    and the left one to mu . v = 1. Dense eigendecomposition up to 64 x 64,
-    power iteration beyond.
+    and the left one to mu . v = 1, both from a dense eigendecomposition.
 
     Raises:
         ValueError: negative entries or a reducible nonzero pattern.
@@ -401,16 +382,13 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.nda
         raise ValueError("matrix must be non-negative")
     if not _is_irreducible(M > 0):
         raise ValueError("matrix is reducible; no Perron triple with positive eigenvectors")
-    if M.shape[0] <= _DENSE_EIG_LIMIT:
-        eigvals, right = np.linalg.eig(M)
-        idx = int(np.argmax(eigvals.real))
-        delta = float(eigvals[idx].real)
-        v = right[:, idx].real
-        eigvals_l, left = np.linalg.eig(M.T)
-        idx_l = int(np.argmax(eigvals_l.real))
-        mu = left[:, idx_l].real
-    else:
-        delta, mu, v = _power_perron(M, tol=1e-14)
+    eigvals, right = np.linalg.eig(M)
+    idx = int(np.argmax(eigvals.real))
+    delta = float(eigvals[idx].real)
+    v = right[:, idx].real
+    eigvals_l, left = np.linalg.eig(M.T)
+    idx_l = int(np.argmax(eigvals_l.real))
+    mu = left[:, idx_l].real
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])
     mu = mu * np.sign(mu[int(np.argmax(np.abs(mu)))])
     if v.min() <= 0 or mu.min() <= 0:
@@ -444,44 +422,25 @@ def mean_drift(model: GIG1Model) -> float:
     return float(varpi @ step)
 
 
-def find_alpha(
-    model: GIG1Model,
-    grid: int = 200,
-    refine_tol: float = 1e-12,
-    z_max: float = 10.0,
-) -> tuple[float, SpectralPoint]:
+def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
     """Growth rate alpha > 1 minimizing the Perron eigenvalue delta(z).
 
-    Scans a log-spaced grid over (1, z_max] to bracket the minimum, then
-    root-finds the stationarity condition delta'(z) = mu(z) A'(z) v(z) = 0
-    (first-order eigenvalue perturbation at a simple eigenvalue), which
-    locates alpha to near machine precision where plain function-value
-    minimization stalls at ~sqrt(eps). Falls back to golden-section search
-    when the derivative does not change sign on the bracket (minimum pinned
-    at a grid edge). The minimized delta(alpha) becomes the drift rate of
-    the constructed certificates, so smaller is directly better.
+    log delta(e^t) is convex in t (Kingman 1961), and the slope
+    delta'(z) = mu(z) A'(z) v(z) (first-order perturbation of a simple
+    eigenvalue) equals the mean drift at z = 1, which is negative. So the
+    minimiser is the one sign change of the slope on z > 1: doubling from
+    [1, 2] brackets it and Brent's method finds it to machine precision,
+    where minimizing delta itself would stall at ~sqrt(eps). The minimized
+    delta(alpha) becomes the drift rate of the constructed certificates, so
+    smaller is directly better.
 
     Raises:
-        ValueError: non-negative mean drift, or delta >= 1 over the whole
-            grid (no useful growth rate; the nearest value is reported).
+        ValueError: non-negative mean drift, or delta(z) still falling at
+            z = 2^30 (no finite minimiser, e.g. no upward A-block).
     """
     drift = mean_drift(model)
     if drift >= 0:
         raise ValueError(f"mean drift {drift:.6g} is not negative; no certificate exists")
-    if grid < 8:
-        raise ValueError("grid must have at least 8 points")
-    zs = np.geomspace(1.0 + 1e-8, z_max, grid)
-    deltas = np.array([perron(a_hat(model, z))[0] for z in zs])
-    i0 = int(np.argmin(deltas))
-    if deltas[i0] >= 1.0:
-        raise ValueError(
-            f"delta(z) >= 1 on the entire grid (minimum {deltas[i0]:.9g} at z={zs[i0]:.6g})"
-        )
-    lo = float(zs[max(i0 - 1, 0)])
-    hi = float(zs[min(i0 + 1, grid - 1)])
-
-    def delta_of(z: float) -> float:
-        return perron(a_hat(model, z))[0]
 
     def delta_slope(z: float) -> float:
         _, mu, v = perron(a_hat(model, z))
@@ -491,24 +450,14 @@ def find_alpha(
         )
         return float(mu @ transform_slope @ v)
 
-    if delta_slope(lo) < 0.0 < delta_slope(hi):
-        alpha = float(brentq(delta_slope, lo, hi, xtol=refine_tol))
-    else:
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        e = a + invphi * (b - a)
-        fc, fe = delta_of(c), delta_of(e)
-        while b - a > refine_tol:
-            if fc <= fe:
-                b, e, fe = e, c, fc
-                c = b - invphi * (b - a)
-                fc = delta_of(c)
-            else:
-                a, c, fc = c, e, fe
-                e = a + invphi * (b - a)
-                fe = delta_of(e)
-        alpha = (a + b) / 2.0
+    lo, hi = 1.0, 2.0
+    while delta_slope(hi) < 0.0:
+        if hi >= _ALPHA_LIMIT:
+            raise ValueError(
+                f"delta(z) has no finite minimiser: it still falls at z = {hi:.6g}"
+            )
+        lo, hi = hi, 2.0 * hi
+    alpha = float(brentq(delta_slope, lo, hi, xtol=1e-15))
     point = spectral_point(model, alpha)
     if point.delta >= 1.0:
         raise ValueError(f"refined delta({alpha:.9g}) = {point.delta:.9g} is not below 1")
@@ -564,9 +513,7 @@ class GIG1DriftData:
             raise ValueError("w must be element-wise non-decreasing in the level")
 
 
-def build_certificate_gig1(
-    model: GIG1Model, alpha_opts: dict | None = None
-) -> tuple[GIG1DriftData, DriftCertificate]:
+def build_certificate_gig1(model: GIG1Model) -> tuple[GIG1DriftData, DriftCertificate]:
     """Full boundary-lift certificate for a block-monotone GI/G/1-type chain.
 
     Pipeline: pick alpha minimizing delta(z); the geometric weights
@@ -584,7 +531,7 @@ def build_certificate_gig1(
     """
     if not model.is_block_monotone():
         raise ValueError("certificate construction needs a block-monotone model")
-    alpha, point = find_alpha(model, **(alpha_opts or {}))
+    alpha, point = find_alpha(model)
     gamma_prime = point.delta
     k_star = model.k_star
     K = k_star - 1
@@ -614,13 +561,11 @@ def build_certificate_gig1(
     return data, cert
 
 
-def _mg1_certificate(
-    model: GIG1Model, alpha_opts: dict | None
-) -> tuple[SpectralPoint, DriftCertificate]:
+def _mg1_certificate(model: GIG1Model) -> tuple[SpectralPoint, DriftCertificate]:
     problems = model.mg1_pattern_mismatches()
     if problems:
         raise ValueError("not a skip-free-downward model: " + "; ".join(problems))
-    alpha, point = find_alpha(model, **(alpha_opts or {}))
+    alpha, point = find_alpha(model)
     gamma = point.delta
     b = (alpha - 1.0) * float(point.v.max())
     ks = np.arange(model.k_star + 1)
@@ -629,18 +574,18 @@ def _mg1_certificate(
     return point, DriftCertificate(v=v, gamma=gamma, b=b, K=0, tail=tail)
 
 
-def mg1_certificate(model: GIG1Model, alpha_opts: dict | None = None) -> DriftCertificate:
+def mg1_certificate(model: GIG1Model) -> DriftCertificate:
     """Direct certificate for skip-free-downward models (no lift needed).
 
     Requires the pattern B(-1) = A(-1), B(l) = A(l-1): then the geometric
     weights satisfy the drift inequality everywhere with rate delta(alpha)
     and boundary constant (alpha - 1) * max_i v(alpha, i) at level 0 only.
     """
-    return _mg1_certificate(model, alpha_opts)[1]
+    return _mg1_certificate(model)[1]
 
 
 def certificate_for_model(
-    model: GIG1Model, alpha_opts: dict | None = None
+    model: GIG1Model,
 ) -> tuple[str, GIG1DriftData | SpectralPoint, DriftCertificate]:
     """Certificate via the tightest applicable path.
 
@@ -651,9 +596,9 @@ def certificate_for_model(
     searched once.
     """
     if not model.mg1_pattern_mismatches():
-        point, cert = _mg1_certificate(model, alpha_opts)
+        point, cert = _mg1_certificate(model)
         return PATH_SKIP_FREE, point, cert
-    data, cert = build_certificate_gig1(model, alpha_opts)
+    data, cert = build_certificate_gig1(model)
     return PATH_BOUNDARY_LIFT, data, cert
 
 

@@ -1,6 +1,7 @@
 """Tests for drift certificates, certified bounds and the comparison harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ class TestOptimizeM:
         assert m_star == 77
         prefactor = cert.b / (1.0 - cert.gamma)
         assert best == pytest.approx(4.0 * cert.gamma ** 77 * prefactor, rel=1e-15)
+
+    def test_overflowing_weights_are_silent(self):
+        # alpha^2000 is past float range on mg1_d2, so 1/v(2000) reads 0 and
+        # the scan runs to the default cap, without an overflow warning
+        cert = certificate_for_model(mg1_d2())[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m_star, best = optimize_m(cert, 2000)
+        assert m_star == 120
+        assert best == pytest.approx(0.0003704484477542362, rel=1e-12)
 
     def test_ties_break_toward_smaller_m(self):
         # with gamma=0.5, prefactor 1 and mass 0.5 the scan sees 3.0 at m=1 and m=2

@@ -12,9 +12,12 @@ from bmtrunc import (
     PhaseStructureError,
     is_block_monotone,
     lcb_truncate,
+    save_model,
     stationary,
     verify_certificate,
 )
+from bmtrunc import gig1
+from bmtrunc.cli import EXIT_VALIDATION, main
 from bmtrunc.gig1 import (
     PATH_BOUNDARY_LIFT,
     PATH_SKIP_FREE,
@@ -50,6 +53,21 @@ def symmetric_walk() -> GIG1Model:
     return GIG1Model(
         d=1,
         A={-1: [[0.5]], 1: [[0.5]]},
+        B={-1: [[0.5]], 0: [[0.5]], 1: [[0.5]]},
+    )
+
+
+def falling_phase_pair() -> GIG1Model:
+    """Every up-move from phase 0 lands in phase 1, which must step back down."""
+    A = {1: [[0.0, 0.3], [0.0, 0.0]], -1: [[0.7, 0.0], [1.0, 0.0]]}
+    return GIG1Model(d=2, A=A, B={-1: A[-1], 0: A[-1], 2: A[1]})
+
+
+def no_upward_walk() -> GIG1Model:
+    """U_A = 0: delta(z) = 0.5/z + 0.5 falls for ever."""
+    return GIG1Model(
+        d=1,
+        A={-1: [[0.5]], 0: [[0.5]]},
         B={-1: [[0.5]], 0: [[0.5]], 1: [[0.5]]},
     )
 
@@ -169,13 +187,16 @@ class TestSpectral:
         with pytest.raises(ValueError, match="non-negative"):
             perron([[1.0, -0.1], [1.0, 1.0]])
 
-    def test_perron_power_iteration_branch(self):
+    def test_perron_large_positive_matrix(self):
         rng = np.random.default_rng(7)
-        M = rng.uniform(0.1, 1.0, size=(70, 70))
+        M = rng.uniform(0.1, 1.0, size=(80, 80))
         delta, mu, v = perron(M)
+        # the Perron root is the spectral radius, the largest eigenvalue modulus
+        radius = float(np.max(np.abs(np.linalg.eigvals(M))))
+        assert delta == pytest.approx(radius, rel=1e-12)
         scale = delta * v.max()
-        assert np.max(np.abs(M @ v - delta * v)) <= 1e-10 * scale
-        assert np.max(np.abs(mu @ M - delta * mu)) <= 1e-10 * scale
+        assert np.max(np.abs(M @ v - delta * v)) <= 1e-12 * scale
+        assert np.max(np.abs(mu @ M - delta * mu)) <= 1e-12 * scale
         assert v.min() == pytest.approx(1.0)
         assert float(mu @ v) == pytest.approx(1.0)
 
@@ -221,9 +242,40 @@ class TestFindAlpha:
         with pytest.raises(ValueError, match="not negative"):
             find_alpha(symmetric_walk())
 
-    def test_tiny_grid_is_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            find_alpha(natural_walk(), grid=4)
+    def test_rare_upward_walk_finds_the_far_minimum(self):
+        # delta(z) = 0.999/z + 0.001 z is smallest at sqrt(999), far past z = 10
+        up = 0.001
+        model = GIG1Model(
+            d=1,
+            A={-1: [[1.0 - up]], 1: [[up]]},
+            B={-1: [[1.0 - up]], 0: [[1.0 - up]], 2: [[up]]},
+        )
+        alpha, point = find_alpha(model)
+        assert alpha == pytest.approx(math.sqrt(999.0), rel=1e-9)
+        assert point.delta == pytest.approx(2.0 * math.sqrt(0.999 * 0.001), abs=1e-12)
+
+    @pytest.mark.parametrize("model", [falling_phase_pair(), no_upward_walk()])
+    def test_no_finite_minimiser_is_rejected(self, model, tmp_path, capsys):
+        assert model.is_block_monotone() and mean_drift(model) < 0.0
+        with pytest.raises(ValueError, match="no finite minimiser"):
+            find_alpha(model)
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        assert main(["--model", path, "--command", "validate"]) == EXIT_VALIDATION
+        assert "no finite minimiser" in capsys.readouterr().err
+
+    def test_search_uses_few_perron_calls(self, monkeypatch):
+        calls = []
+
+        def counted(M, *args, **kwargs):
+            calls.append(1)
+            return perron(M, *args, **kwargs)
+
+        monkeypatch.setattr(gig1, "perron", counted)
+        for model in (mg1_d2(), gig1_d2(), random_monotone_gig1()):
+            calls.clear()
+            find_alpha(model)
+            assert 0 < len(calls) <= 16
 
     def test_minimum_beats_neighbours(self):
         model = gig1_d2()

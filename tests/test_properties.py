@@ -15,6 +15,7 @@ from bmtrunc import (
     MultipleClosedClassesError,
     block_dominates,
     closed_classes,
+    find_alpha,
     is_block_increasing,
     is_block_monotone,
     lcb_truncate,
@@ -217,6 +218,19 @@ def test_band_monotone_check_on_truncations_matches_transform_oracle(seed, n):
     # support -2..2 and boundary blocks up to level 3: narrow against n
     P = lcb_truncate(random_monotone_gig1(seed), n)
     assert is_block_monotone(P) and oracle_block_monotone(P)
+
+
+@given(seeds)
+def test_find_alpha_matches_brute_force_minimum(seed):
+    model = random_monotone_gig1(seed)
+    alpha, point = find_alpha(model)
+    # oracle: largest eigenvalue modulus of the transform on a log grid
+    zs = np.geomspace(1.0, 4.0 * alpha, 401)[1:]
+    transforms = sum(zs[:, None, None] ** j * blk for j, blk in model.A.items())
+    deltas = np.abs(np.linalg.eigvals(transforms)).max(axis=1)
+    assert point.delta <= deltas.min() + 1e-12
+    slope = sum(j * alpha ** (j - 1) * blk for j, blk in model.A.items())
+    assert abs(point.mu @ slope @ point.v) <= 1e-9 * np.abs(slope).max()
 
 
 @given(seeds, dims, level_counts, band_widths, band_widths)
