@@ -99,8 +99,10 @@ class BlockStochasticMatrix:
     Build from a dense (levels*d, col_levels*d) array `values`, whose band is
     read off the nonzero blocks, or from `band` with its `lower` width and
     `col_levels`. `values` and as_blocks() are dense views built from the
-    band on first use and cached; the truncation, closed-class check and
-    stationary solve never build them.
+    band on first use and cached. The truncation, closed-class check,
+    stationary solve, transient distribution and coupling samplers never
+    build them; in the library only verify_certificate on stored corners and
+    save_model do.
     """
 
     def __init__(
@@ -593,7 +595,7 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:
-    """Distribution after m steps from init under a finite square corner."""
+    """Distribution after m steps from init under a finite square corner, on its band."""
     if not P.square:
         raise ValueError("transient_distribution needs a square corner")
     if m < 1:
@@ -604,7 +606,7 @@ def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) 
         raise ValueError("init is not a probability vector")
     if init.levels > P.levels:
         raise ValueError("init has more levels than the matrix")
-    x = init.padded(P.levels).reshape(-1)
+    x = init.padded(P.levels)
     for _ in range(m):
-        x = x @ P.values
-    return BlockVector(P.d, x.reshape(P.levels, P.d))
+        x = _left_product(P, x)
+    return BlockVector(P.d, x)

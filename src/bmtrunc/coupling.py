@@ -13,6 +13,11 @@ each chain draws its own level from the conditional CDF of levels given the
 phase transition. Ordering along every sampled path is asserted, not just
 observed: a violation raises, because the constructions make it impossible
 up to a precondition failure or a bug.
+
+The level CDFs are taken over the L+U+1 band slots of each row, never over
+all levels: the columns outside the band hold exact zeros, so the running
+sums are those of the full row, and every uniform in (0, 1) picks the level
+the full-row CDF picks. No sampler builds the dense N x N view of a corner.
 """
 
 from __future__ import annotations
@@ -119,7 +124,8 @@ def phase_step(psi: PhaseMatrix, i: int, s: float) -> int:
 def level_step(P: BlockStochasticMatrix, k: int, i: int, j: int, u: float) -> int:
     """Inverse-CDF level draw conditional on the phase transition i -> j.
 
-    Returns the smallest l with sum_{m <= l} p(k,i;m,j) / psi(i,j) >= u.
+    Returns the smallest l with sum_{m <= l} p(k,i;m,j) / psi(i,j) >= u,
+    read off row k's band slots.
 
     Raises:
         ValueError: the (i, j) phase transition has probability zero in
@@ -127,34 +133,39 @@ def level_step(P: BlockStochasticMatrix, k: int, i: int, j: int, u: float) -> in
     """
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly between 0 and 1")
-    row = P.as_blocks()[k, i, :, j]
-    total = float(row.sum())
+    row = P.band[k, :, i, j]
+    cdf = np.cumsum(row)
+    total = float(cdf[-1])
     if total <= 0.0:
         raise ValueError(f"phase transition {i} -> {j} has probability zero in row (level {k})")
-    cdf = np.cumsum(row) / total
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return min(idx, int(np.max(np.nonzero(row)[0])))
+    slot = int(np.searchsorted(cdf / total, u, side="left"))
+    return k - P.lower + min(slot, int(np.max(np.nonzero(row)[0])))
 
 
 class _CouplingKernel:
-    """Precomputed conditional CDFs of one square corner."""
+    """Precomputed conditional level CDFs of one square corner, on its band."""
 
     def __init__(self, P: BlockStochasticMatrix):
         if not P.square:
             raise ValueError("coupling needs a square folded corner; apply lcb_truncate first")
         self.levels = P.levels
         self.d = P.d
-        # cond[k, i, j, :]: CDF over destination levels given phase move i->j.
-        cond = np.cumsum(np.transpose(P.as_blocks(), (0, 1, 3, 2)), axis=3)
+        # cond[k, i, j, o]: CDF over the band slots of row k given phase move
+        # i->j; slot o is column level k - lower + o.
+        cond = np.cumsum(np.transpose(P.band, (0, 2, 3, 1)), axis=3)
         totals = cond[..., -1].copy()
         valid = totals > 0.0
         cond /= np.where(valid, totals, 1.0)[..., None]
+        # Leading zero-mass slots (including those left of column 0) count as
+        # passed for every u >= 0, so even u = 0 lands on a level with mass.
+        cond[cond == 0.0] = -1.0
         cond[~valid] = 1.0  # never selected: the phase draw skips zero-mass phases
         self.cond = cond
+        # Column of slot 0; a zero-mass row draws level 0, as a full-row CDF of ones would.
+        self.first = np.where(valid, np.arange(P.levels)[:, None, None] - P.lower, 0)
 
     def level_inverse(self, k: np.ndarray, i: np.ndarray, j: np.ndarray, u: np.ndarray) -> np.ndarray:
-        rows = self.cond[k, i, j]
-        return (rows < u[:, None]).sum(axis=1)
+        return self.first[k, i, j] + (self.cond[k, i, j] < u[:, None]).sum(axis=1)
 
 
 def _phase_inverse(phase_cdf: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -194,13 +205,14 @@ def _run_pair(
     phases[0] = j0
     lev_low[0] = x0_low
     lev_high[0] = x0_high
+    # one (T, paths) draw is the same stream as T draws of `paths` uniforms
+    s = s_rng.random((T, paths))
+    u = u_rng.random((T, paths))
     for t in range(1, T + 1):
-        s = s_rng.random(paths)
-        u = u_rng.random(paths)
         j_prev = phases[t - 1]
-        j_new = _phase_inverse(phase_cdf, j_prev, s)
-        lev_low[t] = low.level_inverse(lev_low[t - 1], j_prev, j_new, u)
-        lev_high[t] = high.level_inverse(lev_high[t - 1], j_prev, j_new, u)
+        j_new = _phase_inverse(phase_cdf, j_prev, s[t - 1])
+        lev_low[t] = low.level_inverse(lev_low[t - 1], j_prev, j_new, u[t - 1])
+        lev_high[t] = high.level_inverse(lev_high[t - 1], j_prev, j_new, u[t - 1])
         phases[t] = j_new
 
     bad = np.argwhere(lev_low > lev_high)

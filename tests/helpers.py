@@ -100,6 +100,20 @@ def dense_stationary(P: BlockStochasticMatrix) -> np.ndarray:
     return pi
 
 
+def dense_level_inverse(P: BlockStochasticMatrix, k: int, i: int, j: int, u) -> np.ndarray:
+    """Levels that uniforms u draw from row (k, i) given the phase move i -> j.
+
+    The conditional CDF runs over every column level of the dense view, as
+    the coupling kernel did before it moved to the band; a zero-mass row
+    draws level 0.
+    """
+    cdf = np.cumsum(P.as_blocks()[k, i, :, j])
+    u = np.asarray(u, dtype=float)
+    if cdf[-1] <= 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    return (cdf / cdf[-1] < u[..., None]).sum(axis=-1)
+
+
 # --- fixed models used across module and acceptance tests ---
 
 

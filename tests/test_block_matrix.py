@@ -22,7 +22,7 @@ from bmtrunc import (
     vector_dominates,
 )
 
-from helpers import mg1_d2, natural_walk
+from helpers import band_corner, mg1_d2, natural_walk, random_band
 
 
 def corner(rows, d=1):
@@ -301,16 +301,28 @@ class TestTransientDistribution:
     def test_identity_keeps_init(self):
         init = BlockVector(1, [[0.3], [0.7]])
         P = corner(np.eye(2))
-        assert transient_distribution(P, init, 3).entries == pytest.approx(init.entries)
+        np.testing.assert_allclose(transient_distribution(P, init, 3).entries, init.entries,
+                                   rtol=0, atol=1e-14)
 
     def test_point_mass_one_step_is_row(self):
         P = corner(WALK3)
         init = BlockVector(1, [[0.0], [1.0], [0.0]])
         got = transient_distribution(P, init, 1)
-        assert got.flat == pytest.approx(P.values[1])
+        np.testing.assert_allclose(got.flat, P.values[1], rtol=0, atol=1e-14)
 
     def test_two_steps_match_matrix_square(self):
         P = corner(WALK3)
         init = BlockVector(1, [[1.0], [0.0], [0.0]])
         got = transient_distribution(P, init, 2)
-        assert got.flat == pytest.approx((P.values @ P.values)[0])
+        np.testing.assert_allclose(got.flat, (P.values @ P.values)[0], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d,lower,upper", [(1, 0, 2), (2, 1, 2), (3, 3, 1)])
+    def test_band_steps_match_dense_product(self, d, lower, upper):
+        rng = np.random.default_rng(d + 10 * lower)
+        P = band_corner(d, random_band(rng, d, 9, lower, upper, density=0.5), lower)
+        init = BlockVector(d, rng.dirichlet(np.ones(9 * d)).reshape(9, d))
+        want = init.flat
+        for _ in range(6):
+            want = want @ P.values
+        got = transient_distribution(P, init, 6)
+        np.testing.assert_allclose(got.flat, want, rtol=0, atol=1e-14)

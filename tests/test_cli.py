@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -294,6 +295,23 @@ class TestCouple:
             lines = dump.read_text().splitlines()
             assert lines[0] == "step,phase,level_low,level_high"
             assert len(lines) == cli.COUPLE_STEPS + 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_output_bytes_are_pinned(self, capsys, tmp_path):
+        # Any change to the sampler's draws changes these digests.
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        target = tmp_path / "paths.csv"
+        code, out, _ = run(capsys, "--model", path, "--command", "couple",
+                           "--n", "200", "--seed", "3", "--out", str(target))
+        assert code == EXIT_OK
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            out.encode(), target.read_bytes(), (tmp_path / "paths_dominance.csv").read_bytes())]
+        assert digests == [
+            "b23b92bb67dc2170f97b8dcdba3235cdd39526292f9c7a937be0830d35449763",
+            "7c185ddf582bcb068e9803fe8f6894530adbb4f62721d4b4fb26cb7d47a98723",
+            "0fb000f960dc5acc1e60bb530c4da9131960731514a150160b9c8a2b5578f448",
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_summary_only_without_out(self, capsys, tmp_path):

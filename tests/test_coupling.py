@@ -1,5 +1,7 @@
 """Tests for the inverse-CDF coupling simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bmtrunc import (
     PhaseMatrix,
     lcb_truncate,
     level_step,
+    phase_matrix,
     phase_step,
     run_coupled_dominance,
     run_coupled_dominance_batch,
@@ -17,13 +20,48 @@ from bmtrunc import (
 )
 from bmtrunc.gig1 import assemble
 
-from helpers import dominance_pair, mg1_d2, natural_walk, random_bm_corner
+from helpers import dominance_pair, gig1_d2, mg1_d2, natural_walk, random_bm_corner
 
 PSI2 = PhaseMatrix(psi=[[0.3, 0.7], [0.5, 0.5]])
 
 
 def walk_corner(n: int) -> BlockStochasticMatrix:
     return natural_walk().truncate(n)
+
+
+def zero_phase_move_corner() -> BlockStochasticMatrix:
+    """Block-monotone d=2 corner in which phase 0 never moves to phase 1.
+
+    Moving the (0 -> 1) mass of each block onto (0 -> 0) adds one
+    level-increasing tail sum to another, so monotonicity survives.
+    """
+    blocks = random_bm_corner(np.random.default_rng(5), 2, 8).as_blocks().copy()
+    blocks[:, 0, :, 0] += blocks[:, 0, :, 1]
+    blocks[:, 0, :, 1] = 0.0
+    return BlockStochasticMatrix(d=2, values=blocks.reshape(16, 16))
+
+
+def scalar_replay(low, high, x0_low, x0_high, j0, T, seed, paths):
+    """(phases, levels_low, levels_high) of the batch samplers, one scalar step at a time.
+
+    Replays their streams: spawn(2) of the seed gives the level uniforms and
+    then the phase uniforms, `paths` of each per step.
+    """
+    psi = phase_matrix(low)
+    u_seq, s_seq = np.random.SeedSequence(seed).spawn(2)
+    u_rng, s_rng = np.random.default_rng(u_seq), np.random.default_rng(s_seq)
+    phases = np.full((paths, T + 1), j0)
+    lev_low = np.full((paths, T + 1), x0_low)
+    lev_high = np.full((paths, T + 1), x0_high)
+    for t in range(1, T + 1):
+        s, u = s_rng.random(paths), u_rng.random(paths)
+        for p in range(paths):
+            i = int(phases[p, t - 1])
+            j = phase_step(psi, i, float(s[p]))
+            lev_low[p, t] = level_step(low, int(lev_low[p, t - 1]), i, j, float(u[p]))
+            lev_high[p, t] = level_step(high, int(lev_high[p, t - 1]), i, j, float(u[p]))
+            phases[p, t] = j
+    return phases, lev_low, lev_high
 
 
 class TestPhaseStep:
@@ -182,6 +220,77 @@ class TestDominanceCoupling:
             run_coupled_dominance_batch(folded, folded, 0, 0, 0, T=5, seed=0)
         with pytest.raises(ValueError, match="block size"):
             run_coupled_dominance_batch(walk_corner(10), deep, 0, 0, 0, T=5, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestScalarOracle:
+    """The batch samplers take, step by step, the scalar draws of phase_step/level_step."""
+
+    @staticmethod
+    def assert_replays(ens, low, high, x0_low, x0_high, j0, T, seed, paths):
+        phases, lev_low, lev_high = scalar_replay(low, high, x0_low, x0_high, j0, T, seed, paths)
+        np.testing.assert_array_equal(ens.phases, phases)
+        np.testing.assert_array_equal(ens.levels_low, lev_low)
+        np.testing.assert_array_equal(ens.levels_high, lev_high)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: walk_corner(30),
+            lambda: mg1_d2().truncate(30),
+            lambda: lcb_truncate(mg1_d2().truncate(30), 15),
+            # lower = 1, so row 0's first band slot lies left of column 0
+            lambda: gig1_d2().truncate(30),
+            lambda: random_bm_corner(np.random.default_rng(3), 3, 10),
+            zero_phase_move_corner,
+        ],
+        ids=["walk", "mg1_d2", "mg1_d2_lcb", "gig1_d2", "random_d3", "zero_phase_move"],
+    )
+    def test_monotone_batch(self, make):
+        P = make()
+        args = (0, P.levels - 1, 0, 80, 4, 8)
+        self.assert_replays(run_coupled_monotone_batch(P, *args), P, P, *args)
+
+    def test_dominance_batch(self):
+        deep = mg1_d2().truncate(30)
+        shallow = lcb_truncate(deep, 15)
+        args = (2, 3, 1, 80, 6, 8)
+        ens = run_coupled_dominance_batch(shallow, deep, *args)
+        self.assert_replays(ens, shallow, deep, *args)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBandKernel:
+    def test_memory_is_linear_in_levels(self):
+        # 3002 states: the dense N x N view and level CDFs peaked at 138 MB here
+        tracemalloc.start()
+        try:
+            P = lcb_truncate(mg1_d2(), 1500)
+            run_coupled_monotone_batch(P, 0, 1500, 0, T=50, seed=0, paths=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_no_entry_point_builds_the_dense_view(self, monkeypatch):
+        deep = mg1_d2().truncate(30)
+        shallow = lcb_truncate(deep, 15)
+        dense = BlockStochasticMatrix.values
+        reads = []
+
+        def counted(self):
+            reads.append(self)
+            return dense.fget(self)
+
+        monkeypatch.setattr(BlockStochasticMatrix, "values", property(counted))
+        run_coupled_monotone_batch(deep, 0, 30, 0, T=20, seed=0, paths=4)
+        run_coupled_monotone(deep, 0, 30, 0, T=20, seed=0)
+        run_coupled_dominance_batch(shallow, deep, 0, 0, 0, T=20, seed=0, paths=4)
+        run_coupled_dominance(shallow, deep, 0, 0, 0, T=20, seed=0)
+        level_step(deep, 3, 0, 1, 0.5)
+        assert reads == []
+        shallow.as_blocks()  # the hook itself counts
+        assert reads == [shallow]
 
 
 class TestOneStepMarginals:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bmtrunc.coupling import _CouplingKernel
+
 from bmtrunc import (
     BlockStochasticMatrix,
     BlockVector,
@@ -29,6 +31,7 @@ from helpers import (
     band_columns,
     band_corner,
     dense_closed_classes,
+    dense_level_inverse,
     dense_stationary,
     oracle_block_monotone,
     oracle_dominates,
@@ -247,3 +250,28 @@ def test_band_order_checks_match_transform_oracles(seed, d, levels, lower, upper
     assert is_block_monotone(P) == oracle_block_monotone(P)
     assert block_dominates(P, Q) and oracle_dominates(P, Q)
     assert block_dominates(Q, P) == oracle_dominates(Q, P)
+
+
+@given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
+def test_band_level_inverse_matches_dense_inverse(seed, d, levels, lower, upper, density):
+    # density 0.5 leaves zero-mass slots inside the band and zero-mass phase moves
+    P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
+    kernel = _CouplingKernel(P)
+    blocks = P.as_blocks()
+    for k, i, j in np.ndindex(levels, d, d):
+        cdf = np.cumsum(blocks[k, i, :, j])
+        breaks = cdf / cdf[-1] if cdf[-1] > 0.0 else cdf
+        u = np.concatenate([np.linspace(0.0, 1.0, 33), breaks,
+                            np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)])
+        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+        n = u.size
+        got = kernel.level_inverse(np.full(n, k), np.full(n, i), np.full(n, j), u)
+        want = dense_level_inverse(P, k, i, j, u)
+        np.testing.assert_array_equal(got[u > 0.0], want[u > 0.0])
+        # u = 0.0 (probability 2**-53 per draw) may land on another level than
+        # the dense inverse, but on a stored level the move i -> j can reach.
+        assert u[0] == 0.0
+        if cdf[-1] > 0.0:
+            assert 0 <= got[0] < levels and blocks[k, i, got[0], j] > 0.0
+        else:
+            assert got[0] == want[0] == 0
