@@ -74,17 +74,6 @@ def _slot_columns(levels: int, width: int, lower: int) -> np.ndarray:
     return np.arange(levels)[:, None] + np.arange(width) - lower
 
 
-def _band_of(blocks: np.ndarray) -> tuple[np.ndarray, int]:
-    """Band and lower width of a dense (levels, d, col_levels, d) block array."""
-    k, l = np.nonzero(np.any(blocks != 0.0, axis=(1, 3)))
-    lower = max(0, int((k - l).max())) if k.size else 0
-    upper = max(0, int((l - k).max())) if k.size else 0
-    d = blocks.shape[1]
-    band = np.zeros((blocks.shape[0], lower + upper + 1, d, d))
-    band[k, l - k + lower] = blocks[k, :, l, :]
-    return band, lower
-
-
 class BlockStochasticMatrix:
     """Finite corner of a block-partitioned (sub)stochastic matrix, stored as a block band.
 
@@ -96,52 +85,32 @@ class BlockStochasticMatrix:
     a larger matrix whose remaining rows, if any, are described by `tail` (a
     GI/G/1-type model object that can regenerate them).
 
-    Build from a dense (levels*d, col_levels*d) array `values`, whose band is
-    read off the nonzero blocks, or from `band` with its `lower` width and
-    `col_levels`. `values` and as_blocks() are dense views built from the
-    band on first use and cached. The truncation, closed-class check,
-    stationary solve, transient distribution and coupling samplers never
-    build them; in the library only verify_certificate on stored corners and
-    save_model do.
+    Build from `band` with its `lower` width and `col_levels` (default: a
+    square corner), or from a sparse block map with from_blocks. The band is
+    the only storage, and no library code builds an N x N view of a corner.
     """
 
     def __init__(
         self,
         d: int,
-        values=None,
+        band,
+        lower: int = 0,
+        col_levels: int | None = None,
         substochastic: bool = False,
         tail: object | None = None,
         row_tolerance: float = ROW_SUM_TOLERANCE,
-        *,
-        band=None,
-        lower: int = 0,
-        col_levels: int | None = None,
     ):
         if d < 1:
             raise ValueError("block size d must be >= 1")
-        if (values is None) == (band is None):
-            raise ValueError("give exactly one of values and band")
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 2:
-                raise ValueError("values must be a 2-D array")
-            rows, cols = values.shape
-            if rows == 0 or rows % d or cols % d or cols < rows:
-                raise ValueError(
-                    f"values shape {values.shape} is not (R*d, C*d) with C >= R >= 1 for d={d}"
-                )
-            col_levels = cols // d
-            band, lower = _band_of(values.reshape(rows // d, d, col_levels, d))
-        else:
-            band = np.asarray(band, dtype=float)
-            if band.ndim != 4 or band.shape[0] == 0 or band.shape[2:] != (d, d):
-                raise ValueError(f"band shape {band.shape} is not (levels, width, {d}, {d})")
-            col_levels = band.shape[0] if col_levels is None else col_levels
-            if col_levels < band.shape[0] or not 0 <= lower < band.shape[1]:
-                raise ValueError("band needs col_levels >= levels and 0 <= lower < width")
-            cols = _slot_columns(band.shape[0], band.shape[1], lower)
-            if np.any(band[(cols < 0) | (cols >= col_levels)] != 0.0):
-                raise ValueError("band holds entries outside the column range")
+        band = np.asarray(band, dtype=float)
+        if band.ndim != 4 or band.shape[0] == 0 or band.shape[2:] != (d, d):
+            raise ValueError(f"band shape {band.shape} is not (levels, width, {d}, {d})")
+        col_levels = band.shape[0] if col_levels is None else col_levels
+        if col_levels < band.shape[0] or not 0 <= lower < band.shape[1]:
+            raise ValueError("band needs col_levels >= levels and 0 <= lower < width")
+        cols = _slot_columns(band.shape[0], band.shape[1], lower)
+        if np.any(band[(cols < 0) | (cols >= col_levels)] != 0.0):
+            raise ValueError("band holds entries outside the column range")
         self.d = d
         self.band = band
         self.lower = lower
@@ -149,7 +118,7 @@ class BlockStochasticMatrix:
         self.substochastic = substochastic
         self.tail = tail
         self.row_tolerance = row_tolerance
-        self._values = values
+        self._values = None
         self._check_rows()
 
     def _check_rows(self):
@@ -188,7 +157,11 @@ class BlockStochasticMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """Dense (levels*d, col_levels*d) array, built from the band on first use."""
+        """Dense (levels*d, col_levels*d) array, built from the band on first use.
+
+        No library code reads it; it stays only until the size hooks in
+        perfbench/tracing.py read `levels * d` instead of `.values.shape[0]`.
+        """
         if self._values is None:
             d = self.d
             blocks = np.zeros((self.levels, d, self.col_levels, d))
@@ -197,10 +170,6 @@ class BlockStochasticMatrix:
             blocks[k, :, cols[k, o], :] = self.band[k, o]
             self._values = blocks.reshape(self.levels * d, self.col_levels * d)
         return self._values
-
-    def as_blocks(self) -> np.ndarray:
-        """Dense view of shape (levels, d, col_levels, d); [k, i, l, j] indexing."""
-        return self.values.reshape(self.levels, self.d, self.col_levels, self.d)
 
     def block(self, k: int, l: int) -> np.ndarray:
         """The d x d block at row level k, column level l (copy)."""
@@ -218,20 +187,30 @@ class BlockStochasticMatrix:
         col_levels: int | None = None,
         **kwargs,
     ) -> "BlockStochasticMatrix":
-        """Assemble from a sparse {(k, l): d x d block} map; absent blocks are zero."""
+        """Assemble from a sparse {(k, l): d x d block} map; absent blocks are zero.
+
+        The blocks go straight into a band as wide as the largest downward and
+        upward offsets l - k among the nonzero blocks.
+        """
         if not blocks and levels is None:
             raise ValueError("empty block map needs explicit levels")
-        max_k = max((k for k, _ in blocks), default=0)
-        max_l = max((l for _, l in blocks), default=0)
-        levels = max_k + 1 if levels is None else levels
-        col_levels = max(max_l + 1, levels) if col_levels is None else col_levels
-        values = np.zeros((levels * d, col_levels * d))
-        for (k, l), blk in blocks.items():
-            blk = np.asarray(blk, dtype=float)
+        levels = max((k for k, _ in blocks), default=0) + 1 if levels is None else levels
+        if col_levels is None:
+            col_levels = max(max((l for _, l in blocks), default=0) + 1, levels)
+        arrays = [np.asarray(blk, dtype=float) for blk in blocks.values()]
+        for (k, l), blk in zip(blocks, arrays):
             if blk.shape != (d, d):
                 raise ValueError(f"block ({k},{l}) has shape {blk.shape}, expected ({d},{d})")
-            values[k * d:(k + 1) * d, l * d:(l + 1) * d] = blk
-        return cls(d=d, values=values, **kwargs)
+            if not (0 <= k < levels and 0 <= l < col_levels):
+                raise ValueError(f"block ({k},{l}) lies outside the {levels} x {col_levels} corner")
+        rows, cols = np.array(list(blocks), dtype=int).reshape(-1, 2).T
+        stack = np.array(arrays).reshape(-1, d, d)
+        keep = stack.any(axis=(1, 2))
+        rows, cols, stack = rows[keep], cols[keep], stack[keep]
+        lower = max(0, int((rows - cols).max(initial=0)))
+        band = np.zeros((levels, lower + max(0, int((cols - rows).max(initial=0))) + 1, d, d))
+        band[rows, cols - rows + lower] = stack
+        return cls(d, band, lower, col_levels, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,6 +490,17 @@ def _left_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out[P.lower:P.lower + P.col_levels]
 
 
+def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
+    """P x for x of shape (col_levels, d), computed on the band; shape (levels, d)."""
+    width = P.band.shape[1]
+    padded = np.zeros((max(P.levels + width - 1, P.lower + P.col_levels), P.d))
+    padded[P.lower:P.lower + P.col_levels] = x
+    out = np.zeros((P.levels, P.d))
+    for o in range(width):
+        out += np.einsum("kij,kj->ki", P.band[:, o], padded[o:o + P.levels])
+    return out
+
+
 def stationary(
     P: BlockStochasticMatrix, residual_tol: float = STATIONARY_RESIDUAL_TOLERANCE
 ) -> BlockVector:
@@ -590,8 +580,14 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
             f"row phase sums vary across levels by {spread:.3e} (> {tol:g})"
         )
     psi = per_level[0]
-    varpi = stationary(BlockStochasticMatrix(d=1, values=psi, row_tolerance=P.row_tolerance)).flat
-    return PhaseMatrix(psi=psi, varpi=varpi)
+    return PhaseMatrix(psi=psi, varpi=_kernel_stationary(psi, P.row_tolerance))
+
+
+def _kernel_stationary(psi: np.ndarray, row_tolerance: float) -> np.ndarray:
+    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels."""
+    entries = {(i, j): [[p]] for (i, j), p in np.ndenumerate(psi)}
+    P = BlockStochasticMatrix.from_blocks(1, entries, row_tolerance=row_tolerance)
+    return stationary(P).flat
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:

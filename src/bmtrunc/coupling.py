@@ -114,11 +114,14 @@ class CoupledEnsemble:
 
 
 def phase_step(psi: PhaseMatrix, i: int, s: float) -> int:
-    """Inverse-CDF phase draw: smallest j with sum_{j' <= j} psi(i, j') >= s."""
+    """Inverse-CDF phase draw: smallest j with sum_{j' <= j} psi(i, j') >= s.
+
+    Rows may sum to just under 1: an s past the total draws the last phase with mass.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly between 0 and 1")
     cdf = np.cumsum(psi.psi[i])
-    return min(int(np.searchsorted(cdf, s, side="left")), psi.d - 1)
+    return min(int(np.searchsorted(cdf, s, side="left")), int(np.nonzero(psi.psi[i])[0][-1]))
 
 
 def level_step(P: BlockStochasticMatrix, k: int, i: int, j: int, u: float) -> int:
@@ -168,8 +171,9 @@ class _CouplingKernel:
         return self.first[k, i, j] + (self.cond[k, i, j] < u[:, None]).sum(axis=1)
 
 
-def _phase_inverse(phase_cdf: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return (phase_cdf[i] < s[:, None]).sum(axis=1)
+def _phase_inverse(phase_cdf: np.ndarray, last: np.ndarray, i: np.ndarray, s: np.ndarray):
+    # clipped to the row's last phase with mass, as in phase_step
+    return np.minimum((phase_cdf[i] < s[:, None]).sum(axis=1), last[i])
 
 
 def _run_pair(
@@ -195,6 +199,7 @@ def _run_pair(
         raise ValueError("T and paths must be >= 1")
 
     phase_cdf = np.cumsum(psi.psi, axis=1)
+    last = psi.d - 1 - np.argmax(psi.psi[:, ::-1] > 0.0, axis=1)
     streams = np.random.SeedSequence(seed).spawn(2)
     u_rng = np.random.default_rng(streams[0])
     s_rng = np.random.default_rng(streams[1])
@@ -210,7 +215,7 @@ def _run_pair(
     u = u_rng.random((T, paths))
     for t in range(1, T + 1):
         j_prev = phases[t - 1]
-        j_new = _phase_inverse(phase_cdf, j_prev, s[t - 1])
+        j_new = _phase_inverse(phase_cdf, last, j_prev, s[t - 1])
         lev_low[t] = low.level_inverse(lev_low[t - 1], j_prev, j_new, u[t - 1])
         lev_high[t] = high.level_inverse(lev_high[t - 1], j_prev, j_new, u[t - 1])
         phases[t] = j_new

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .block_matrix import (
     BlockVector,
+    _right_product,
     is_block_increasing,
     lcb_truncate,
     stationary,
@@ -187,7 +188,7 @@ def verify_certificate(P, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE)
     if d != cert.d:
         raise ValueError("block size mismatch between matrix and certificate")
     v_cols = cert.values_up_to(P.col_levels)
-    lhs = (P.values @ v_cols.reshape(-1)).reshape(P.levels, d)
+    lhs = _right_product(P, v_cols)
     rhs = cert.gamma * cert.values_up_to(P.levels)
     rhs[: cert.K + 1] += cert.b
     slack = lhs - rhs - tol * np.maximum(1.0, rhs)
@@ -337,12 +338,7 @@ def lift_certificate(
     entries[1:] += B
     lifted_tail = None
     if tail is not None:
-        lifted_tail = GeometricTail(
-            alpha=tail.alpha,
-            coeff=tail.coeff,
-            shift=tail.shift + B,
-            start=max(tail.start, 1),
-        )
+        lifted_tail = replace(tail, shift=tail.shift + B, start=max(tail.start, 1))
     return DriftCertificate(
         v=BlockVector(vprime.d, entries), gamma=gamma, b=b, K=0, tail=lifted_tail
     )
@@ -417,14 +413,7 @@ def compare_against_oracle(
             top_mass = _truncated_stationary(top_source, n).entries[n]
         m_star, _ = optimize_m(cert, n, m_max, which="bound1", top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
-        return BoundReport(
-            n=n,
-            m=m_star,
-            bound2=report.bound2,
-            bound1=report.bound1,
-            measured_error=measured,
-            reference_level=reference_level,
-        )
+        return replace(report, measured_error=measured, reference_level=reference_level)
 
     reports = _map_levels(evaluate, n_list, max_workers)
     for report in reports:

@@ -28,7 +28,7 @@ from .block_matrix import (
     BlockVector,
     PhaseMatrix,
     PhaseStructureError,
-    stationary,
+    _kernel_stationary,
 )
 from .drift_bounds import (
     VERIFY_TOLERANCE,
@@ -89,11 +89,6 @@ def _is_irreducible(pattern: np.ndarray) -> bool:
         sparse.csr_matrix(pattern), directed=True, connection="strong"
     )
     return n_comp == 1
-
-
-def _kernel_stationary(psi: np.ndarray, row_tolerance: float) -> np.ndarray:
-    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels."""
-    return stationary(BlockStochasticMatrix(d=1, values=psi, row_tolerance=row_tolerance)).flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +257,7 @@ class GIG1Model:
     def verify_drift(self, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
         """Drift-inequality check covering all infinitely many rows.
 
-        Boundary rows are checked densely on an assembled corner; the pure
+        Boundary rows are checked row by row on an assembled corner; the pure
         Toeplitz tail admits a closed form (see verify_tail_drift), so the
         check is exact for every level despite the finite corner.
         """
@@ -314,21 +309,35 @@ def verify_tail_drift(
         diff = alpha ** k * h + s * (1.0 - gamma)
         return diff - tol * np.maximum(1.0, rhs)
 
+    cap = k_from + 100_000
+
+    def stops(k: int, i: int) -> bool:
+        """Row (k, i) fails, or the search ends: the level cap or alpha^k overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return k >= cap or not np.isfinite(np.float64(alpha) ** k) or not slack_at(k)[i] <= 0.0
+
     violations: list[tuple[int, int, float]] = []
-    first = alpha ** k_from * h + s * (1.0 - gamma)
-    flagged = set(np.nonzero(slack_at(k_from) > 0.0)[0])
+    flagged = slack_at(k_from) > 0.0
     # Phases whose slack grows with k will violate eventually even if the
-    # first tail level passes; locate the first failing level for the report.
-    growing = set(np.nonzero(h > tol * gamma * c)[0]) - flagged
-    for i in flagged:
-        violations.append((k_from, int(i), float(first[i])))
-    for i in growing:
-        k = k_from + 1
-        while slack_at(k)[i] <= 0.0 and k < k_from + 100_000 and np.isfinite(alpha ** k):
-            k += 1
-        diff = alpha ** k * h[i] + s * (1.0 - gamma)
-        violations.append((int(k), int(i), float(diff)))
-    return not violations, sorted(violations), float(first.max())
+    # first tail level passes. Either branch of max(1, rhs) makes such a slack
+    # a alpha^k - r with a > 0, positive just past log(r / a) / log(alpha);
+    # a step or two either way absorbs the rounding of that estimate.
+    for i in np.nonzero(flagged | (h > tol * gamma * c))[0]:
+        k = k_from
+        if not flagged[i]:
+            a = np.array([h[i], h[i] - tol * gamma * c[i]])
+            r = np.array([tol, tol * gamma * s]) - s * (1.0 - gamma)
+            logs = (np.log(r[r > 0.0]) - np.log(a[r > 0.0])) / np.log(alpha)
+            k = max([k_from + 1] + [int(x) + 1 for x in np.floor(logs)])
+            k = min(k, cap, int(np.log(np.finfo(float).max) / np.log(alpha)) + 1)
+            while k > k_from + 1 and stops(k - 1, i):
+                k -= 1
+            while not stops(k, i):
+                k += 1
+        with np.errstate(over="ignore"):
+            diff = np.float64(alpha) ** k * h[i] + s * (1.0 - gamma)
+        violations.append((k, int(i), float(diff)))
+    return not violations, sorted(violations), float(np.max(alpha ** k_from * h + s * (1 - gamma)))
 
 
 @dataclass(frozen=True, eq=False)

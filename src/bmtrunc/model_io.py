@@ -153,13 +153,12 @@ def load_model(path: str):
 def save_model(model, path: str):
     """Write a model back out in the schema above."""
     if isinstance(model, BlockStochasticMatrix):
-        blocks = []
-        as_blocks = model.as_blocks()
-        for k in range(model.levels):
-            for l in range(model.col_levels):
-                blk = as_blocks[k, :, l, :]
-                if np.any(blk != 0.0):
-                    blocks.append({"k": k, "l": l, "values": blk})
+        # row-major over (k, slot): k ascending, then l ascending within a row
+        k, o = np.nonzero(np.any(model.band != 0.0, axis=(2, 3)))
+        blocks = [
+            {"k": row, "l": row - model.lower + slot, "values": model.band[row, slot]}
+            for row, slot in zip(k.tolist(), o.tolist())
+        ]
         doc = {"d": model.d, "kind": "finite", "blocks": blocks}
     elif isinstance(model, GIG1Model):
         doc = {

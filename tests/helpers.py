@@ -1,8 +1,11 @@
 """Shared model builders, random generators and slow explicit oracles.
 
-The explicit T-product oracles materialize the block lower-triangular
-all-ones transform, which the library itself never builds; tests use them to
-cross-check the suffix-sum implementations.
+The library stores corners only as block bands. corner_from_dense and dense
+convert to and from N x N arrays for tests that state a matrix densely or
+check the band code against a dense computation. The explicit T-product
+oracles materialize the block lower-triangular all-ones transform, which the
+library itself never builds; tests use them to cross-check the suffix-sum
+implementations.
 """
 
 from __future__ import annotations
@@ -18,9 +21,47 @@ from bmtrunc import (
     MultipleClosedClassesError,
     assemble,
 )
+from bmtrunc.gig1 import a_hat
 
 # deterministic seed for the randomly generated acceptance model
 RANDOM_MODEL_SEED = 20260814
+
+
+# --- dense views of corners (tests only) ---
+
+
+def band_columns(levels: int, width: int, lower: int) -> np.ndarray:
+    """Column level of each band slot: slot o of row level k is column k - lower + o."""
+    return np.arange(levels)[:, None] + np.arange(width) - lower
+
+
+def corner_from_dense(d: int, values, **kwargs) -> BlockStochasticMatrix:
+    """Corner from a dense (levels*d, col_levels*d) array.
+
+    The band is read off the nonzero blocks, as `from_blocks` does.
+    """
+    values = np.asarray(values, dtype=float)
+    blocks = values.reshape(values.shape[0] // d, d, values.shape[1] // d, d)
+    k, l = np.nonzero(np.any(blocks != 0.0, axis=(1, 3)))
+    lower = max(0, int((k - l).max())) if k.size else 0
+    upper = max(0, int((l - k).max())) if k.size else 0
+    band = np.zeros((blocks.shape[0], lower + upper + 1, d, d))
+    band[k, l - k + lower] = blocks[k, :, l, :]
+    return BlockStochasticMatrix(d, band, lower, blocks.shape[2], **kwargs)
+
+
+def dense_blocks(P: BlockStochasticMatrix) -> np.ndarray:
+    """Dense (levels, d, col_levels, d) block array of a corner, built from its band."""
+    blocks = np.zeros((P.levels, P.d, P.col_levels, P.d))
+    cols = band_columns(P.levels, P.band.shape[1], P.lower)
+    k, o = np.nonzero((cols >= 0) & (cols < P.col_levels))
+    blocks[k, :, cols[k, o], :] = P.band[k, o]
+    return blocks
+
+
+def dense(P: BlockStochasticMatrix) -> np.ndarray:
+    """Dense (levels*d, col_levels*d) array of a corner, built from its band."""
+    return dense_blocks(P).reshape(P.levels * P.d, P.col_levels * P.d)
 
 
 # --- explicit transform oracles (tests only) ---
@@ -42,14 +83,14 @@ def oracle_block_monotone(P: BlockStochasticMatrix, tol: float = 1e-12) -> bool:
     if not P.square:
         raise ValueError("oracle needs a square corner")
     levels, d = P.levels, P.d
-    product = t_inverse(levels, d) @ P.values @ t_matrix(levels, d)
+    product = t_inverse(levels, d) @ dense(P) @ t_matrix(levels, d)
     return bool(np.all(product >= -tol))
 
 
 def oracle_dominates(P1: BlockStochasticMatrix, P2: BlockStochasticMatrix, tol=1e-12) -> bool:
     """Def-style oracle: P1 T <= P2 T element-wise, with T materialized."""
     T = t_matrix(P1.col_levels, P1.d)
-    return bool(np.all(P1.values @ T <= P2.values @ T + tol))
+    return bool(np.all(dense(P1) @ T <= dense(P2) @ T + tol))
 
 
 # --- dense stationary oracle (tests only) ---
@@ -84,12 +125,12 @@ def dense_gth(W: np.ndarray) -> np.ndarray:
 
 
 def dense_stationary(P: BlockStochasticMatrix) -> np.ndarray:
-    """Flat stationary vector of a square corner from its N x N dense view.
+    """Flat stationary vector of a square corner from its N x N dense array.
 
     Raises MultipleClosedClassesError (classes as (level, phase) lists) like
     the library's banded solver.
     """
-    W = P.values
+    W = dense(P)
     classes = dense_closed_classes(W > 0.0)
     if len(classes) > 1:
         raise MultipleClosedClassesError(
@@ -107,11 +148,42 @@ def dense_level_inverse(P: BlockStochasticMatrix, k: int, i: int, j: int, u) -> 
     the coupling kernel did before it moved to the band; a zero-mass row
     draws level 0.
     """
-    cdf = np.cumsum(P.as_blocks()[k, i, :, j])
+    cdf = np.cumsum(dense_blocks(P)[k, i, :, j])
     u = np.asarray(u, dtype=float)
     if cdf[-1] <= 0.0:
         return np.zeros(u.shape, dtype=np.int64)
     return (cdf / cdf[-1] < u[..., None]).sum(axis=-1)
+
+
+def loop_tail_drift(model: GIG1Model, cert, k_from: int, tol: float):
+    """verify_tail_drift's result, each growing phase's first failing level found by a scan.
+
+    Steps k = k_from + 1, k_from + 2, ... until the row fails, 100 000
+    levels have passed or alpha^k leaves float range: the rule the closed
+    form in verify_tail_drift must reproduce.
+    """
+    alpha, c, s = cert.tail.alpha, cert.tail.coeff, cert.tail.shift
+    gamma = cert.gamma
+    h = a_hat(model, alpha) @ c - gamma * c
+
+    def slack_at(k: int) -> np.ndarray:
+        rhs = gamma * (alpha ** k * c + s)
+        diff = alpha ** k * h + s * (1.0 - gamma)
+        return diff - tol * np.maximum(1.0, rhs)
+
+    violations = []
+    first = alpha ** k_from * h + s * (1.0 - gamma)
+    flagged = set(np.nonzero(slack_at(k_from) > 0.0)[0])
+    growing = set(np.nonzero(h > tol * gamma * c)[0]) - flagged
+    for i in flagged:
+        violations.append((k_from, int(i), float(first[i])))
+    for i in growing:
+        k = k_from + 1
+        while slack_at(k)[i] <= 0.0 and k < k_from + 100_000 and np.isfinite(alpha ** k):
+            k += 1
+        diff = alpha ** k * h[i] + s * (1.0 - gamma)
+        violations.append((int(k), int(i), float(diff)))
+    return not violations, sorted(violations), float(first.max())
 
 
 # --- fixed models used across module and acceptance tests ---
@@ -174,12 +246,11 @@ def dominance_pair(levels: int = 801):
     """
     model = mg1_d2()
     corner = assemble(model, levels)
-    values = corner.values.copy()
-    d = model.d
-    shift = 0.05 * np.ones((d, d))
-    values[d:2 * d, 0:d] += shift
-    values[d:2 * d, 2 * d:3 * d] -= shift
-    edited = BlockStochasticMatrix(d=d, values=values)
+    band = corner.band.copy()
+    shift = 0.05 * np.ones((model.d, model.d))
+    band[1, 0 - 1 + corner.lower] += shift
+    band[1, 2 - 1 + corner.lower] -= shift
+    edited = BlockStochasticMatrix(model.d, band, corner.lower, corner.col_levels)
     return edited, model
 
 
@@ -251,7 +322,7 @@ def _corner_from_cdfs(psi: np.ndarray, cdfs: np.ndarray) -> BlockStochasticMatri
     values = blocks.transpose(0, 1, 3, 2).reshape(levels * d, levels * d)
     values = np.maximum(values, 0.0)
     values /= values.sum(axis=1, keepdims=True)
-    return BlockStochasticMatrix(d=d, values=values)
+    return corner_from_dense(d, values)
 
 
 def random_bm_corner(rng, d: int, levels: int) -> BlockStochasticMatrix:
@@ -272,7 +343,7 @@ def random_corner(rng, d: int, levels: int) -> BlockStochasticMatrix:
     """Plain random stochastic corner (usually not block-monotone)."""
     values = rng.dirichlet(np.ones(levels * d), size=levels * d) + 1e-6
     values /= values.sum(axis=1, keepdims=True)
-    return BlockStochasticMatrix(d=d, values=values)
+    return corner_from_dense(d, values)
 
 
 def random_dominated_corner(rng, dominating: BlockStochasticMatrix) -> BlockStochasticMatrix:
@@ -282,7 +353,7 @@ def random_dominated_corner(rng, dominating: BlockStochasticMatrix) -> BlockStoc
     pointwise, i.e. pushes mass toward lower levels.
     """
     d, levels = dominating.d, dominating.levels
-    blocks = dominating.as_blocks().transpose(0, 1, 3, 2)
+    blocks = dense_blocks(dominating).transpose(0, 1, 3, 2)
     psi = blocks.sum(axis=3)[0]
     cond = blocks / np.where(psi[None, :, :, None] > 0, psi[None, :, :, None], 1.0)
     cdfs = np.cumsum(cond, axis=3)
@@ -304,11 +375,6 @@ def random_dominated_vectors(rng, d: int, levels: int):
     eta = (np.diff(eta_cdf, axis=1, prepend=0.0) * marginal[:, None]).T
     mu = (np.diff(mu_cdf, axis=1, prepend=0.0) * marginal[:, None]).T
     return BlockVector(d, mu), BlockVector(d, eta)
-
-
-def band_columns(levels: int, width: int, lower: int) -> np.ndarray:
-    """Column level of each band slot: slot o of row level k is column k - lower + o."""
-    return np.arange(levels)[:, None] + np.arange(width) - lower
 
 
 def random_band(rng, d: int, levels: int, lower: int, upper: int, density: float = 1.0):

@@ -33,6 +33,7 @@ from bmtrunc.gig1 import PATH_BOUNDARY_LIFT, PATH_SKIP_FREE
 
 from helpers import (
     acceptance_models,
+    dense,
     gig1_d2,
     mg1_d2,
     mg1_walk,
@@ -131,11 +132,11 @@ def test_criterion_3_ordering_property_suites():
         assert block_dominates(low, S) and oracle_dominates(low, S)
         assert block_dominates(G, S) == oracle_dominates(G, S)
         mu, eta = random_dominated_vectors(rng, d, levels)
-        mu_next = BlockVector(d, (mu.flat @ S.values).reshape(levels, d))
-        eta_next = BlockVector(d, (eta.flat @ S.values).reshape(levels, d))
+        mu_next = BlockVector(d, (mu.flat @ dense(S)).reshape(levels, d))
+        eta_next = BlockVector(d, (eta.flat @ dense(S)).reshape(levels, d))
         assert vector_dominates(mu_next, eta_next, tol=1e-9)
         f = random_block_increasing(rng, d, levels)
-        image = BlockVector(d, (S.values @ f.flat).reshape(levels, d))
+        image = BlockVector(d, (dense(S) @ f.flat).reshape(levels, d))
         assert is_block_increasing(image, tol=1e-9)
     report_line(True, "criterion 3 ordering properties",
                 "200 instances, d in {1,2,3}, levels <= 8, transform-product oracle")
@@ -200,7 +201,7 @@ def test_criterion_6_coupling_suite():
     corner4 = mg1_d2().truncate(4)
     d = corner4.d
     ens2 = run_coupled_monotone_batch(corner4, 2, 2, j0=0, T=1, seed=11, paths=paths)
-    row = corner4.values[2 * d + 0]
+    row = dense(corner4)[2 * d + 0]
     levels1, phases1 = ens2.levels_low[:, 1], ens2.phases[:, 1]
     for idx, p in enumerate(row):
         level, j = divmod(idx, d)

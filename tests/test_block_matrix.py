@@ -22,11 +22,11 @@ from bmtrunc import (
     vector_dominates,
 )
 
-from helpers import band_corner, mg1_d2, natural_walk, random_band
+from helpers import band_corner, corner_from_dense, dense, mg1_d2, natural_walk, random_band
 
 
 def corner(rows, d=1):
-    return BlockStochasticMatrix(d=d, values=np.asarray(rows, dtype=float))
+    return corner_from_dense(d, rows)
 
 
 WALK3 = [[0.6, 0.4, 0.0], [0.6, 0.0, 0.4], [0.0, 0.6, 0.4]]
@@ -42,18 +42,18 @@ class TestBlockStochasticMatrix:
             corner([[0.5, 0.5], [0.3, 0.6]])
 
     def test_substochastic_rows_allowed_when_flagged(self):
-        P = BlockStochasticMatrix(d=1, values=np.array([[0.3, 0.3], [0.1, 0.2]]), substochastic=True)
+        P = corner_from_dense(1, [[0.3, 0.3], [0.1, 0.2]], substochastic=True)
         assert P.levels == 2
 
     def test_rejects_more_rows_than_columns(self):
-        with pytest.raises(ValueError, match="shape"):
-            BlockStochasticMatrix(d=1, values=np.array([[1.0], [1.0], [1.0]]).reshape(3, 1))
+        with pytest.raises(ValueError, match="col_levels >= levels"):
+            BlockStochasticMatrix(1, np.ones((3, 1, 1, 1)), col_levels=2)
 
     def test_block_indexing(self):
         P = corner(WALK3)
         assert P.levels == P.col_levels == 3
         assert P.block(1, 2) == pytest.approx(np.array([[0.4]]))
-        assert P.as_blocks()[2, 0, 1, 0] == pytest.approx(0.6)
+        assert P.block(2, 1) == pytest.approx(np.array([[0.6]]))
 
     def test_from_blocks_round_trip(self):
         P = BlockStochasticMatrix.from_blocks(
@@ -62,6 +62,31 @@ class TestBlockStochasticMatrix:
         assert P.levels == 2
         assert P.block(0, 1) == pytest.approx(np.eye(2) * 0.5)
         assert P.block(1, 0) == pytest.approx(np.zeros((2, 2)))
+
+    def test_from_blocks_keeps_only_nonzero_offsets(self):
+        # the zero (1, 0) block widens neither the band nor the corner's levels
+        blocks = {(0, 0): [[0.5]], (0, 2): [[0.5]], (1, 0): [[0.0]], (1, 1): [[1.0]],
+                  (2, 2): [[1.0]]}
+        P = BlockStochasticMatrix.from_blocks(1, blocks)
+        assert (P.lower, P.upper, P.levels, P.col_levels) == (0, 2, 3, 3)
+        np.testing.assert_array_equal(dense(P), [[0.5, 0, 0.5], [0, 1, 0], [0, 0, 1]])
+
+    def test_from_blocks_names_a_block_outside_the_corner(self):
+        blocks = {(0, 0): [[1.0]], (1, 3): [[1.0]]}
+        with pytest.raises(ValueError, match=r"block \(1,3\) lies outside the 2 x 3 corner"):
+            BlockStochasticMatrix.from_blocks(1, blocks, levels=2, col_levels=3)
+        with pytest.raises(ValueError, match=r"block \(2,0\) lies outside the 2 x 2 corner"):
+            BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (2, 0): [[1.0]]}, levels=2)
+
+    def test_rejects_malformed_band(self):
+        with pytest.raises(ValueError, match="band shape"):
+            BlockStochasticMatrix(2, np.ones((3, 1, 1, 1)))
+        with pytest.raises(ValueError, match="band shape"):
+            BlockStochasticMatrix(1, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="0 <= lower < width"):
+            BlockStochasticMatrix(1, np.ones((3, 1, 1, 1)), lower=1)
+        with pytest.raises(ValueError, match="outside the column range"):
+            BlockStochasticMatrix(1, np.full((2, 2, 1, 1), 0.5))
 
 
 class TestBlockVector:
@@ -81,7 +106,7 @@ class TestBlockVector:
 class TestIsBlockMonotone:
     def test_identity_any_d(self):
         for d, levels in [(1, 4), (2, 3), (3, 2)]:
-            assert is_block_monotone(BlockStochasticMatrix(d=d, values=np.eye(d * levels)))
+            assert is_block_monotone(corner_from_dense(d, np.eye(d * levels)))
 
     def test_pinned_true_pair(self):
         assert is_block_monotone(corner([[0.5, 0.5], [0.3, 0.7]]))
@@ -139,11 +164,11 @@ class TestIsBlockIncreasing:
 class TestLcbTruncate:
     def test_birth_death_n2_pinned_rows(self):
         got = lcb_truncate(natural_walk(), 2)
-        assert got.values == pytest.approx(np.asarray(WALK3))
+        assert dense(got) == pytest.approx(np.asarray(WALK3))
 
     def test_already_supported_is_identity(self):
         P = corner(WALK3)
-        assert lcb_truncate(P, 2).values == pytest.approx(P.values)
+        assert dense(lcb_truncate(P, 2)) == pytest.approx(dense(P))
 
     def test_tail_mass_folds_into_last_column(self):
         rows = [
@@ -153,8 +178,8 @@ class TestLcbTruncate:
             [0.0, 0.0, 0.0, 1.0],
         ]
         got = lcb_truncate(corner(rows), 2)
-        assert got.values[:, 2] == pytest.approx(np.array([0.7, 0.5, 1.0]))
-        assert got.values[:, :2] == pytest.approx(np.asarray(rows)[:3, :2])
+        assert dense(got)[:, 2] == pytest.approx(np.array([0.7, 0.5, 1.0]))
+        assert dense(got)[:, :2] == pytest.approx(np.asarray(rows)[:3, :2])
 
     def test_requires_enough_stored_rows(self):
         with pytest.raises(ValueError):
@@ -187,7 +212,7 @@ class TestStationary:
         assert pi.flat.sum() == pytest.approx(1.0)
 
     def test_rejects_rectangular_corner(self):
-        P = BlockStochasticMatrix(d=1, values=np.array([[0.5, 0.3, 0.2]]))
+        P = corner_from_dense(1, [[0.5, 0.3, 0.2]])
         with pytest.raises(ValueError, match="square"):
             stationary(P)
 
@@ -212,7 +237,7 @@ class TestStationary:
     def test_residual_small_on_larger_corner(self):
         P = lcb_truncate(natural_walk(), 200)
         pi = stationary(P)
-        residual = np.abs(pi.flat @ P.values - pi.flat).max()
+        residual = np.abs(pi.flat @ dense(P) - pi.flat).max()
         assert residual <= 1e-12
 
 
@@ -308,13 +333,13 @@ class TestTransientDistribution:
         P = corner(WALK3)
         init = BlockVector(1, [[0.0], [1.0], [0.0]])
         got = transient_distribution(P, init, 1)
-        np.testing.assert_allclose(got.flat, P.values[1], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.flat, dense(P)[1], rtol=0, atol=1e-14)
 
     def test_two_steps_match_matrix_square(self):
         P = corner(WALK3)
         init = BlockVector(1, [[1.0], [0.0], [0.0]])
         got = transient_distribution(P, init, 2)
-        np.testing.assert_allclose(got.flat, (P.values @ P.values)[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.flat, (dense(P) @ dense(P))[0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("d,lower,upper", [(1, 0, 2), (2, 1, 2), (3, 3, 1)])
     def test_band_steps_match_dense_product(self, d, lower, upper):
@@ -323,6 +348,6 @@ class TestTransientDistribution:
         init = BlockVector(d, rng.dirichlet(np.ones(9 * d)).reshape(9, d))
         want = init.flat
         for _ in range(6):
-            want = want @ P.values
+            want = want @ dense(P)
         got = transient_distribution(P, init, 6)
         np.testing.assert_allclose(got.flat, want, rtol=0, atol=1e-14)

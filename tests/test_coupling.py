@@ -18,9 +18,18 @@ from bmtrunc import (
     run_coupled_monotone,
     run_coupled_monotone_batch,
 )
-from bmtrunc.gig1 import assemble
+from bmtrunc import cli, load_model, save_model, verify_certificate
+from bmtrunc.gig1 import assemble, certificate_for_model
 
-from helpers import dominance_pair, gig1_d2, mg1_d2, natural_walk, random_bm_corner
+from helpers import (
+    corner_from_dense,
+    dense_blocks,
+    dominance_pair,
+    gig1_d2,
+    mg1_d2,
+    natural_walk,
+    random_bm_corner,
+)
 
 PSI2 = PhaseMatrix(psi=[[0.3, 0.7], [0.5, 0.5]])
 
@@ -35,10 +44,10 @@ def zero_phase_move_corner() -> BlockStochasticMatrix:
     Moving the (0 -> 1) mass of each block onto (0 -> 0) adds one
     level-increasing tail sum to another, so monotonicity survives.
     """
-    blocks = random_bm_corner(np.random.default_rng(5), 2, 8).as_blocks().copy()
+    blocks = dense_blocks(random_bm_corner(np.random.default_rng(5), 2, 8))
     blocks[:, 0, :, 0] += blocks[:, 0, :, 1]
     blocks[:, 0, :, 1] = 0.0
-    return BlockStochasticMatrix(d=2, values=blocks.reshape(16, 16))
+    return corner_from_dense(2, blocks.reshape(16, 16))
 
 
 def scalar_replay(low, high, x0_low, x0_high, j0, T, seed, paths):
@@ -82,6 +91,29 @@ class TestPhaseStep:
         sticky = PhaseMatrix(psi=[[1.0, 0.0], [0.5, 0.5]])
         assert phase_step(sticky, 0, 1.0 - 1e-12) == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_just_under_one_draw_the_last_phase_with_mass(self, monkeypatch):
+        # Rows summing to 1 - 5e-11 pass the row check; s = 1 - 1e-11 lies past
+        # every CDF value, and phase 0 cannot move to phase 1.
+        P = zero_phase_move_corner()
+        P = BlockStochasticMatrix(2, P.band * (1.0 - 5e-11), P.lower, P.col_levels)
+        psi = phase_matrix(P)
+        assert phase_step(psi, 0, 1.0 - 1e-11) == 0
+        assert phase_step(psi, 1, 1.0 - 1e-11) == 1
+
+        class Constant:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, shape):
+                return np.full(shape, self.value)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Constant(next(draws)))
+        for j0 in (0, 1):
+            draws = iter([0.5, 1.0 - 1e-11])  # level uniforms, then phase uniforms
+            ens = run_coupled_monotone_batch(P, 0, P.levels - 1, j0, T=5, seed=0, paths=3)
+            assert np.all(ens.phases == j0)
+
     def test_rejects_boundary_uniforms(self):
         with pytest.raises(ValueError, match="strictly between"):
             phase_step(PSI2, 0, 0.0)
@@ -102,7 +134,7 @@ class TestLevelStep:
         assert level_step(P, 2, 0, 0, 1.0 - 1e-12) == 2
 
     def test_impossible_phase_transition_is_a_caller_bug(self):
-        P = BlockStochasticMatrix(d=2, values=np.eye(2))
+        P = corner_from_dense(2, np.eye(2))
         with pytest.raises(ValueError, match="probability zero"):
             level_step(P, 0, 0, 1, 0.5)
 
@@ -272,9 +304,10 @@ class TestBandKernel:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_no_entry_point_builds_the_dense_view(self, monkeypatch):
+    def test_no_entry_point_builds_the_dense_view(self, monkeypatch, tmp_path, capsys):
         deep = mg1_d2().truncate(30)
         shallow = lcb_truncate(deep, 15)
+        gig1_path, finite_path = str(tmp_path / "gig1.json"), str(tmp_path / "finite.json")
         dense = BlockStochasticMatrix.values
         reads = []
 
@@ -288,8 +321,22 @@ class TestBandKernel:
         run_coupled_dominance_batch(shallow, deep, 0, 0, 0, T=20, seed=0, paths=4)
         run_coupled_dominance(shallow, deep, 0, 0, 0, T=20, seed=0)
         level_step(deep, 3, 0, 1, 0.5)
+        save_model(gig1_d2(), gig1_path)
+        save_model(deep, finite_path)
+        assert load_model(finite_path).levels == 31
+        for command, n in (("validate", "10"), ("bound", "5:20"), ("compare", "5,10"),
+                           ("couple", "20")):
+            assert cli.main(["--model", gig1_path, "--command", command, "--n", n]) == 0
+        for command in ("validate", "couple"):
+            assert cli.main(["--model", finite_path, "--command", command, "--n", "20"]) == 0
+        _, _, cert = certificate_for_model(mg1_d2())
+        assert verify_certificate(assemble(mg1_d2(), 40), cert).ok
+        assert verify_certificate(gig1_d2(), certificate_for_model(gig1_d2())[2]).ok
+        phase_matrix(deep)
+        phase_matrix(gig1_d2())
+        capsys.readouterr()
         assert reads == []
-        shallow.as_blocks()  # the hook itself counts
+        shallow.values  # the hook itself counts
         assert reads == [shallow]
 
 
@@ -311,7 +358,7 @@ class TestOneStepMarginals:
         start_level, start_phase = 2, 0
         ens = run_coupled_monotone_batch(P, start_level, start_level, start_phase,
                                          T=1, seed=17, paths=N)
-        blocks = P.as_blocks()
+        blocks = dense_blocks(P)
         for level in range(P.levels):
             for phase in range(P.d):
                 prob = blocks[start_level, start_phase, level, phase]

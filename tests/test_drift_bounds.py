@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bmtrunc import (
-    BlockStochasticMatrix,
     BlockVector,
     BoundViolationError,
     DriftCertificate,
@@ -19,9 +18,18 @@ from bmtrunc import (
     optimize_m,
     verify_certificate,
 )
+from bmtrunc.drift_bounds import VERIFY_TOLERANCE
 from bmtrunc.gig1 import assemble, certificate_for_model
 
-from helpers import natural_walk, mg1_d2, dominance_pair
+from helpers import (
+    corner_from_dense,
+    dense,
+    dominance_pair,
+    gig1_d2,
+    mg1_d2,
+    natural_walk,
+    random_monotone_gig1,
+)
 
 ALPHA = math.sqrt(1.5)
 # drift factor of the 0.4-up / 0.6-down walk at the optimal weight base
@@ -90,7 +98,7 @@ class TestDriftCertificate:
 class TestVerifyCertificate:
     def test_identity_boundary_row_passes(self):
         # single boundary level: Iv = v <= gamma v + b holds with room
-        P = BlockStochasticMatrix(d=2, values=np.eye(2))
+        P = corner_from_dense(2, np.eye(2))
         cert = DriftCertificate(BlockVector(2, [[1.0, 1.0]]), gamma=0.99, b=1.0)
         check = verify_certificate(P, cert)
         assert check.ok and bool(check)
@@ -112,15 +120,36 @@ class TestVerifyCertificate:
         assert all(slack > 0 for _, _, slack in check.violations)
 
     def test_dense_corner_path(self):
-        P = BlockStochasticMatrix(d=1, values=[[1.0, 0.0], [0.6, 0.4]])
+        P = corner_from_dense(1, [[1.0, 0.0], [0.6, 0.4]])
         v = BlockVector(1, [[1.0], [2.0]])
         assert verify_certificate(P, DriftCertificate(v, 0.9, 0.2)).ok
         bad = verify_certificate(P, DriftCertificate(v, 0.7, 0.2))
         assert not bad.ok
         assert bad.violations and bad.max_slack > 0
 
+    def test_stored_corners_match_the_dense_product(self):
+        # assembled corners are rectangular: col_levels > levels
+        failed = 0
+        for model in (natural_walk(), mg1_d2(), gig1_d2(), random_monotone_gig1()):
+            _, _, cert = certificate_for_model(model)
+            P = assemble(model, 60)
+            lhs = (dense(P) @ cert.values_up_to(P.col_levels).reshape(-1)).reshape(60, P.d)
+            for scale in (1.0, 0.97, 0.5):
+                low = DriftCertificate(cert.v, cert.gamma * scale, cert.b, cert.K, cert.tail)
+                rhs = low.gamma * low.values_up_to(60)
+                rhs[: low.K + 1] += low.b
+                bad = np.argwhere(lhs - rhs - VERIFY_TOLERANCE * np.maximum(1.0, rhs) > 0.0)
+                check = verify_certificate(P, low)
+                assert check.ok == (bad.size == 0)
+                assert [(k, i) for k, i, _ in check.violations] == [tuple(x) for x in bad]
+                slacks = np.array([s for _, _, s in check.violations])
+                rows = tuple(bad.T)
+                assert np.all(np.abs(slacks - (lhs - rhs)[rows]) <= 1e-15 * lhs[rows])
+                failed += not check.ok
+        assert failed >= 4
+
     def test_block_size_mismatch(self):
-        P = BlockStochasticMatrix(d=2, values=np.eye(2))
+        P = corner_from_dense(2, np.eye(2))
         cert = DriftCertificate(BlockVector(1, [[1.0]]), 0.9, 1.0)
         with pytest.raises(ValueError, match="block size"):
             verify_certificate(P, cert)

@@ -1,16 +1,20 @@
 """Tests for model/vector files and deterministic report rendering."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bmtrunc import (
     BlockVector,
+    assemble,
     BoundReport,
     GIG1Model,
     ModelSchemaError,
     format_float,
+    lcb_truncate,
     load_model,
     load_vector,
     render_json,
@@ -20,7 +24,7 @@ from bmtrunc import (
     save_vector,
 )
 
-from helpers import gig1_d2, mg1_d2, natural_walk
+from helpers import dense, gig1_d2, mg1_d2, natural_walk
 
 
 class TestRendering:
@@ -51,7 +55,39 @@ class TestModelRoundTrip:
         save_model(corner, path)
         loaded = load_model(path)
         assert loaded.d == corner.d
-        np.testing.assert_array_equal(loaded.values, corner.values)
+        np.testing.assert_array_equal(dense(loaded), dense(corner))
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (lambda: lcb_truncate(mg1_d2(), 30),
+             "80409f610b825ebdbddb11b17bee7dc626f5acbfcb932e26a0284fe4348368c7"),
+            (lambda: assemble(gig1_d2(), 20),
+             "af3b58808432bf100ba308064a1391fbf2be0a3979b7b17bf7e04e892a8bc6f9"),
+            (lambda: lcb_truncate(gig1_d2(), 200),
+             "54e6ab1bf57020e72f64d6b3112dbbcd221c5cc6a4b4815c4c0a5cbbf72a392d"),
+        ],
+        ids=["mg1_d2_lcb30", "gig1_d2_assembled20", "gig1_d2_lcb200"],
+    )
+    def test_finite_file_bytes_are_pinned(self, tmp_path, make, digest):
+        # digests of the block-by-block writer that scanned the dense view
+        path = tmp_path / "corner.json"
+        save_model(make(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_loading_a_deep_corner_stays_small(self, tmp_path):
+        # 20002 states: a dense N x N array would need 3.2 GB
+        path = str(tmp_path / "deep.json")
+        save_model(lcb_truncate(mg1_d2(), 10_000), path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (loaded.levels, loaded.col_levels) == (10_001, 10_001)
+        assert (loaded.lower, loaded.upper) == (1, 2)
 
     def test_gig1_models(self, tmp_path):
         for name, model in (("mg1", mg1_d2()), ("gig1", gig1_d2())):

@@ -5,6 +5,9 @@ d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +24,9 @@ from bmtrunc import (
     is_block_increasing,
     is_block_monotone,
     lcb_truncate,
+    load_model,
     phase_matrix,
+    save_model,
     stationary,
     tv_distance,
     vector_dominates,
@@ -30,6 +35,9 @@ from bmtrunc import (
 from helpers import (
     band_columns,
     band_corner,
+    corner_from_dense,
+    dense,
+    dense_blocks,
     dense_closed_classes,
     dense_level_inverse,
     dense_stationary,
@@ -87,8 +95,8 @@ def test_monotone_step_preserves_vector_dominance(seed, d, levels):
     S = random_bm_corner(rng, d, levels)
     mu, eta = random_dominated_vectors(rng, d, levels)
     assert vector_dominates(mu, eta)
-    mu_next = BlockVector(d, (mu.flat @ S.values).reshape(levels, d))
-    eta_next = BlockVector(d, (eta.flat @ S.values).reshape(levels, d))
+    mu_next = BlockVector(d, (mu.flat @ dense(S)).reshape(levels, d))
+    eta_next = BlockVector(d, (eta.flat @ dense(S)).reshape(levels, d))
     assert vector_dominates(mu_next, eta_next, tol=1e-9)
 
 
@@ -97,7 +105,7 @@ def test_monotone_matrix_maps_increasing_to_increasing(seed, d, levels):
     rng = make_rng(seed)
     S = random_bm_corner(rng, d, levels)
     f = random_block_increasing(rng, d, levels)
-    image = BlockVector(d, (S.values @ f.flat).reshape(levels, d))
+    image = BlockVector(d, (dense(S) @ f.flat).reshape(levels, d))
     assert is_block_increasing(image, tol=1e-9)
 
 
@@ -106,12 +114,12 @@ def test_dominance_propagates_through_powers(seed, d, levels):
     rng = make_rng(seed)
     high = random_bm_corner(rng, d, levels)
     low = random_dominated_corner(rng, high)
-    low_m, high_m = low.values.copy(), high.values.copy()
+    low_m, high_m = dense(low), dense(high)
     for m in range(2, 6):
-        low_m = low_m @ low.values
-        high_m = high_m @ high.values
+        low_m = low_m @ dense(low)
+        high_m = high_m @ dense(high)
         assert oracle_dominates(
-            BlockStochasticMatrix(d, low_m), BlockStochasticMatrix(d, high_m), tol=1e-9
+            corner_from_dense(d, low_m), corner_from_dense(d, high_m), tol=1e-9
         ), f"power {m} broke dominance"
 
 
@@ -152,7 +160,7 @@ def test_stationary_residual_and_simplex(seed, d, levels):
     pi = stationary(P)
     assert np.all(pi.flat >= 0.0)
     assert pi.flat.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(pi.flat @ P.values - pi.flat).max() <= 1e-10
+    assert np.abs(pi.flat @ dense(P) - pi.flat).max() <= 1e-10
 
 
 @given(seeds, dims, level_counts)
@@ -184,7 +192,7 @@ def assert_stationary_matches_dense(P):
 @given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
 def test_banded_stationary_matches_dense_oracle(seed, d, levels, lower, upper, density):
     P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
-    want = dense_closed_classes(P.values > 0.0)
+    want = dense_closed_classes(dense(P) > 0.0)
     assert [c.tolist() for c in closed_classes(P)] == [c.tolist() for c in want]
     assert_stationary_matches_dense(P)
 
@@ -252,12 +260,47 @@ def test_band_order_checks_match_transform_oracles(seed, d, levels, lower, upper
     assert block_dominates(Q, P) == oracle_dominates(Q, P)
 
 
+@given(seeds, dims, level_counts, band_widths, band_widths, st.integers(min_value=0, max_value=2))
+def test_block_maps_and_files_rebuild_the_band_read_off_the_dense_array(
+    seed, d, levels, lower, upper, extra
+):
+    # Half the blocks are zero, so the nonzero ones often span fewer offsets
+    # than the band was drawn with; `extra` adds columns past the last level.
+    rng = make_rng(seed)
+    col_levels = levels + extra
+    band = rng.uniform(0.05, 1.0, size=(levels, lower + upper + 1, d, d))
+    band *= rng.uniform(size=(levels, lower + upper + 1, 1, 1)) < 0.5
+    band[:, lower] += 0.01 * np.eye(d)
+    cols = band_columns(levels, band.shape[1], lower)
+    band[(cols < 0) | (cols >= col_levels)] = 0.0
+    P = BlockStochasticMatrix(d, band / band.sum(axis=(1, 3), keepdims=True), lower, col_levels)
+
+    def assert_same(got, want):
+        np.testing.assert_array_equal(got.band, want.band)
+        assert (got.lower, got.col_levels) == (want.lower, want.col_levels)
+
+    want = corner_from_dense(d, dense(P))
+    k, o = np.nonzero(np.any(P.band != 0.0, axis=(2, 3)))
+    nonzero = {(r, r - lower + s): P.band[r, s] for r, s in zip(k.tolist(), o.tolist())}
+    assert_same(BlockStochasticMatrix.from_blocks(d, nonzero, col_levels=col_levels), want)
+    blocks = dense_blocks(P)
+    every = {(r, c): blocks[r, :, c, :] for r, c in np.ndindex(levels, col_levels)}
+    assert_same(BlockStochasticMatrix.from_blocks(d, every), want)
+    # A file lists the nonzero blocks only, so the loaded corner ends at the
+    # last column level that holds one.
+    last = max(levels, max(c for _, c in nonzero) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corner.json")
+        save_model(P, path)
+        assert_same(load_model(path), corner_from_dense(d, dense(P)[:, :last * d]))
+
+
 @given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
 def test_band_level_inverse_matches_dense_inverse(seed, d, levels, lower, upper, density):
     # density 0.5 leaves zero-mass slots inside the band and zero-mass phase moves
     P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
     kernel = _CouplingKernel(P)
-    blocks = P.as_blocks()
+    blocks = dense_blocks(P)
     for k, i, j in np.ndindex(levels, d, d):
         cdf = np.cumsum(blocks[k, i, :, j])
         breaks = cdf / cdf[-1] if cdf[-1] > 0.0 else cdf
