@@ -113,6 +113,11 @@ class CoupledEnsemble:
         )
 
 
+def _last_with_mass(psi: PhaseMatrix) -> np.ndarray:
+    """Per row i, the last phase j with psi(i, j) > 0: the draw for an s past the row's total."""
+    return psi.d - 1 - np.argmax(psi.psi[:, ::-1] > 0.0, axis=1)
+
+
 def phase_step(psi: PhaseMatrix, i: int, s: float) -> int:
     """Inverse-CDF phase draw: smallest j with sum_{j' <= j} psi(i, j') >= s.
 
@@ -121,7 +126,7 @@ def phase_step(psi: PhaseMatrix, i: int, s: float) -> int:
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie strictly between 0 and 1")
     cdf = np.cumsum(psi.psi[i])
-    return min(int(np.searchsorted(cdf, s, side="left")), int(np.nonzero(psi.psi[i])[0][-1]))
+    return min(int(np.searchsorted(cdf, s, side="left")), int(_last_with_mass(psi)[i]))
 
 
 def level_step(P: BlockStochasticMatrix, k: int, i: int, j: int, u: float) -> int:
@@ -171,11 +176,6 @@ class _CouplingKernel:
         return self.first[k, i, j] + (self.cond[k, i, j] < u[:, None]).sum(axis=1)
 
 
-def _phase_inverse(phase_cdf: np.ndarray, last: np.ndarray, i: np.ndarray, s: np.ndarray):
-    # clipped to the row's last phase with mass, as in phase_step
-    return np.minimum((phase_cdf[i] < s[:, None]).sum(axis=1), last[i])
-
-
 def _run_pair(
     kind: str,
     low: _CouplingKernel,
@@ -199,7 +199,7 @@ def _run_pair(
         raise ValueError("T and paths must be >= 1")
 
     phase_cdf = np.cumsum(psi.psi, axis=1)
-    last = psi.d - 1 - np.argmax(psi.psi[:, ::-1] > 0.0, axis=1)
+    last = _last_with_mass(psi)
     streams = np.random.SeedSequence(seed).spawn(2)
     u_rng = np.random.default_rng(streams[0])
     s_rng = np.random.default_rng(streams[1])
@@ -215,7 +215,7 @@ def _run_pair(
     u = u_rng.random((T, paths))
     for t in range(1, T + 1):
         j_prev = phases[t - 1]
-        j_new = _phase_inverse(phase_cdf, last, j_prev, s[t - 1])
+        j_new = np.minimum((phase_cdf[j_prev] < s[t - 1][:, None]).sum(axis=1), last[j_prev])
         lev_low[t] = low.level_inverse(lev_low[t - 1], j_prev, j_new, u[t - 1])
         lev_high[t] = high.level_inverse(lev_high[t - 1], j_prev, j_new, u[t - 1])
         phases[t] = j_new

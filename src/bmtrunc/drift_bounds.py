@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -338,7 +338,12 @@ def lift_certificate(
     entries[1:] += B
     lifted_tail = None
     if tail is not None:
-        lifted_tail = replace(tail, shift=tail.shift + B, start=max(tail.start, 1))
+        lifted_tail = GeometricTail(
+            alpha=tail.alpha,
+            coeff=tail.coeff,
+            shift=tail.shift + B,
+            start=max(tail.start, 1),
+        )
     return DriftCertificate(
         v=BlockVector(vprime.d, entries), gamma=gamma, b=b, K=0, tail=lifted_tail
     )
@@ -413,7 +418,14 @@ def compare_against_oracle(
             top_mass = _truncated_stationary(top_source, n).entries[n]
         m_star, _ = optimize_m(cert, n, m_max, which="bound1", top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
-        return replace(report, measured_error=measured, reference_level=reference_level)
+        return BoundReport(
+            n=n,
+            m=m_star,
+            bound2=report.bound2,
+            bound1=report.bound1,
+            measured_error=measured,
+            reference_level=reference_level,
+        )
 
     reports = _map_levels(evaluate, n_list, max_workers)
     for report in reports:

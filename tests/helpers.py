@@ -21,7 +21,6 @@ from bmtrunc import (
     MultipleClosedClassesError,
     assemble,
 )
-from bmtrunc.gig1 import a_hat
 
 # deterministic seed for the randomly generated acceptance model
 RANDOM_MODEL_SEED = 20260814
@@ -153,40 +152,6 @@ def dense_level_inverse(P: BlockStochasticMatrix, k: int, i: int, j: int, u) -> 
     if cdf[-1] <= 0.0:
         return np.zeros(u.shape, dtype=np.int64)
     return (cdf / cdf[-1] < u[..., None]).sum(axis=-1)
-
-
-def loop_tail_drift(model: GIG1Model, cert, k_from: int, tol: float):
-    """verify_tail_drift's result, each growing phase's first failing level found by a scan.
-
-    Steps k = k_from + 1, k_from + 2, ... until the row fails, 100 000
-    levels have passed or alpha^k leaves float range: the rule the closed
-    form in verify_tail_drift must reproduce.
-    """
-    alpha, c, s = cert.tail.alpha, cert.tail.coeff, cert.tail.shift
-    gamma = cert.gamma
-    h = a_hat(model, alpha) @ c - gamma * c
-
-    def slack_at(k: int) -> np.ndarray:
-        rhs = gamma * (alpha ** k * c + s)
-        diff = alpha ** k * h + s * (1.0 - gamma)
-        return diff - tol * np.maximum(1.0, rhs)
-
-    violations = []
-    first = alpha ** k_from * h + s * (1.0 - gamma)
-    flagged = set(np.nonzero(slack_at(k_from) > 0.0)[0])
-    growing = set(np.nonzero(h > tol * gamma * c)[0]) - flagged
-    for i in flagged:
-        violations.append((k_from, int(i), float(first[i])))
-    for i in growing:
-        k = k_from + 1
-        while slack_at(k)[i] <= 0.0 and k < k_from + 100_000 and np.isfinite(alpha ** k):
-            k += 1
-        diff = alpha ** k * h[i] + s * (1.0 - gamma)
-        violations.append((int(k), int(i), float(diff)))
-    return not violations, sorted(violations), float(first.max())
-
-
-# --- fixed models used across module and acceptance tests ---
 
 
 def natural_walk() -> GIG1Model:

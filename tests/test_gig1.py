@@ -8,7 +8,6 @@ import pytest
 from bmtrunc import (
     BlockVector,
     DriftCertificate,
-    GeometricTail,
     GIG1Model,
     PhaseStructureError,
     is_block_monotone,
@@ -33,7 +32,6 @@ from bmtrunc.gig1 import (
     mg1_certificate,
     perron,
     spectral_point,
-    verify_tail_drift,
     w_vector,
 )
 
@@ -41,7 +39,6 @@ from helpers import (
     _A2,
     dense,
     gig1_d2,
-    loop_tail_drift,
     mg1_d2,
     mg1_walk,
     natural_walk,
@@ -403,70 +400,6 @@ class TestCertificates:
         )
         with pytest.raises(ValueError, match="tail"):
             verify_certificate(natural_walk(), tailless)
-
-
-def tuned_tail_certificate(model, alpha, c, shift, tol, eps):
-    """d=1 certificate with tail slack a alpha^k - r, a = eps * c and r > 0 if ahat(alpha) > 1.
-
-    With gamma = (ahat(alpha) - eps) / (1 + tol) the max(1, rhs) = rhs branch
-    of the slack is alpha^k eps c - shift (ahat(alpha) - eps - 1), so the
-    first failing level sits about log(r / a) / log(alpha) levels up. None
-    when that gamma is not below 1.
-    """
-    gamma = (float(a_hat(model, alpha)[0, 0]) - eps) / (1.0 + tol)
-    if gamma >= 1.0:
-        return None
-    tail = GeometricTail(alpha, [c], shift, 0)
-    return DriftCertificate(BlockVector(1, tail.values(np.arange(3))), gamma, 1.0, 0, tail)
-
-
-class TestTailDrift:
-    def test_closed_form_matches_the_level_scan_on_lowered_gamma(self):
-        shifts, oks = set(), set()
-        for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(), random_monotone_gig1()):
-            _, _, cert = certificate_for_model(model)
-            shifts.add(cert.tail.shift > 0.0)
-            k_from = max(model.k_star, cert.K + 1, cert.tail.start + model.L_A) + 1
-            for scale in (1.0, 0.999, 0.99, 0.9, 0.5):
-                low = DriftCertificate(cert.v, cert.gamma * scale, cert.b, cert.K, cert.tail)
-                for tol in (1e-10, 1e-3, 0.5):
-                    got = verify_tail_drift(model, low, k_from, tol)
-                    assert got == loop_tail_drift(model, low, k_from, tol)
-                    oks.add(got[0])
-        assert shifts == oks == {False, True}
-
-    def test_closed_form_matches_the_level_scan_on_late_failures(self):
-        walk = natural_walk()
-        rng = np.random.default_rng(7)
-        gaps = []
-        for _ in range(200):
-            tol = float(rng.choice([1e-3, 0.3, 2.0]))
-            shift = float(rng.choice([0.0, rng.uniform(0.5, 5.0)]))
-            cert = tuned_tail_certificate(walk, float(rng.uniform(1.55, 3.0)),
-                                          float(rng.uniform(1.0, 5.0)), shift, tol,
-                                          10.0 ** rng.uniform(-12, -1))
-            if cert is None:
-                continue
-            got = verify_tail_drift(walk, cert, 3, tol)
-            assert got == loop_tail_drift(walk, cert, 3, tol)
-            gaps += [k - 3 for k, _, _ in got[1]]
-        assert min(gaps) == 0 and max(gaps) > 30
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_search_stops_at_the_level_cap_and_at_overflow(self):
-        up = GIG1Model(d=1, A={-1: [[0.4]], 1: [[0.6]]}, B={-1: [[0.4]], 0: [[0.4]], 1: [[0.6]]})
-        capped = tuned_tail_certificate(up, 1.0 + 1e-5, 1.0, 2.0, 0.5, 1e-12)
-        got = verify_tail_drift(up, capped, 3, 0.5)
-        assert got == loop_tail_drift(up, capped, 3, 0.5)
-        assert [k for k, _, _ in got[1]] == [3 + 100_000]
-        # alpha^k overflows at k = 1024 before a = 1e-310 lifts the slack above 0
-        tiny = tuned_tail_certificate(natural_walk(), np.float64(2.0), 1e-300, 2.0, 0.5, 1e-10)
-        got = verify_tail_drift(natural_walk(), tiny, 3, 0.5)
-        assert got == loop_tail_drift(natural_walk(), tiny, 3, 0.5)
-        assert got[1] == [(1024, 0, math.inf)]
-        # a plain float alpha gives the same report, where the scan raised OverflowError
-        plain = tuned_tail_certificate(natural_walk(), 2.0, 1e-300, 2.0, 0.5, 1e-10)
-        assert verify_tail_drift(natural_walk(), plain, 3, 0.5) == got
 
 
 class TestTruncationPipeline:
