@@ -30,13 +30,10 @@ from .block_matrix import (
 )
 from .coupling import (
     CoupledEnsemble,
-    CoupledTrajectory,
     OrderingViolationError,
     level_step,
     phase_step,
-    run_coupled_dominance,
     run_coupled_dominance_batch,
-    run_coupled_monotone,
     run_coupled_monotone_batch,
 )
 from .drift_bounds import (
@@ -57,14 +54,11 @@ from .gig1 import (
     GIG1Model,
     SpectralPoint,
     assemble,
-    build_certificate_gig1,
     certificate_for_model,
     find_alpha,
     mean_drift,
-    mg1_certificate,
     perron,
     spectral_point,
-    w_vector,
 )
 from .model_io import (
     ModelSchemaError,
@@ -87,7 +81,6 @@ __all__ = [
     "BoundViolationError",
     "CertificateCheck",
     "CoupledEnsemble",
-    "CoupledTrajectory",
     "DriftCertificate",
     "GIG1DriftData",
     "GIG1Model",
@@ -103,7 +96,6 @@ __all__ = [
     "assemble",
     "block_dominates",
     "bound_theorem31",
-    "build_certificate_gig1",
     "certificate_for_model",
     "closed_classes",
     "compare_against_oracle",
@@ -117,7 +109,6 @@ __all__ = [
     "load_model",
     "load_vector",
     "mean_drift",
-    "mg1_certificate",
     "optimize_m",
     "perron",
     "phase_matrix",
@@ -125,9 +116,7 @@ __all__ = [
     "render_json",
     "reports_to_csv",
     "reports_to_json",
-    "run_coupled_dominance",
     "run_coupled_dominance_batch",
-    "run_coupled_monotone",
     "run_coupled_monotone_batch",
     "save_model",
     "save_vector",
@@ -138,5 +127,4 @@ __all__ = [
     "v_norm_distance",
     "vector_dominates",
     "verify_certificate",
-    "w_vector",
 ]

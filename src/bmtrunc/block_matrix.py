@@ -17,6 +17,7 @@ maps to flat index k*d + i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -98,7 +99,6 @@ class BlockStochasticMatrix:
         col_levels: int | None = None,
         substochastic: bool = False,
         tail: object | None = None,
-        row_tolerance: float = ROW_SUM_TOLERANCE,
     ):
         if d < 1:
             raise ValueError("block size d must be >= 1")
@@ -117,7 +117,6 @@ class BlockStochasticMatrix:
         self.col_levels = col_levels
         self.substochastic = substochastic
         self.tail = tail
-        self.row_tolerance = row_tolerance
         self._values = None
         self._check_rows()
 
@@ -131,14 +130,14 @@ class BlockStochasticMatrix:
             raise ValueError(f"negative entry in row (level {k}, phase {i})")
         sums = band.sum(axis=(1, 3)).reshape(-1)
         if self.substochastic:
-            bad = sums > 1.0 + self.row_tolerance
+            bad = sums > 1.0 + ROW_SUM_TOLERANCE
         else:
-            bad = np.abs(sums - 1.0) > self.row_tolerance
+            bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
         if np.any(bad):
             state = int(np.argmax(bad))
             raise ValueError(
                 f"row (level {state // self.d}, phase {state % self.d}) sums to "
-                f"{sums[state]:.12g}, outside tolerance {self.row_tolerance:g}"
+                f"{sums[state]:.12g}, outside tolerance {ROW_SUM_TOLERANCE:g}"
             )
 
     @property
@@ -256,10 +255,9 @@ class BlockVector:
 
 @dataclass(frozen=True, eq=False)
 class PhaseMatrix:
-    """Phase-marginal transition kernel with its stationary vector."""
+    """Phase-marginal transition kernel; its stationary vector is solved on first use."""
 
     psi: np.ndarray
-    varpi: np.ndarray | None = None
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -268,19 +266,15 @@ class PhaseMatrix:
             raise ValueError("psi must be square")
         if np.any(psi < 0) or np.any(np.abs(psi.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE):
             raise ValueError("psi must be a stochastic matrix")
-        if self.varpi is not None:
-            varpi = np.asarray(self.varpi, dtype=float)
-            object.__setattr__(self, "varpi", varpi)
-            if varpi.shape != (psi.shape[0],):
-                raise ValueError("varpi has wrong shape")
-            if np.any(varpi < -1e-12) or abs(varpi.sum() - 1.0) > 1e-8:
-                raise ValueError("varpi must be a probability vector")
-            if np.max(np.abs(varpi @ psi - varpi)) > 1e-8:
-                raise ValueError("varpi is not stationary for psi")
 
     @property
     def d(self) -> int:
         return self.psi.shape[0]
+
+    @cached_property
+    def varpi(self) -> np.ndarray:
+        """Stationary phase vector: varpi psi = varpi, summing to 1."""
+        return _kernel_stationary(self.psi)
 
 
 def _band_tails(P: BlockStochasticMatrix, levels: int, lower: int, upper: int) -> np.ndarray:
@@ -385,7 +379,6 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
         band=band,
         lower=P.lower,
         substochastic=P.substochastic,
-        row_tolerance=P.row_tolerance,
     )
 
 
@@ -501,9 +494,7 @@ def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def stationary(
-    P: BlockStochasticMatrix, residual_tol: float = STATIONARY_RESIDUAL_TOLERANCE
-) -> BlockVector:
+def stationary(P: BlockStochasticMatrix) -> BlockVector:
     """Stationary distribution of a finite stochastic corner.
 
     Closed-class check, GTH elimination and residual all run on the band:
@@ -512,7 +503,6 @@ def stationary(
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).
-        residual_tol: maximum allowed max-norm residual of pi*P - pi.
 
     Returns:
         Probability BlockVector; states outside the unique closed class get 0.
@@ -520,7 +510,8 @@ def stationary(
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
         ValueError: non-square or substochastic input.
-        StationarySolveError: a zero pivot or a failed residual check.
+        StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
+            above STATIONARY_RESIDUAL_TOLERANCE.
     """
     if not P.square:
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
@@ -535,8 +526,10 @@ def stationary(
         )
     pi = _gth_band(W, lo, up, classes[0].tolist(), d).reshape(P.levels, d)
     residual = float(np.max(np.abs(_left_product(P, pi) - pi)))
-    if residual > residual_tol:
-        raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {residual_tol:g}")
+    if residual > STATIONARY_RESIDUAL_TOLERANCE:
+        raise StationarySolveError(
+            f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOLERANCE:g}"
+        )
     return BlockVector(d, pi)
 
 
@@ -565,8 +558,7 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
     """Phase-marginal kernel psi(i, j) = sum over l of p(k,i;l,j), any k.
 
     The row phase sums of a block-monotone chain do not depend on the level;
-    this is verified across all stored levels within tol. Also solves for the
-    stationary phase vector.
+    this is verified across all stored levels within tol.
 
     Raises:
         PhaseStructureError: phase sums vary with the level beyond tol.
@@ -579,14 +571,13 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
         raise PhaseStructureError(
             f"row phase sums vary across levels by {spread:.3e} (> {tol:g})"
         )
-    psi = per_level[0]
-    return PhaseMatrix(psi=psi, varpi=_kernel_stationary(psi, P.row_tolerance))
+    return PhaseMatrix(psi=per_level[0])
 
 
-def _kernel_stationary(psi: np.ndarray, row_tolerance: float) -> np.ndarray:
+def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
     """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels."""
     entries = {(i, j): [[p]] for (i, j), p in np.ndenumerate(psi)}
-    P = BlockStochasticMatrix.from_blocks(1, entries, row_tolerance=row_tolerance)
+    P = BlockStochasticMatrix.from_blocks(1, entries)
     return stationary(P).flat
 
 

@@ -16,6 +16,7 @@ from .block_matrix import (
     BlockStochasticMatrix,
     MultipleClosedClassesError,
     PhaseStructureError,
+    StationarySolveError,
     closed_classes,
     is_block_monotone,
     lcb_truncate,
@@ -35,8 +36,8 @@ from .drift_bounds import (
     optimize_m,
 )
 from .gig1 import (  # noqa: F401 - find_alpha stays importable here for perfbench's tracer
+    GIG1DriftData,
     GIG1Model,
-    SpectralPoint,
     certificate_for_model,
     find_alpha,
     mean_drift,
@@ -135,22 +136,17 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _gig1_drift_section(model: GIG1Model, data) -> dict:
-    if isinstance(data, SpectralPoint):
-        point = data
-        gamma_prime, b_prime, K = None, None, 0
-    else:
-        point = data.spectral
-        gamma_prime, b_prime, K = data.gamma_prime, data.b_prime, data.K
+def _gig1_drift_section(model: GIG1Model, data: GIG1DriftData) -> dict:
+    point = data.spectral
     return {
         "alpha": point.z,
         "delta": point.delta,
         "mu": point.mu,
         "v": point.v,
         "k_star": model.k_star,
-        "gamma_prime": gamma_prime,
-        "b_prime": b_prime,
-        "K": K,
+        "gamma_prime": data.gamma_prime,
+        "b_prime": data.b_prime,
+        "K": data.K,
     }
 
 
@@ -271,12 +267,11 @@ def cmd_compare(config: RunConfig) -> int:
 
 
 def _trajectory_csv(ensemble: CoupledEnsemble, path: int = 0) -> str:
-    traj = ensemble.trajectory(path)
     lines = ["step,phase,level_low,level_high"]
-    for step in range(traj.steps + 1):
+    for step in range(ensemble.steps + 1):
         lines.append(
-            f"{step},{int(traj.phases[step])},{int(traj.levels_low[step])},"
-            f"{int(traj.levels_high[step])}"
+            f"{step},{int(ensemble.phases[path, step])},{int(ensemble.levels_low[path, step])},"
+            f"{int(ensemble.levels_high[path, step])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -391,6 +386,7 @@ def main(argv=None) -> int:
         MultipleClosedClassesError,
         PhaseStructureError,
         ReferenceNotConvergedError,
+        StationarySolveError,
         ValueError,
     ) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -36,13 +36,10 @@ from .block_matrix import (
 )
 
 __all__ = [
-    "CoupledTrajectory",
     "CoupledEnsemble",
     "OrderingViolationError",
     "phase_step",
     "level_step",
-    "run_coupled_monotone",
-    "run_coupled_dominance",
     "run_coupled_monotone_batch",
     "run_coupled_dominance_batch",
 ]
@@ -62,30 +59,14 @@ class OrderingViolationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class CoupledTrajectory:
-    """One coupled pair of paths sharing a phase sequence.
-
-    levels_low/levels_high hold the two chains' levels per step; for the
-    dominance coupling "low" is the dominated chain. hit_top flags that some
-    step touched the top stored level, where a truncated corner distorts the
-    infinite chain it stands in for.
-    """
-
-    kind: str
-    seed: int
-    phases: np.ndarray
-    levels_low: np.ndarray
-    levels_high: np.ndarray
-    hit_top: bool = False
-
-    @property
-    def steps(self) -> int:
-        return len(self.phases) - 1
-
-
-@dataclass(frozen=True, eq=False)
 class CoupledEnsemble:
-    """Batch of independent coupled pairs; arrays are (paths, steps+1)."""
+    """Batch of independent coupled pairs sharing a phase sequence per path.
+
+    Arrays are (paths, steps+1). levels_low/levels_high hold the two chains'
+    levels; for the dominance coupling "low" is the dominated chain. hit_top
+    flags that some step touched the top stored level, where a truncated
+    corner distorts the infinite chain it stands in for.
+    """
 
     kind: str
     seed: int
@@ -101,16 +82,6 @@ class CoupledEnsemble:
     @property
     def steps(self) -> int:
         return self.phases.shape[1] - 1
-
-    def trajectory(self, path: int) -> CoupledTrajectory:
-        return CoupledTrajectory(
-            kind=self.kind,
-            seed=self.seed,
-            phases=self.phases[path].copy(),
-            levels_low=self.levels_low[path].copy(),
-            levels_high=self.levels_high[path].copy(),
-            hit_top=self.hit_top,
-        )
 
 
 def _last_with_mass(psi: PhaseMatrix) -> np.ndarray:
@@ -302,24 +273,3 @@ def run_coupled_dominance_batch(
         paths,
     )
 
-
-def run_coupled_monotone(
-    P: BlockStochasticMatrix, x0_low: int, x0_high: int, j0: int, T: int, seed: int
-) -> CoupledTrajectory:
-    """Single coupled pair of a block-monotone chain (see the batch variant)."""
-    return run_coupled_monotone_batch(P, x0_low, x0_high, j0, T, seed, paths=1).trajectory(0)
-
-
-def run_coupled_dominance(
-    P: BlockStochasticMatrix,
-    Ptilde: BlockStochasticMatrix,
-    x0: int,
-    x0_tilde: int,
-    j0: int,
-    T: int,
-    seed: int,
-) -> CoupledTrajectory:
-    """Single coupled pair under block-wise dominance (see the batch variant)."""
-    return run_coupled_dominance_batch(
-        P, Ptilde, x0, x0_tilde, j0, T, seed, paths=1
-    ).trajectory(0)

@@ -369,7 +369,6 @@ def compare_against_oracle(
     reference_level: int | None = None,
     dominating=None,
     convergence_tol: float = REFERENCE_CONVERGENCE_TOLERANCE,
-    bound_check_tol: float = BOUND_CHECK_SLACK,
     max_workers: int = 1,
 ) -> list[BoundReport]:
     """Measure truncation errors against a converged reference and bound them.
@@ -430,7 +429,7 @@ def compare_against_oracle(
     reports = _map_levels(evaluate, n_list, max_workers)
     for report in reports:
         bound = report.bound1 if report.bound1 is not None else report.bound2
-        if report.measured_error > bound + bound_check_tol:
+        if report.measured_error > bound + BOUND_CHECK_SLACK:
             raise BoundViolationError(
                 f"n={report.n}: measured error {report.measured_error:.6e} exceeds "
                 f"certified bound {bound:.6e}"

@@ -14,7 +14,7 @@ which a boundary lift turns into a full K=0 certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -48,9 +48,6 @@ __all__ = [
     "spectral_point",
     "mean_drift",
     "find_alpha",
-    "w_vector",
-    "build_certificate_gig1",
-    "mg1_certificate",
     "certificate_for_model",
     "assemble",
     "verify_tail_drift",
@@ -103,7 +100,6 @@ class GIG1Model:
     d: int
     A: dict[int, np.ndarray]
     B: dict[int, np.ndarray]
-    row_tolerance: float = ROW_SUM_TOLERANCE
 
     def __post_init__(self):
         if self.d < 1:
@@ -113,7 +109,7 @@ class GIG1Model:
         if not self.A:
             raise ValueError("A-sequence has no nonzero block")
         a_total = self.a_sum()
-        if np.max(np.abs(a_total.sum(axis=1) - 1.0)) > self.row_tolerance:
+        if np.max(np.abs(a_total.sum(axis=1) - 1.0)) > ROW_SUM_TOLERANCE:
             raise ValueError("the A-blocks must sum to a stochastic matrix")
         if not _is_irreducible(a_total > 0):
             raise ValueError("the summed A-matrix must be irreducible")
@@ -123,11 +119,11 @@ class GIG1Model:
         row0 = sum(
             (blk for off, blk in self.B.items() if off >= 0), np.zeros((self.d, self.d))
         )
-        if np.max(np.abs(np.asarray(row0).sum(axis=1) - 1.0)) > self.row_tolerance:
+        if np.max(np.abs(np.asarray(row0).sum(axis=1) - 1.0)) > ROW_SUM_TOLERANCE:
             raise ValueError("row 0 (the B(l), l >= 0 blocks) is not stochastic")
         for k in range(1, max(self.L_A, self.L_B) + 1):
             sums = self.B_block(-k).sum(axis=1) + self.a_suffix(1 - k).sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > self.row_tolerance:
+            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOLERANCE:
                 raise ValueError(f"assembled row {k} is not stochastic (sums {sums})")
 
     @property
@@ -209,7 +205,7 @@ class GIG1Model:
             raise PhaseStructureError(
                 f"boundary row phase sums deviate from the A-sum by {spread:.3e} (> {tol:g})"
             )
-        return PhaseMatrix(psi=psi, varpi=_kernel_stationary(psi, self.row_tolerance))
+        return PhaseMatrix(psi=psi)
 
     def mg1_pattern_mismatches(self, tol: float = 1e-12) -> list[str]:
         """Deviations from the skip-free-downward pattern, empty when it matches.
@@ -250,9 +246,7 @@ class GIG1Model:
             band[0, L + n] = self.b_suffix(n)
         for x in range(min(self.U_A, n - 1) + 1):
             band[n - x, L + x] = self.a_suffix(x)
-        return BlockStochasticMatrix(
-            d=self.d, band=band, lower=L, row_tolerance=self.row_tolerance
-        )
+        return BlockStochasticMatrix(d=self.d, band=band, lower=L)
 
     def verify_drift(self, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
         """Drift-inequality check covering all infinitely many rows.
@@ -410,7 +404,7 @@ def mean_drift(model: GIG1Model) -> float:
     Negative drift certifies positive recurrence and guarantees a growth
     rate alpha > 1 with delta(alpha) < 1 exists.
     """
-    varpi = _kernel_stationary(model.a_sum(), model.row_tolerance)
+    varpi = _kernel_stationary(model.a_sum())
     step = sum(
         (j * blk.sum(axis=1) for j, blk in model.A.items()), np.zeros(model.d)
     )
@@ -459,8 +453,8 @@ def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
     return alpha, point
 
 
-def w_vector(model: GIG1Model, alpha: float, spectral: SpectralPoint, k: int) -> np.ndarray:
-    """Row-k image of the geometric weight vector alpha^l v(alpha).
+def _row_image(model: GIG1Model, spectral: SpectralPoint, k: int) -> np.ndarray:
+    """Row-k image of the geometric weight vector alpha^l v(alpha), alpha = spectral.z.
 
     w(0) = sum_l alpha^l B(l) v;  for k >= 1,
     w(k) = B(-k) v + alpha^k * sum_{j >= 1-k} alpha^j A(j) v.
@@ -469,9 +463,7 @@ def w_vector(model: GIG1Model, alpha: float, spectral: SpectralPoint, k: int) ->
     """
     if k < 0:
         raise ValueError("level k must be non-negative")
-    if abs(alpha - spectral.z) > 1e-9:
-        raise ValueError("spectral data was computed at a different point than alpha")
-    v = spectral.v
+    alpha, v = spectral.z, spectral.v
     if k == 0:
         return sum(
             (alpha ** l * (blk @ v) for l, blk in model.B.items() if l >= 0),
@@ -486,50 +478,51 @@ def w_vector(model: GIG1Model, alpha: float, spectral: SpectralPoint, k: int) ->
 
 @dataclass(frozen=True, eq=False)
 class GIG1DriftData:
-    """Intermediate quantities of the boundary-lift certificate construction."""
+    """Spectral point at alpha and the level-K certificate's (K, gamma', b').
 
-    alpha: float
+    Only the boundary lift builds a level-K certificate, with gamma' =
+    delta(alpha); on the skip-free shortcut K = 0 and gamma', b' are None.
+    """
+
     spectral: SpectralPoint
-    k_star: int
-    gamma_prime: float
-    b_prime: float
-    K: int
-    w: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.spectral.delta < 1.0:
-            raise ValueError("spectral point must have delta < 1")
-        if not 0.0 < self.gamma_prime < 1.0 or self.b_prime <= 0.0:
-            raise ValueError("gamma_prime must lie in (0, 1) and b_prime be positive")
-        if self.K < self.k_star - 1:
-            raise ValueError("K must be at least k_star - 1")
-        stacked = np.asarray(self.w, dtype=float)
-        if np.any(stacked[:-1] > stacked[1:] + 1e-9):
-            raise ValueError("w must be element-wise non-decreasing in the level")
+    K: int = 0
+    gamma_prime: float | None = None
+    b_prime: float | None = None
 
 
-def build_certificate_gig1(model: GIG1Model) -> tuple[GIG1DriftData, DriftCertificate]:
-    """Full boundary-lift certificate for a block-monotone GI/G/1-type chain.
+def certificate_for_model(
+    model: GIG1Model,
+) -> tuple[str, GIG1DriftData, DriftCertificate]:
+    """K=0 certificate via the tightest applicable path.
 
-    Pipeline: pick alpha minimizing delta(z); the geometric weights
-    alpha^k v(alpha) satisfy the drift inequality with rate delta(alpha)
-    exactly from level k_star on, and boundary levels 0..K (K = k_star - 1)
-    are absorbed into a constant b'. The level-K certificate is then lifted
-    to K=0 through the B(-K) block, which must have positive row sums.
+    Returns (path label, drift data, certificate). alpha minimizes delta(z)
+    and is searched once; the geometric weights alpha^k v(alpha) satisfy the
+    drift inequality with rate delta(alpha) exactly from level k_star on.
 
-    Returns:
-        (GIG1DriftData, K=0 DriftCertificate with closed-form tail).
+    - Skip-free shortcut, when B(-1) = A(-1) and B(l) = A(l-1): the weights
+      satisfy the inequality everywhere with boundary constant
+      (alpha - 1) * max_i v(alpha, i) at level 0 only.
+    - Boundary lift otherwise: boundary levels 0..K (K = k_star - 1) are
+      absorbed into a constant b', and the level-K certificate is lifted to
+      K=0 through the B(-K) block, which must have positive row sums.
 
     Raises:
-        ValueError: model not block-monotone, non-negative drift, or no
-            admissible K (some phase at level K cannot reach level 0).
+        ValueError: off the skip-free pattern and not block-monotone,
+            non-negative drift, or no admissible K (some phase at level K
+            cannot reach level 0).
     """
-    if not model.is_block_monotone():
+    skip_free = not model.mg1_pattern_mismatches()
+    if not skip_free and not model.is_block_monotone():
         raise ValueError("certificate construction needs a block-monotone model")
     alpha, point = find_alpha(model)
-    gamma_prime = point.delta
-    k_star = model.k_star
-    K = k_star - 1
+    ks = np.arange(model.k_star + 1)
+    weights = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
+    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
+    if skip_free:
+        b = (alpha - 1.0) * float(point.v.max())
+        cert = DriftCertificate(v=weights, gamma=point.delta, b=b, K=0, tail=tail)
+        return PATH_SKIP_FREE, GIG1DriftData(point), cert
+    K = model.k_star - 1
     boundary = model.B_block(-K) if K >= 1 else model.B_block(0)
     row_reach = boundary.sum(axis=1)
     if np.any(row_reach <= 0.0):
@@ -537,64 +530,12 @@ def build_certificate_gig1(model: GIG1Model) -> tuple[GIG1DriftData, DriftCertif
             f"no admissible K: boundary block at level {K} has row sums {row_reach}, "
             "every phase must reach level 0 directly"
         )
-    w = [w_vector(model, alpha, point, k) for k in range(K + 1)]
-    gaps = [wk - gamma_prime * alpha ** k * point.v for k, wk in enumerate(w)]
+    gaps = [
+        _row_image(model, point, k) - point.delta * alpha ** k * point.v for k in range(K + 1)
+    ]
     b_prime = max(float(np.max(np.stack(gaps))), B_PRIME_FLOOR)
-    data = GIG1DriftData(
-        alpha=alpha,
-        spectral=point,
-        k_star=k_star,
-        gamma_prime=gamma_prime,
-        b_prime=b_prime,
-        K=K,
-        w=[wk.copy() for wk in w],
-    )
-    ks = np.arange(k_star + 1)
-    vprime = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
-    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
-    cert = lift_certificate(vprime, gamma_prime, b_prime, K, boundary, tail=tail)
-    return data, cert
-
-
-def _mg1_certificate(model: GIG1Model) -> tuple[SpectralPoint, DriftCertificate]:
-    problems = model.mg1_pattern_mismatches()
-    if problems:
-        raise ValueError("not a skip-free-downward model: " + "; ".join(problems))
-    alpha, point = find_alpha(model)
-    gamma = point.delta
-    b = (alpha - 1.0) * float(point.v.max())
-    ks = np.arange(model.k_star + 1)
-    v = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
-    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
-    return point, DriftCertificate(v=v, gamma=gamma, b=b, K=0, tail=tail)
-
-
-def mg1_certificate(model: GIG1Model) -> DriftCertificate:
-    """Direct certificate for skip-free-downward models (no lift needed).
-
-    Requires the pattern B(-1) = A(-1), B(l) = A(l-1): then the geometric
-    weights satisfy the drift inequality everywhere with rate delta(alpha)
-    and boundary constant (alpha - 1) * max_i v(alpha, i) at level 0 only.
-    """
-    return _mg1_certificate(model)[1]
-
-
-def certificate_for_model(
-    model: GIG1Model,
-) -> tuple[str, GIG1DriftData | SpectralPoint, DriftCertificate]:
-    """Certificate via the tightest applicable path.
-
-    Returns (path label, drift data, certificate). The skip-free shortcut
-    applies when the block pattern matches, and its drift data is the
-    SpectralPoint at alpha; otherwise the boundary lift runs and its drift
-    data is the GIG1DriftData of the construction. Either way alpha is
-    searched once.
-    """
-    if not model.mg1_pattern_mismatches():
-        point, cert = _mg1_certificate(model)
-        return PATH_SKIP_FREE, point, cert
-    data, cert = build_certificate_gig1(model)
-    return PATH_BOUNDARY_LIFT, data, cert
+    cert = lift_certificate(weights, point.delta, b_prime, K, boundary, tail=tail)
+    return PATH_BOUNDARY_LIFT, GIG1DriftData(point, K, point.delta, b_prime), cert
 
 
 def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
@@ -616,5 +557,4 @@ def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
         lower=L,
         col_levels=col_levels,
         tail=model,
-        row_tolerance=model.row_tolerance,
     )

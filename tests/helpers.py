@@ -172,6 +172,24 @@ def mg1_walk() -> GIG1Model:
     )
 
 
+def symmetric_walk() -> GIG1Model:
+    """Up and down 0.5 each: zero mean drift, so no certificate exists."""
+    return GIG1Model(
+        d=1,
+        A={-1: [[0.5]], 1: [[0.5]]},
+        B={-1: [[0.5]], 0: [[0.5]], 1: [[0.5]]},
+    )
+
+
+def broken_walk() -> GIG1Model:
+    """Row 0 sends 0.5 to level 2, above row 1's upward mass 0.4."""
+    return GIG1Model(
+        d=1,
+        A={-1: [[0.6]], 1: [[0.4]]},
+        B={-1: [[0.6]], 0: [[0.5]], 2: [[0.5]]},
+    )
+
+
 _A2 = {
     -1: np.array([[0.5, 0.1], [0.2, 0.3]]),
     0: np.array([[0.1, 0.1], [0.2, 0.1]]),

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from bmtrunc import BoundViolationError, OrderingViolationError, save_model
+from bmtrunc import (
+    BoundViolationError,
+    OrderingViolationError,
+    StationarySolveError,
+    load_model,
+    mean_drift,
+    save_model,
+)
 from bmtrunc import cli
 from bmtrunc.cli import (
     EXIT_BOUND_VIOLATED,
@@ -19,7 +26,15 @@ from bmtrunc.cli import (
     thread_count,
 )
 
-from helpers import dominance_pair, mg1_d2, mg1_walk, natural_walk
+from helpers import (
+    broken_walk,
+    dominance_pair,
+    gig1_d2,
+    mg1_d2,
+    mg1_walk,
+    natural_walk,
+    symmetric_walk,
+)
 
 
 @pytest.fixture
@@ -139,8 +154,6 @@ class TestValidate:
         assert json.loads(out)["drift"]["alpha"] == point.z
 
     def test_zero_drift_has_no_certificate(self, capsys, tmp_path):
-        from test_gig1 import symmetric_walk
-
         path = str(tmp_path / "flat.json")
         save_model(symmetric_walk(), path)
         code, out, _ = run(capsys, "--model", path, "--command", "validate")
@@ -152,8 +165,6 @@ class TestValidate:
         assert "drift" in doc["note"]
 
     def test_non_monotone_gig1_points_to_dominance(self, capsys, tmp_path):
-        from test_gig1 import broken_walk
-
         path = str(tmp_path / "broken.json")
         save_model(broken_walk(), path)
         code, out, _ = run(capsys, "--model", path, "--command", "validate")
@@ -313,6 +324,43 @@ class TestCouple:
             "0fb000f960dc5acc1e60bb530c4da9131960731514a150160b9c8a2b5578f448",
         ]
 
+    def test_certificate_output_bytes_are_pinned(self, capsys, tmp_path):
+        # Both certificate paths (skip-free: mg1_walk, mg1_d2; boundary lift:
+        # natural_walk, gig1_d2) feed validate, bound and compare.
+        expected = {
+            "natural_walk": (
+                "80581ab28f409751eeee75522ee63fd6eb6b3707959d42062fefd20945c16fc6",
+                "2b07b9141bb3c22617aec1d9cba15137d0fca2256ac19b359fbef23b616b5379",
+                "3d15fee869bb3226a4eb5c1399063dc139a9d16d621188dbc492d82eeec809ee",
+            ),
+            "mg1_walk": (
+                "609da06f3abcb4ef721d1ec287a25f6d8f8cfbadfcc5335c15700626a62510ce",
+                "8fbf161b2f6a91d53bfc9853d01f73e83e8c59b5654884f324d7b38806a1f4f9",
+                "10b7e46a127bce5eded1cc1fce2e904caa307acb79429d03d3f21811f8056fdb",
+            ),
+            "mg1_d2": (
+                "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
+                "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
+                "c358e5ffe5215600be4e5c8a4bc46033bd511531c0b8d3f7bc6a042c6e957a3f",
+            ),
+            "gig1_d2": (
+                "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",
+                "b4cff6a80d385851afee96eaf5ae1469e98fbedcac699e35c41509aad6545c5c",
+                "12004225e635894e334c844d94d0a57940086f470d68c3d61521265fae58c2ba",
+            ),
+        }
+        builders = {"natural_walk": natural_walk, "mg1_walk": mg1_walk,
+                    "mg1_d2": mg1_d2, "gig1_d2": gig1_d2}
+        for name, digests in expected.items():
+            path = str(tmp_path / f"{name}.json")
+            save_model(builders[name](), path)
+            got = []
+            for command, n in (("validate", "10"), ("bound", "5:300"), ("compare", "10,20")):
+                code, out, _ = run(capsys, "--model", path, "--command", command, "--n", n)
+                assert code == EXIT_OK
+                got.append(hashlib.sha256(out.encode()).hexdigest())
+            assert tuple(got) == digests, name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_summary_only_without_out(self, capsys, tmp_path):
         path = str(tmp_path / "walk.json")
@@ -362,13 +410,27 @@ class TestExitCodes:
         assert "level 0" in err
 
     def test_positive_drift_bound_is_validation(self, capsys, tmp_path):
-        from test_gig1 import symmetric_walk
-
         path = str(tmp_path / "flat.json")
         save_model(symmetric_walk(), path)
         code, _, err = run(capsys, "--model", path, "--command", "bound")
         assert code == EXIT_VALIDATION
         assert "not negative" in err
+
+    def test_stationary_solve_failure_is_validation(self, capsys, tmp_path):
+        # Rows 9e-10 short of 1 pass the 1e-9 row check, but the A-kernel's
+        # stationary residual then fails its 1e-10 check.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"d": 1, "kind": "gig1", "gig1": {
+            "A": {"-1": [[0.5999999991]], "1": [[0.4]]},
+            "B": {"-1": [[0.5999999991]], "0": [[0.5999999991]], "1": [[0.4]]},
+        }}))
+        with pytest.raises(StationarySolveError):
+            mean_drift(load_model(str(path)))
+        for command in ("validate", "bound", "compare"):
+            code, out, err = run(capsys, "--model", str(path), "--command", command)
+            assert code == EXIT_VALIDATION
+            assert err.startswith("validation failure: stationary residual")
+            assert out == ""
 
     def test_bound_violation_maps_to_soundness_exit(self, capsys, mg1_path, monkeypatch):
         def explode(*args, **kwargs):

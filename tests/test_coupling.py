@@ -13,12 +13,10 @@ from bmtrunc import (
     level_step,
     phase_matrix,
     phase_step,
-    run_coupled_dominance,
     run_coupled_dominance_batch,
-    run_coupled_monotone,
     run_coupled_monotone_batch,
 )
-from bmtrunc import cli, load_model, save_model, verify_certificate
+from bmtrunc import block_matrix, cli, load_model, save_model, verify_certificate
 from bmtrunc.gig1 import assemble, certificate_for_model
 
 from helpers import (
@@ -176,14 +174,6 @@ class TestMonotoneCoupling:
         assert ens.kind == "monotone"
         assert (ens.paths, ens.steps) == (200, 200)
 
-    def test_single_pair_wrapper(self):
-        traj = run_coupled_monotone(walk_corner(30), 2, 6, 0, T=50, seed=1)
-        assert traj.steps == 50
-        assert traj.levels_low[0] == 2 and traj.levels_high[0] == 6
-        batch = run_coupled_monotone_batch(walk_corner(30), 2, 6, 0, T=50, seed=1, paths=1)
-        np.testing.assert_array_equal(batch.trajectory(0).levels_low, traj.levels_low)
-        np.testing.assert_array_equal(batch.trajectory(0).phases, traj.phases)
-
     def test_same_seed_reproduces_different_seed_varies(self):
         a = run_coupled_monotone_batch(walk_corner(30), 0, 5, 0, T=60, seed=9, paths=4)
         b = run_coupled_monotone_batch(walk_corner(30), 0, 5, 0, T=60, seed=9, paths=4)
@@ -214,7 +204,6 @@ class TestMonotoneCoupling:
         with pytest.warns(RuntimeWarning, match="top stored level"):
             ens = run_coupled_monotone_batch(walk_corner(3), 0, 3, 0, T=5, seed=0, paths=2)
         assert ens.hit_top
-        assert ens.trajectory(0).hit_top
 
 
 class TestDominanceCoupling:
@@ -232,13 +221,6 @@ class TestDominanceCoupling:
         high = tilde.truncate(40)
         ens = run_coupled_dominance_batch(low, high, 3, 3, 0, T=150, seed=4, paths=64)
         assert np.all(ens.levels_low <= ens.levels_high)
-
-    def test_single_pair_wrapper(self):
-        deep = mg1_d2().truncate(25)
-        shallow = lcb_truncate(deep, 12)
-        traj = run_coupled_dominance(shallow, deep, 1, 4, 0, T=40, seed=6)
-        assert traj.steps == 40
-        assert np.all(traj.levels_low <= traj.levels_high)
 
     def test_preconditions(self):
         deep = mg1_d2().truncate(20)
@@ -317,9 +299,7 @@ class TestBandKernel:
 
         monkeypatch.setattr(BlockStochasticMatrix, "values", property(counted))
         run_coupled_monotone_batch(deep, 0, 30, 0, T=20, seed=0, paths=4)
-        run_coupled_monotone(deep, 0, 30, 0, T=20, seed=0)
         run_coupled_dominance_batch(shallow, deep, 0, 0, 0, T=20, seed=0, paths=4)
-        run_coupled_dominance(shallow, deep, 0, 0, 0, T=20, seed=0)
         level_step(deep, 3, 0, 1, 0.5)
         save_model(gig1_d2(), gig1_path)
         save_model(deep, finite_path)
@@ -338,6 +318,25 @@ class TestBandKernel:
         assert reads == []
         shallow.values  # the hook itself counts
         assert reads == [shallow]
+
+    def test_samplers_skip_the_phase_stationary_solve(self, monkeypatch):
+        deep = mg1_d2().truncate(30)
+        shallow = lcb_truncate(deep, 15)
+        solve = block_matrix._kernel_stationary
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return solve(psi)
+
+        monkeypatch.setattr(block_matrix, "_kernel_stationary", counted)
+        run_coupled_monotone_batch(deep, 0, 30, 0, T=20, seed=0, paths=4)
+        run_coupled_dominance_batch(shallow, deep, 0, 0, 0, T=20, seed=0, paths=4)
+        assert calls == []
+        pm = phase_matrix(deep)
+        np.testing.assert_allclose(pm.varpi, [0.625, 0.375], atol=1e-12)
+        pm.varpi  # solved once, then cached
+        assert len(calls) == 1
 
 
 class TestOneStepMarginals:

@@ -22,21 +22,19 @@ from bmtrunc.gig1 import (
     PATH_BOUNDARY_LIFT,
     PATH_SKIP_FREE,
     GIG1DriftData,
-    SpectralPoint,
+    _row_image,
     a_hat,
     assemble,
-    build_certificate_gig1,
     certificate_for_model,
     find_alpha,
     mean_drift,
-    mg1_certificate,
     perron,
     spectral_point,
-    w_vector,
 )
 
 from helpers import (
     _A2,
+    broken_walk,
     dense,
     gig1_d2,
     mg1_d2,
@@ -44,18 +42,11 @@ from helpers import (
     natural_walk,
     oracle_block_monotone,
     random_monotone_gig1,
+    symmetric_walk,
 )
 
 ALPHA = math.sqrt(1.5)
 WALK_DELTA = 2.0 * math.sqrt(0.24)  # = 0.6/alpha + 0.4*alpha at alpha = sqrt(1.5)
-
-
-def symmetric_walk() -> GIG1Model:
-    return GIG1Model(
-        d=1,
-        A={-1: [[0.5]], 1: [[0.5]]},
-        B={-1: [[0.5]], 0: [[0.5]], 1: [[0.5]]},
-    )
 
 
 def falling_phase_pair() -> GIG1Model:
@@ -70,15 +61,6 @@ def no_upward_walk() -> GIG1Model:
         d=1,
         A={-1: [[0.5]], 0: [[0.5]]},
         B={-1: [[0.5]], 0: [[0.5]], 1: [[0.5]]},
-    )
-
-
-def broken_walk() -> GIG1Model:
-    """Row 0 sends 0.5 to level 2, above row 1's upward mass 0.4."""
-    return GIG1Model(
-        d=1,
-        A={-1: [[0.6]], 1: [[0.4]]},
-        B={-1: [[0.6]], 0: [[0.5]], 2: [[0.5]]},
     )
 
 
@@ -288,9 +270,9 @@ class TestFindAlpha:
 class TestWVector:
     def test_skip_free_boundary_row_pinned(self):
         model = mg1_walk()
-        alpha, point = find_alpha(model)
+        _, point = find_alpha(model)
         # row 0 image: 0.6 + 0.4 alpha^2 = 1.2 = alpha * delta exactly
-        assert w_vector(model, alpha, point, 0)[0] == pytest.approx(1.2, rel=1e-15)
+        assert _row_image(model, point, 0)[0] == pytest.approx(1.2, rel=1e-15)
 
     def test_collapses_to_the_eigen_identity_past_the_boundary(self):
         for model in (natural_walk(), mg1_d2(), gig1_d2()):
@@ -298,53 +280,57 @@ class TestWVector:
             for k in range(model.k_star, model.k_star + 4):
                 expected = alpha ** k * point.delta * point.v
                 np.testing.assert_allclose(
-                    w_vector(model, alpha, point, k), expected, rtol=1e-12
+                    _row_image(model, point, k), expected, rtol=1e-12
                 )
 
     def test_monotone_in_the_level(self):
         for model in (natural_walk(), mg1_d2(), gig1_d2()):
-            alpha, point = find_alpha(model)
-            rows = [w_vector(model, alpha, point, k) for k in range(11)]
+            _, point = find_alpha(model)
+            rows = [_row_image(model, point, k) for k in range(11)]
             for lo, hi in zip(rows, rows[1:]):
                 assert np.all(lo <= hi + 1e-12)
 
     def test_rejects_bad_arguments(self):
         model = natural_walk()
-        alpha, point = find_alpha(model)
+        _, point = find_alpha(model)
         with pytest.raises(ValueError, match="non-negative"):
-            w_vector(model, alpha, point, -1)
-        with pytest.raises(ValueError, match="different point"):
-            w_vector(model, alpha + 0.1, point, 0)
+            _row_image(model, point, -1)
 
 
 class TestCertificates:
     def test_boundary_lift_pinned_on_the_walk(self):
-        data, cert = build_certificate_gig1(natural_walk())
-        assert (data.k_star, data.K) == (2, 1)
+        model = natural_walk()
+        path, data, cert = certificate_for_model(model)
+        assert path == PATH_BOUNDARY_LIFT
+        assert (model.k_star, data.K) == (2, 1)
         assert data.gamma_prime == pytest.approx(WALK_DELTA, abs=1e-12)
         # row-0 slack 0.6 (1 - 1/alpha) is the only positive gap
         assert data.b_prime == pytest.approx(0.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
-        assert len(data.w) == 2
-        assert data.w[1][0] == pytest.approx(1.2, rel=1e-12)
+        assert _row_image(model, data.spectral, 1)[0] == pytest.approx(1.2, rel=1e-12)
         assert cert.K == 0
         assert cert.gamma == pytest.approx(0.9829285639896449, abs=1e-9)
         assert cert.b == pytest.approx(0.29360547051563834, abs=1e-9)
         assert cert.b == pytest.approx(1.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
 
     def test_skip_free_pinned_on_the_walk(self):
-        cert = mg1_certificate(mg1_walk())
+        path, data, cert = certificate_for_model(mg1_walk())
+        assert path == PATH_SKIP_FREE
+        assert (data.K, data.gamma_prime, data.b_prime) == (0, None, None)
         assert cert.K == 0
         assert cert.gamma == pytest.approx(WALK_DELTA, abs=1e-12)
         assert cert.b == pytest.approx(ALPHA - 1.0, abs=1e-9)
         assert cert.tail is not None
 
     def test_skip_free_requires_the_pattern(self):
-        with pytest.raises(ValueError, match="skip-free"):
-            mg1_certificate(natural_walk())
+        # the walk differs from mg1_walk only in its row-0 blocks
+        model = natural_walk()
+        assert model.mg1_pattern_mismatches()
+        path, _, _ = certificate_for_model(model)
+        assert path == PATH_BOUNDARY_LIFT
 
     def test_lift_requires_monotonicity(self):
         with pytest.raises(ValueError, match="block-monotone"):
-            build_certificate_gig1(broken_walk())
+            certificate_for_model(broken_walk())
 
     def test_unreachable_boundary_has_no_admissible_K(self):
         A = {
@@ -352,20 +338,23 @@ class TestCertificates:
             0: [[0.1, 0.1], [0.3, 0.3]],
             1: [[0.0, 0.0], [0.2, 0.2]],
         }
-        model = GIG1Model(d=2, A=A, B={-1: A[-1], 0: A[-1], 1: A[0], 2: A[1]})
-        assert model.is_block_monotone()
+        # reflecting row 0, so off the skip-free pattern: the lift must run
+        B = {-1: A[-1], 0: np.add(A[-1], A[0]), 1: A[1]}
+        model = GIG1Model(d=2, A=A, B=B)
+        assert model.is_block_monotone() and model.mg1_pattern_mismatches()
         assert mean_drift(model) < 0
         with pytest.raises(ValueError, match="no admissible K"):
-            build_certificate_gig1(model)
+            certificate_for_model(model)
 
     def test_path_selection(self):
         path, data, cert = certificate_for_model(natural_walk())
         assert path == PATH_BOUNDARY_LIFT
-        assert data is not None and cert.K == 0
+        assert isinstance(data, GIG1DriftData) and cert.K == 0
+        assert data.spectral.z == cert.tail.alpha and data.gamma_prime == data.spectral.delta
         path, data, cert = certificate_for_model(mg1_walk())
         assert path == PATH_SKIP_FREE
-        assert isinstance(data, SpectralPoint) and cert.K == 0
-        assert data.z == cert.tail.alpha and data.delta == cert.gamma
+        assert isinstance(data, GIG1DriftData) and cert.K == 0
+        assert data.spectral.z == cert.tail.alpha and data.spectral.delta == cert.gamma
 
     def test_every_emitted_certificate_verifies(self):
         for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(),
@@ -377,22 +366,12 @@ class TestCertificates:
 
     def test_certificate_weights_dominate_their_images(self):
         # w(k) <= gamma' alpha^k v + b' row-wise, the inequality the data encodes
-        data, _ = build_certificate_gig1(gig1_d2())
-        for k, wk in enumerate(data.w):
-            ceiling = data.gamma_prime * data.alpha ** k * data.spectral.v + data.b_prime
-            assert np.all(wk <= ceiling + 1e-12)
-
-    def test_drift_data_validation(self):
-        point = spectral_point(mg1_walk(), ALPHA)
-        bad_point = spectral_point(mg1_walk(), 1.0)
-        with pytest.raises(ValueError, match="delta < 1"):
-            GIG1DriftData(1.0, bad_point, 2, 0.9, 0.1, 1, w=[np.ones(1)])
-        with pytest.raises(ValueError, match="K must be"):
-            GIG1DriftData(ALPHA, point, 3, 0.98, 0.1, 1, w=[np.ones(1)])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            GIG1DriftData(
-                ALPHA, point, 2, 0.98, 0.1, 1, w=[np.full(1, 2.0), np.full(1, 1.0)]
-            )
+        model = gig1_d2()
+        _, data, _ = certificate_for_model(model)
+        point = data.spectral
+        for k in range(data.K + 1):
+            ceiling = data.gamma_prime * point.z ** k * point.v + data.b_prime
+            assert np.all(_row_image(model, point, k) <= ceiling + 1e-12)
 
     def test_verify_needs_a_closed_form_tail(self):
         tailless = DriftCertificate(
