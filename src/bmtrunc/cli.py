@@ -8,7 +8,6 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -31,7 +30,6 @@ from .drift_bounds import (
     BoundReport,
     BoundViolationError,
     ReferenceNotConvergedError,
-    _map_levels,
     compare_against_oracle,
     optimize_m,
 )
@@ -88,17 +86,6 @@ def parse_n_spec(spec: str) -> list[int]:
     return values
 
 
-def thread_count() -> int:
-    raw = os.environ.get("BMTRUNC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"BMTRUNC_THREADS={raw!r} is not an integer") from None
-    if threads < 1:
-        raise ValueError("BMTRUNC_THREADS must be >= 1")
-    return threads
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation, fully determining the output bytes."""
@@ -111,7 +98,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     format: str = "csv"
-    threads: int = 1
 
     def __post_init__(self):
         if not self.n_values or min(self.n_values) < 1:
@@ -225,8 +211,14 @@ def _certified(config: RunConfig):
         raise ValueError(
             "this command needs a gig1 model: finite corners carry no drift certificate"
         )
-    path, data, cert = certificate_for_model(model)
-    return model, path, cert
+    _, _, cert = certificate_for_model(model)
+    check = model.verify_drift(cert)
+    if not check.ok:
+        raise ValueError(
+            f"certificate verification failed with {len(check.violations)} violating rows; "
+            "refusing to use an unverified certificate"
+        )
+    return model, cert
 
 
 def _render_reports(reports: list[BoundReport], fmt: str) -> str:
@@ -234,33 +226,23 @@ def _render_reports(reports: list[BoundReport], fmt: str) -> str:
 
 
 def cmd_bound(config: RunConfig) -> int:
-    _, _, cert = _certified(config)
-    ns = sorted(set(config.n_values))
-
-    def one(n: int) -> BoundReport:
-        m_star, value = optimize_m(cert, n, config.m_max, which="bound2")
-        return BoundReport(n=n, m=m_star, bound2=value)
-
-    reports = _map_levels(one, ns, config.threads)
+    _, cert = _certified(config)
+    reports = []
+    for n in sorted(set(config.n_values)):
+        m_star, value = optimize_m(cert, n, config.m_max)
+        reports.append(BoundReport(n=n, m=m_star, bound2=value))
     _emit(_render_reports(reports, config.format), config.out)
     return EXIT_OK
 
 
 def cmd_compare(config: RunConfig) -> int:
-    model, _, cert = _certified(config)
-    check = model.verify_drift(cert)
-    if not check.ok:
-        raise ValueError(
-            f"certificate verification failed with {len(check.violations)} violating rows; "
-            "refusing to compare against an unverified certificate"
-        )
+    model, cert = _certified(config)
     reports = compare_against_oracle(
         model,
         sorted(set(config.n_values)),
         cert,
         m_max=config.m_max,
         reference_level=config.resolved_reference_level,
-        max_workers=config.threads,
     )
     _emit(_render_reports(reports, config.format), config.out)
     return EXIT_OK
@@ -343,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="10,20,50",
         help="truncation levels: comma list and/or START:STOP[:STEP] ranges",
     )
-    parser.add_argument("--m-max", type=int, default=None, help="cap for the m scan")
+    parser.add_argument("--m-max", type=int, default=None, help="cap for the horizon m")
     parser.add_argument(
         "--reference-level",
         type=int,
@@ -366,7 +348,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         out=args.out,
         format=args.format,
-        threads=thread_count(),
     )
 
 

@@ -14,7 +14,7 @@ K = 0 via lift_certificate before the bounds apply.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,13 +217,13 @@ class BoundReport:
 def _bound_terms(cert: DriftCertificate, n: int):
     if cert.K != 0:
         raise ValueError("bounds need a K=0 certificate; apply lift_certificate first")
-    # Once alpha^n passes float range, v(n) reads inf and 1/v(n) reads 0. The
-    # true 1/v(n) is then below 2^-1024 per phase, too small to move either
-    # bound, so the overflow warning would only be noise.
+    # Once alpha^n passes float range, v(n) reads inf. Every phase weight is
+    # then above the largest double, so summing 1/min(v, DBL_MAX) still bounds
+    # sum 1/v(n) from above, where 1/inf = 0 would let bound2 read 0.
     with np.errstate(over="ignore"):
         v_n = cert.value_at(n)
     prefactor = cert.b / (1.0 - cert.gamma)
-    return prefactor, float(np.sum(1.0 / v_n))
+    return prefactor, float((1.0 / np.minimum(v_n, sys.float_info.max)).sum())
 
 
 def bound_theorem31(
@@ -256,35 +256,50 @@ def bound_theorem31(
 
 
 def optimize_m(
-    cert: DriftCertificate,
-    n: int,
-    m_max: int | None = None,
-    which: str = "bound2",
-    top_mass=None,
+    cert: DriftCertificate, n: int, m_max: int | None = None, top_mass=None
 ) -> tuple[int, float]:
-    """Exact minimizer of the selected bound over m in 1..m_max.
+    """Exact minimizer over m in 1..m_max of bound1 (given top_mass) or bound2.
 
-    Exhaustive scan (the bound is cheap to evaluate); ties break toward the
-    smaller m. m_max defaults to 10*ceil(1/(1-gamma)).
+    Both bounds read P*gamma^m + Q*m with P = 4b/(1-gamma), which is convex
+    in m with real minimizer t = ln(Q / (P ln(1/gamma))) / ln(gamma). The
+    logs are taken factor by factor, so a subnormal Q still gives a finite t;
+    Q = 0 puts the minimum at m_max. Only the integers floor(t)-1..floor(t)+1,
+    clamped to 1..m_max, are evaluated; ties break toward the smaller m.
+    m_max defaults to 10*ceil(1/(1-gamma)).
+
+    Raises:
+        ValueError: m_max < 1, or the minimum is below the smallest normal
+            double, where it is a rounding residue rather than a bound.
     """
     if m_max is None:
         m_max = 10 * math.ceil(1.0 / (1.0 - cert.gamma))
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     prefactor, inv_v_sum = _bound_terms(cert, n)
-    ms = np.arange(1, m_max + 1, dtype=float)
-    geom = np.power(cert.gamma, ms)
-    if which == "bound2":
-        values = prefactor * (4.0 * geom + 2.0 * ms * inv_v_sum)
-    elif which == "bound1":
-        if top_mass is None:
-            raise ValueError("bound1 optimization needs top_mass")
-        total = float(np.asarray(top_mass, dtype=float).sum())
-        values = 4.0 * geom * prefactor + 2.0 * ms * total
+    if top_mass is None:
+        log_q = math.log(2.0 * inv_v_sum) + math.log(prefactor)
     else:
-        raise ValueError(f"unknown bound selector {which!r}")
-    best = int(np.argmin(values))
-    return best + 1, float(values[best])
+        total = float(np.asarray(top_mass, dtype=float).sum())
+        log_q = math.log(2.0 * total) if total > 0.0 else -math.inf
+    m = m_max
+    if log_q > -math.inf:
+        log_gamma = math.log(cert.gamma)
+        t = (log_q - math.log(4.0 * prefactor) - math.log(-log_gamma)) / log_gamma
+        m = min(max(math.floor(t), 1), m_max)
+    ms = np.arange(max(m - 1, 1), min(m + 1, m_max) + 1, dtype=float)
+    geom = np.power(cert.gamma, ms)
+    if top_mass is None:
+        values = prefactor * (4.0 * geom + 2.0 * ms * inv_v_sum)
+    else:
+        values = 4.0 * geom * prefactor + 2.0 * ms * total
+    best = int(values.argmin())
+    value = float(values[best])
+    if value < sys.float_info.min:  # smallest normal double
+        raise ValueError(
+            f"n={n}: bound minimum {value:.3e} at m={int(ms[best])} is below the "
+            "smallest normal double, a rounding residue and not a certified bound"
+        )
+    return int(ms[best]), value
 
 
 def lift_certificate(
@@ -349,14 +364,6 @@ def lift_certificate(
     )
 
 
-def _map_levels(fn, ns, max_workers: int) -> list:
-    """[fn(n) for n in ns], spread over a thread pool when max_workers > 1."""
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, ns))
-    return [fn(n) for n in ns]
-
-
 def _truncated_stationary(model, n: int) -> BlockVector:
     return stationary(lcb_truncate(model, n))
 
@@ -369,7 +376,6 @@ def compare_against_oracle(
     reference_level: int | None = None,
     dominating=None,
     convergence_tol: float = REFERENCE_CONVERGENCE_TOLERANCE,
-    max_workers: int = 1,
 ) -> list[BoundReport]:
     """Measure truncation errors against a converged reference and bound them.
 
@@ -383,13 +389,12 @@ def compare_against_oracle(
         model: chain under study (GI/G/1-type model or stored corner).
         n_list: truncation levels to evaluate.
         cert: K=0 certificate for the chain, or for a dominating chain.
-        m_max: scan limit for the m optimization (None: certificate default).
+        m_max: cap on the horizon m (None: certificate default).
         reference_level: oracle truncation level, must exceed max(n_list).
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
             when only the dominating chain is certified).
-        max_workers: thread count for the per-n evaluations.
 
     Raises:
         ReferenceNotConvergedError: oracle gap above convergence_tol.
@@ -406,32 +411,29 @@ def compare_against_oracle(
     if gap > convergence_tol:
         raise ReferenceNotConvergedError(gap, reference_level)
 
-    top_source = dominating if dominating is not None else model
-
-    def evaluate(n: int) -> BoundReport:
+    reports = []
+    for n in n_list:
         pi_n = _truncated_stationary(model, n)
         measured = tv_distance(pi_n, pi_ref)
-        if top_source is model:
+        if dominating is None:
             top_mass = pi_n.entries[n]
         else:
-            top_mass = _truncated_stationary(top_source, n).entries[n]
-        m_star, _ = optimize_m(cert, n, m_max, which="bound1", top_mass=top_mass)
+            top_mass = _truncated_stationary(dominating, n).entries[n]
+        m_star, _ = optimize_m(cert, n, m_max, top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
-        return BoundReport(
-            n=n,
-            m=m_star,
-            bound2=report.bound2,
-            bound1=report.bound1,
-            measured_error=measured,
-            reference_level=reference_level,
-        )
-
-    reports = _map_levels(evaluate, n_list, max_workers)
-    for report in reports:
-        bound = report.bound1 if report.bound1 is not None else report.bound2
-        if report.measured_error > bound + BOUND_CHECK_SLACK:
+        if measured > report.bound1 + BOUND_CHECK_SLACK:
             raise BoundViolationError(
-                f"n={report.n}: measured error {report.measured_error:.6e} exceeds "
-                f"certified bound {bound:.6e}"
+                f"n={n}: measured error {measured:.6e} exceeds "
+                f"certified bound {report.bound1:.6e}"
             )
+        reports.append(
+            BoundReport(
+                n=n,
+                m=m_star,
+                bound2=report.bound2,
+                bound1=report.bound1,
+                measured_error=measured,
+                reference_level=reference_level,
+            )
+        )
     return reports

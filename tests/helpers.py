@@ -5,10 +5,13 @@ convert to and from N x N arrays for tests that state a matrix densely or
 check the band code against a dense computation. The explicit T-product
 oracles materialize the block lower-triangular all-ones transform, which the
 library itself never builds; tests use them to cross-check the suffix-sum
-implementations.
+implementations. scan_optimize_m evaluates every horizon m, where the library
+solves for the minimizer in closed form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -21,6 +24,7 @@ from bmtrunc import (
     MultipleClosedClassesError,
     assemble,
 )
+from bmtrunc.drift_bounds import _bound_terms
 
 # deterministic seed for the randomly generated acceptance model
 RANDOM_MODEL_SEED = 20260814
@@ -152,6 +156,32 @@ def dense_level_inverse(P: BlockStochasticMatrix, k: int, i: int, j: int, u) -> 
     if cdf[-1] <= 0.0:
         return np.zeros(u.shape, dtype=np.int64)
     return (cdf / cdf[-1] < u[..., None]).sum(axis=-1)
+
+
+# --- horizon scan oracle (tests only) ---
+
+
+def scan_optimize_m(cert, n: int, m_max: int | None = None, top_mass=None):
+    """(m, value) minimizing bound1 (given top_mass) or bound2 over m in 1..m_max.
+
+    Scans every m with the library's own bound expressions; ties break toward
+    the smaller m. Oracle for the closed-form optimize_m.
+    """
+    if m_max is None:
+        m_max = 10 * math.ceil(1.0 / (1.0 - cert.gamma))
+    prefactor, inv_v_sum = _bound_terms(cert, n)
+    ms = np.arange(1, m_max + 1, dtype=float)
+    geom = np.power(cert.gamma, ms)
+    if top_mass is None:
+        values = prefactor * (4.0 * geom + 2.0 * ms * inv_v_sum)
+    else:
+        total = float(np.asarray(top_mass, dtype=float).sum())
+        values = 4.0 * geom * prefactor + 2.0 * ms * total
+    best = int(np.argmin(values))
+    return best + 1, float(values[best])
+
+
+# --- models ---
 
 
 def natural_walk() -> GIG1Model:

@@ -97,7 +97,7 @@ def test_criterion_2_worked_example_certificate():
 def test_criterion_2_scan_regression():
     # guards the actual scan optimum so the window failure below stays explained
     _, _, cert = certificate_for_model(mg1_walk())
-    m_star, best = optimize_m(cert, 50, m_max=2000, which="bound2")
+    m_star, best = optimize_m(cert, 50, m_max=2000)
     assert (m_star, best) == (340, 0.34265004588266557)
     report_line(True, "criterion 2 scan regression",
                 f"direct bound2 scan minimum pinned at (m*={m_star}, {best:.17g})")
@@ -105,7 +105,7 @@ def test_criterion_2_scan_regression():
 
 def test_criterion_2_worked_example_window():
     _, _, cert = certificate_for_model(mg1_walk())
-    m_star, best = optimize_m(cert, 50, m_max=2000, which="bound2")
+    m_star, best = optimize_m(cert, 50, m_max=2000)
     ok = 400 <= m_star <= 600 and 0.40 <= best <= 0.50
     report_line(ok, "criterion 2 window",
                 f"observed (m*={m_star}, bound2={best:.17g}) "
@@ -219,8 +219,8 @@ def test_criterion_6_coupling_suite():
 def test_criterion_7_bound_decay():
     model = natural_walk()
     _, _, cert = certificate_for_model(model)
-    m20, best20 = optimize_m(cert, 20, which="bound2")
-    m100, best100 = optimize_m(cert, 100, which="bound2")
+    m20, best20 = optimize_m(cert, 20)
+    m100, best100 = optimize_m(cert, 100)
     assert best100 < best20
     for n in (10, 20, 50, 100):
         top = stationary(model.truncate(n)).entries[-1]

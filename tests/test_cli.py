@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -23,7 +24,6 @@ from bmtrunc.cli import (
     RunConfig,
     main,
     parse_n_spec,
-    thread_count,
 )
 
 from helpers import (
@@ -77,18 +77,6 @@ class TestParsing:
                 parse_n_spec(bad)
         with pytest.raises(ValueError):
             parse_n_spec("abc")
-
-    def test_thread_count_from_environment(self, monkeypatch):
-        monkeypatch.delenv("BMTRUNC_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("BMTRUNC_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("BMTRUNC_THREADS", "zero")
-        with pytest.raises(ValueError, match="BMTRUNC_THREADS"):
-            thread_count()
-        monkeypatch.setenv("BMTRUNC_THREADS", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            thread_count()
 
     def test_run_config_validation(self):
         config = RunConfig(model_path="m.json", command="bound")
@@ -235,10 +223,25 @@ class TestBound:
     def test_threads_do_not_change_bytes(self, capsys, mg1_path, monkeypatch):
         argv = ("--model", mg1_path, "--command", "bound", "--n", "5:40:5")
         _, serial, _ = run(capsys, *argv)
+        # nothing reads BMTRUNC_THREADS; a leftover setting changes nothing
         monkeypatch.setenv("BMTRUNC_THREADS", "4")
         code, threaded, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert threaded == serial
+
+    def test_overflowing_weights_give_a_positive_bound(self, capsys, tmp_path):
+        # alpha^n passes float range on mg1_d2 near n = 1394; past it v(n)
+        # reads inf and 1/v(n) is clipped at 1/DBL_MAX instead of reading 0
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        code, out, _ = run(capsys, "--model", path, "--command", "bound",
+                           "--n", "1390,1400,1500", "--m-max", "20000")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        bounds = [float(r[3]) for r in rows]
+        assert all(b > 0.0 for b in bounds)
+        assert bounds == sorted(bounds, reverse=True)
+        assert [(r[1], r[3]) for r in rows[1:]] == [("7490", "1.2920841943087323e-303")] * 2
 
     def test_finite_models_are_rejected(self, capsys, finite_path):
         code, _, err = run(capsys, "--model", finite_path, "--command", "bound")
@@ -274,6 +277,7 @@ class TestCompare:
         argv = ("--model", mg1_path, "--command", "compare",
                 "--n", "5,10,15", "--reference-level", "80", "--format", "json")
         _, first, _ = run(capsys, *argv)
+        # a leftover BMTRUNC_THREADS setting changes nothing
         monkeypatch.setenv("BMTRUNC_THREADS", "3")
         code, second, _ = run(capsys, *argv)
         assert code == EXIT_OK and second == first
@@ -432,6 +436,21 @@ class TestExitCodes:
             assert err.startswith("validation failure: stationary residual")
             assert out == ""
 
+    def test_unverified_certificate_is_validation(self, capsys, mg1_path, monkeypatch):
+        certify = cli.certificate_for_model
+
+        def halved(model):
+            path, data, cert = certify(model)
+            return path, data, dataclasses.replace(cert, gamma=cert.gamma / 2.0)
+
+        monkeypatch.setattr(cli, "certificate_for_model", halved)
+        for command in ("bound", "compare"):
+            code, out, err = run(capsys, "--model", mg1_path, "--command", command,
+                                 "--n", "5")
+            assert code == EXIT_VALIDATION
+            assert "unverified certificate" in err
+            assert out == ""
+
     def test_bound_violation_maps_to_soundness_exit(self, capsys, mg1_path, monkeypatch):
         def explode(*args, **kwargs):
             raise BoundViolationError("n=5: measured error exceeds certified bound")
@@ -452,9 +471,3 @@ class TestExitCodes:
         code, _, err = run(capsys, "--model", path, "--command", "couple", "--n", "6")
         assert code == EXIT_BOUND_VIOLATED
         assert "soundness violation" in err
-
-    def test_bad_thread_environment_is_validation(self, capsys, mg1_path, monkeypatch):
-        monkeypatch.setenv("BMTRUNC_THREADS", "many")
-        code, _, err = run(capsys, "--model", mg1_path, "--command", "validate")
-        assert code == EXIT_VALIDATION
-        assert "BMTRUNC_THREADS" in err

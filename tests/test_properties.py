@@ -3,6 +3,7 @@
 Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
+The closed-form horizon optimizer is checked against the full m scan.
 """
 
 import os
@@ -17,6 +18,8 @@ from bmtrunc.coupling import _CouplingKernel
 from bmtrunc import (
     BlockStochasticMatrix,
     BlockVector,
+    DriftCertificate,
+    GeometricTail,
     MultipleClosedClassesError,
     block_dominates,
     closed_classes,
@@ -25,6 +28,7 @@ from bmtrunc import (
     is_block_monotone,
     lcb_truncate,
     load_model,
+    optimize_m,
     phase_matrix,
     save_model,
     stationary,
@@ -50,6 +54,7 @@ from helpers import (
     random_dominated_vectors,
     random_band,
     random_monotone_gig1,
+    scan_optimize_m,
 )
 
 dims = st.integers(min_value=1, max_value=3)
@@ -318,3 +323,46 @@ def test_band_level_inverse_matches_dense_inverse(seed, d, levels, lower, upper,
             assert 0 <= got[0] < levels and blocks[k, i, got[0], j] > 0.0
         else:
             assert got[0] == want[0] == 0
+
+
+@st.composite
+def horizon_problems(draw):
+    """A K=0 certificate with a geometric tail, a level n, m_max and top mass."""
+    d = draw(dims)
+    floats = st.floats
+    tail = GeometricTail(
+        alpha=draw(floats(1.001, 11.0, exclude_max=True)),
+        coeff=[10.0 ** draw(floats(0.0, 2.0)) for _ in range(d)],
+        shift=draw(st.one_of(st.just(0.0), floats(1e-3, 1e3))),
+    )
+    cert = DriftCertificate(
+        BlockVector(d, tail.values([0])),
+        gamma=draw(floats(0.01, 1.0 - 1e-5, exclude_min=True, exclude_max=True)),
+        b=10.0 ** draw(floats(-15.0, 2.0)),
+        tail=tail,
+    )
+    n = draw(st.integers(min_value=1, max_value=5000))
+    m_max = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=50_000)))
+    # per-phase mass log-uniform down to the smallest subnormal, or all zero
+    mass = st.builds(lambda e: max(10.0 ** e, 5e-324), floats(-323.3, 0.0))
+    top_mass = draw(st.one_of(
+        st.none(), st.just([0.0] * d), st.lists(mass, min_size=d, max_size=d)
+    ))
+    return cert, n, m_max, top_mass
+
+
+@given(horizon_problems())
+def test_closed_form_horizon_matches_the_full_scan(problem):
+    cert, n, m_max, top_mass = problem
+    m_scan, value_scan = scan_optimize_m(cert, n, m_max, top_mass)
+    if value_scan >= np.finfo(float).tiny:
+        assert optimize_m(cert, n, m_max, top_mass) == (m_scan, value_scan)
+        return
+    # below the normal range the bound is refused; a value returned from the
+    # three evaluated points can never undercut the scan over all of them
+    try:
+        _, value = optimize_m(cert, n, m_max, top_mass)
+    except ValueError as exc:
+        assert "smallest normal double" in str(exc)
+    else:
+        assert value >= value_scan
