@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse import csgraph
 
 __all__ = [
@@ -386,18 +387,20 @@ def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
     """Padded state-level band (W, lo, up) of a square corner.
 
     State s = k*d + i keeps columns s-lo..s+up: W[up + s, t - s + lo] is the
-    entry (s, t). The first `up` rows are zero padding, so the strided views
-    of _gth_band never leave the array.
+    entry (s, t). The first `up` rows and the last `lo` rows are zero
+    padding, so the strided views of the top-down and bottom-up sweeps never
+    leave the array.
     """
     d, width = P.d, P.band.shape[1]
     lo = P.lower * d + d - 1
     up = P.upper * d + d - 1
-    W = np.zeros((P.levels * d + up, lo + up + 1))
+    states = P.levels * d
+    W = np.zeros((up + states + lo, lo + up + 1))
     o = np.arange(width)[:, None, None]
     i = np.arange(d)[None, :, None]
     j = np.arange(d)[None, None, :]
     rows = np.broadcast_to(i, (width, d, d))
-    W[up:].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
+    W[up:up + states].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
     return W, lo, up
 
 
@@ -415,6 +418,16 @@ def _band_closed_classes(W: np.ndarray, lo: int) -> list[np.ndarray]:
     return [members[c] for c in np.nonzero(~is_open)[0]]
 
 
+def _unique_closed_class(W: np.ndarray, lo: int, up: int, d: int) -> np.ndarray:
+    """The one closed class of a padded state band, or MultipleClosedClassesError."""
+    classes = _band_closed_classes(W[up:W.shape[0] - lo], lo)
+    if len(classes) > 1:
+        raise MultipleClosedClassesError(
+            [[(int(s) // d, int(s) % d) for s in cls] for cls in classes]
+        )
+    return classes[0]
+
+
 def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
     """Closed communicating classes of a square corner, as flat state lists.
 
@@ -424,7 +437,7 @@ def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
     if not P.square:
         raise ValueError("closed classes need a square corner; apply lcb_truncate first")
     W, lo, up = _state_band(P)
-    return _band_closed_classes(W[up:], lo)
+    return _band_closed_classes(W[up:up + P.levels * P.d], lo)
 
 
 def _gth_band(W: np.ndarray, lo: int, up: int, states: list[int], d: int) -> np.ndarray:
@@ -440,11 +453,11 @@ def _gth_band(W: np.ndarray, lo: int, up: int, states: list[int], d: int) -> np.
     leading out of it, so its rows reduce exactly as in the class's own
     submatrix; skipped rows pick up updates but get zero mass.
     """
-    total_states = W.shape[0] - up
+    total_states = W.shape[0] - up - lo
     width = lo + up + 1
     flat = W.reshape(-1)
     step = flat.strides[0]
-    rows = W[up:, :lo]  # rows[s, c] = (s, s - lo + c)
+    rows = W[up:up + total_states, :lo]  # rows[s, c] = (s, s - lo + c)
     cols = as_strided(flat[lo + up:], (total_states, up), (width * step, (width - 1) * step))
     windows = as_strided(
         flat[up:], (total_states, up, lo), (width * step, (width - 1) * step, step)
@@ -473,6 +486,115 @@ def _gth_band(W: np.ndarray, lo: int, up: int, states: list[int], d: int) -> np.
     return pi / pi.sum()
 
 
+def _upward_views(W: np.ndarray, lo: int, up: int):
+    """Views of a padded band for bottom-up elimination, one row per state s.
+
+    rows[s, c] = (s, s + 1 + c) is row s right of the diagonal, cols[s, r] =
+    (s + 1 + r, s) column s below it, and windows[s, r, c] =
+    (s + 1 + r, s + 1 + c) the entries that eliminating s updates.
+    """
+    states = W.shape[0] - up - lo
+    width = lo + up + 1
+    flat = W.reshape(-1)
+    step = flat.strides[0]
+    skew = (width * step, (width - 1) * step)
+    below = (up + 1) * width + lo
+    rows = W[up:up + states, lo + 1:]
+    cols = as_strided(flat[below - 1:], (states, lo), skew)
+    windows = as_strided(flat[below:], (states, lo, up), skew + (step,))
+    return rows, cols, windows
+
+
+def _sweep_up(W: np.ndarray, lo: int, up: int, start: int, stop: int, pivots: np.ndarray):
+    """Bottom-up GTH elimination of states start..stop-1, in place on a padded band.
+
+    Eliminating state s adds col(s) row(s) / sum(row(s)) to the entries
+    (i, j), s < i <= s+lo and s < j <= s+up, and pivots[s] gets sum(row(s)).
+    A state with no mass right of the diagonal is left in place with pivot
+    0. Such a state is transient or the top state of the closed class: a
+    state of the class below its top always reaches higher class states.
+    Eliminating a transient state is harmless, because no row of the closed
+    class has an entry in its column.
+    """
+    rows, cols, windows = _upward_views(W, lo, up)
+    part = slice(start, stop)
+    for s, row, col, window in zip(range(start, stop), rows[part], cols[part], windows[part]):
+        total = np.add.reduce(row)
+        pivots[s] = total
+        if total > 0.0:
+            window += np.multiply.outer(col, row / total)
+
+
+def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndarray:
+    """LCB fold at level n of the state-band rows first..(n+1)d-1 (a copy).
+
+    Entries in column levels beyond n move into the same phase of level n.
+    """
+    count, width = rows.shape
+    out = rows.copy()
+    states = np.arange(first, first + count)
+    cols = states[:, None] + np.arange(width) - lo
+    r, c = np.nonzero(cols >= (n + 1) * d)
+    np.add.at(out, (r, n * d + cols[r, c] % d - states[r] + lo), out[r, c])
+    out[r, c] = 0.0
+    return out
+
+
+# Bottom-up back-substitution multiplies x by up to max(1, column sum / pivot)
+# per state, and pi(0) / pi(top) can leave float range: 1.5^3200 over a
+# 3200-level walk. Each chunk of the solve keeps that bound below 2^1000.
+_CHUNK_BITS = 1000.0
+
+
+def _solve_up(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Unnormalised stationary vector x(0..h) of a closed class with top state h.
+
+    below[r, s] is the reduced entry (s+1+r, s) and pivots[s] the pivot of
+    state s < h after bottom-up elimination. With x(h) = 1 the class solves
+    pivot(s) x(s) = sum over r of below[r, s] x(s+1+r), a banded triangular
+    system that LAPACK's dtbtrs solves with the entries below the diagonal
+    negated. Each term it subtracts is then non-positive, so the solve stays
+    subtraction-free. No class row has an entry in the column of a state
+    off the class, so such a state gets x = 0; a zero pivot, which only such
+    a state can have, is taken as 1.
+
+    The solve runs in chunks from the top down, each in a power-of-two scale
+    whose exponent carries over to the next chunk, and the scales are applied
+    at the end, where what underflows is negligible against the largest x.
+    """
+    lo, h = below.shape
+    ab = np.empty((lo + 1, h), order="F")
+    ab[0] = np.where(pivots > 0.0, pivots, 1.0)
+    ab[1:] = -below
+    growth = np.log2(np.maximum(1.0, -ab[1:].sum(axis=0) / ab[0]))
+    bits = np.concatenate(([0.0], np.cumsum(growth[::-1])))  # bits[k]: top k states
+    x = np.zeros(h + 1)
+    x[h] = 1.0
+    scale = np.zeros(h + 1, dtype=int)
+    feed = np.zeros(lo)  # x(b..b+lo-1), b the lowest state solved so far
+    feed[:1] = 1.0
+    exponent = 0
+    b = h
+    while b > 0:
+        # The chunk a..b-1 takes as many states as fit in _CHUNK_BITS, at
+        # least one; its last lo states are fed by the ones solved above it.
+        k = h - b
+        a = h - max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
+        rhs = np.zeros((b - a, 1))
+        for r in range(min(lo, b - a)):
+            rhs[b - 1 - r - a] = -(ab[1 + r:, b - 1 - r] @ feed[:lo - r])
+        chunk, _ = dtbtrs(ab[:, a:b], rhs, uplo="L", trans="T")
+        x[a:b] = chunk[:, 0]
+        scale[a:b] = exponent
+        feed = np.concatenate((x[a:b], feed))[:lo]
+        if feed.any():
+            shift = int(np.frexp(feed.max())[1])
+            feed = np.ldexp(feed, -shift)
+            exponent += shift
+        b = a
+    return np.ldexp(x, scale - scale.max())
+
+
 def _left_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     """x P for x of shape (levels, d), computed on the band; shape (col_levels, d)."""
     width = P.band.shape[1]
@@ -494,43 +616,128 @@ def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def stationary(P: BlockStochasticMatrix) -> BlockVector:
-    """Stationary distribution of a finite stochastic corner.
+def _checked(P: BlockStochasticMatrix, pi: np.ndarray) -> BlockVector:
+    """pi (flat) as a BlockVector, once its residual on P's band passes.
 
-    Closed-class check, GTH elimination and residual all run on the band:
-    O(levels (L+U)^2 d^3) time and O(levels (L+U) d^2) memory for a corner
-    with L block levels below and U above the diagonal.
+    GTH takes each diagonal entry as the complement of the rest of its row,
+    so on rows that sum to 1 - e the exact solution has a residual of up to
+    e. The bound is STATIONARY_RESIDUAL_TOLERANCE plus P's largest
+    |row sum - 1|, which is 1e-10 on exactly stochastic rows.
+    """
+    pi = pi.reshape(P.levels, P.d)
+    bound = STATIONARY_RESIDUAL_TOLERANCE + float(np.max(np.abs(P.band.sum(axis=(1, 3)) - 1.0)))
+    residual = float(np.max(np.abs(_left_product(P, pi) - pi)))
+    if not residual <= bound:
+        raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {bound:g}")
+    return BlockVector(P.d, pi)
+
+
+def _level_vector(P, cls, pivots, shared_cols, level_cols, first: int) -> BlockVector:
+    """Checked stationary vector of corner P from its bottom-up reduction.
+
+    The columns of the states below `first` come from the shared sweep's
+    band, the others from the level's own band.
+    """
+    d = P.d
+    h = int(cls[-1])
+    stalled = cls[:-1][pivots[cls[:-1]] <= 0.0]
+    if stalled.size:
+        s = int(stalled[0])
+        raise StationarySolveError(
+            f"state (level {s // d}, phase {s % d}) cannot reach higher states inside "
+            "its class (numerical degeneracy)"
+        )
+    split = min(first, h)
+    below = np.concatenate((shared_cols[:split], level_cols[split:h])).T
+    x = _solve_up(below, pivots[:h])
+    pi = np.zeros(P.levels * d)
+    pi[:h + 1] = x / x.sum()
+    return _checked(P, pi)
+
+
+def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
+    """Stationary vectors of lcb_truncate(P, n) for n in levels, one sweep for all."""
+    top = P.levels - 1
+    for n in levels:
+        if not 1 <= n <= top or top - P.upper < n < top:
+            raise ValueError(
+                f"level {n} is neither in 1..{top - P.upper} nor the corner's top level "
+                f"{top}: the rows of the levels between carry the corner's own fold"
+            )
+    d = P.d
+    W, lo, up = _state_band(P)
+    pivots = np.zeros(P.levels * d)
+    top_class = _unique_closed_class(W, lo, up, d) if top in levels else None
+    _, shared_cols, _ = _upward_views(W, lo, up)
+    solved = {}
+    swept = 0
+    for n in sorted(set(levels)):
+        if n == top:
+            _sweep_up(W, lo, up, swept, P.levels * d, pivots)
+            solved[n] = _level_vector(P, top_class, pivots, shared_cols, shared_cols, swept)
+            continue
+        # Rows below `first` reach no column level beyond n, so they are the
+        # same in every truncation at n or above, and so is their reduction.
+        # Its fill reaches no column level beyond n either, so folding the
+        # reduced rows from `first` up equals reducing the folded rows.
+        first = max(0, n - P.upper) * d
+        _sweep_up(W, lo, up, swept, first, pivots)
+        swept = first
+        corner = lcb_truncate(P, n)
+        Wn, _, _ = _state_band(corner)
+        cls = _unique_closed_class(Wn, lo, up, d)
+        states = corner.levels * d
+        Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
+        level_pivots = pivots[:states].copy()
+        _sweep_up(Wn, lo, up, first, states, level_pivots)
+        level_cols = _upward_views(Wn, lo, up)[1]
+        solved[n] = _level_vector(corner, cls, level_pivots, shared_cols, level_cols, first)
+    return [solved[n] for n in levels]
+
+
+def stationary(P: BlockStochasticMatrix, levels=None):
+    """Stationary distribution of a finite stochastic corner, or of its truncations.
+
+    Without `levels`: the stationary vector of P by top-down GTH. Closed-class
+    check, elimination and residual all run on the band: O(levels (L+U)^2
+    d^3) time and O(levels (L+U) d^2) memory for a corner with L block
+    levels below and U above the diagonal.
+
+    With `levels`: a list with the stationary vector of lcb_truncate(P, n)
+    for each n in levels, from one bottom-up GTH sweep (Masuyama's sequential
+    update, Queueing Systems 2019). The states below level n - U are the
+    same in every truncation at n or above, so the sweep eliminates them
+    once for all levels. Each level then folds a copy of its last U+1 reduced
+    levels, eliminates those states and back-substitutes (see _solve_up).
+    Each level gets its own closed-class check and residual check. A level
+    must be P's top level or at most P.levels - 1 - U: the rows of the levels
+    between reach past P's top level, where P has folded them, so they are
+    not complete rows of the chain P was cut from.
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).
+        levels: optional truncation levels.
 
     Returns:
-        Probability BlockVector; states outside the unique closed class get 0.
+        Probability BlockVector, or one per level; states outside the unique
+        closed class get 0.
 
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
-        ValueError: non-square or substochastic input.
+        ValueError: non-square or substochastic input, or a level outside
+            1..P.levels-1-U that is not P's top level.
         StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
-            above STATIONARY_RESIDUAL_TOLERANCE.
+            above STATIONARY_RESIDUAL_TOLERANCE plus P's largest |row sum - 1|.
     """
     if not P.square:
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
     if P.substochastic:
         raise ValueError("stationary needs stochastic rows")
-    d = P.d
+    if levels is not None:
+        return _stationary_levels(P, [int(n) for n in levels])
     W, lo, up = _state_band(P)
-    classes = _band_closed_classes(W[up:], lo)
-    if len(classes) > 1:
-        raise MultipleClosedClassesError(
-            [[(int(s) // d, int(s) % d) for s in cls] for cls in classes]
-        )
-    pi = _gth_band(W, lo, up, classes[0].tolist(), d).reshape(P.levels, d)
-    residual = float(np.max(np.abs(_left_product(P, pi) - pi)))
-    if residual > STATIONARY_RESIDUAL_TOLERANCE:
-        raise StationarySolveError(
-            f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOLERANCE:g}"
-        )
-    return BlockVector(d, pi)
+    cls = _unique_closed_class(W, lo, up, P.d)
+    return _checked(P, _gth_band(W, lo, up, cls.tolist(), P.d))
 
 
 def tv_distance(x: BlockVector, y: BlockVector) -> float:

@@ -15,6 +15,7 @@ which a boundary lift turns into a full K=0 certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -157,6 +158,11 @@ class GIG1Model:
 
     def a_sum(self) -> np.ndarray:
         return sum(self.A.values(), np.zeros((self.d, self.d)))
+
+    @cached_property
+    def a_stationary(self) -> np.ndarray:
+        """Stationary vector of the summed A-kernel, solved on first use."""
+        return _kernel_stationary(self.a_sum())
 
     def a_suffix(self, x: int) -> np.ndarray:
         """Sum of A(j) over j >= x."""
@@ -404,11 +410,10 @@ def mean_drift(model: GIG1Model) -> float:
     Negative drift certifies positive recurrence and guarantees a growth
     rate alpha > 1 with delta(alpha) < 1 exists.
     """
-    varpi = _kernel_stationary(model.a_sum())
     step = sum(
         (j * blk.sum(axis=1) for j, blk in model.A.items()), np.zeros(model.d)
     )
-    return float(varpi @ step)
+    return float(model.a_stationary @ step)
 
 
 def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:

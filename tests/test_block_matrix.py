@@ -7,6 +7,7 @@ import pytest
 
 from bmtrunc import (
     BlockStochasticMatrix,
+    GIG1Model,
     BlockVector,
     MultipleClosedClassesError,
     PhaseStructureError,
@@ -21,6 +22,8 @@ from bmtrunc import (
     v_norm_distance,
     vector_dominates,
 )
+
+from bmtrunc import block_matrix
 
 from helpers import band_corner, corner_from_dense, dense, mg1_d2, natural_walk, random_band
 
@@ -239,6 +242,50 @@ class TestStationary:
         pi = stationary(P)
         residual = np.abs(pi.flat @ dense(P) - pi.flat).max()
         assert residual <= 1e-12
+
+
+class TestStationarySweep:
+    def test_refuses_levels_inside_the_top_fold(self):
+        P = band_corner(2, random_band(np.random.default_rng(3), 2, 12, 1, 2), 1)
+        # top level 11, U = 2: levels 1..9 and 11
+        assert [pi.levels for pi in stationary(P, [9, 1, 11])] == [10, 2, 12]
+        for n in (0, 10, 12):
+            with pytest.raises(ValueError, match=f"level {n} "):
+                stationary(P, [9, n])
+
+    def test_scales_carry_past_float_range(self):
+        # The up-0.001 walk: pi(0) / pi(800) is about 10^2400, so unscaled
+        # bottom-up back-substitution would overflow.
+        up = 0.001
+        model = GIG1Model(
+            d=1,
+            A={-1: [[1.0 - up]], 1: [[up]]},
+            B={-1: [[1.0 - up]], 0: [[1.0 - up]], 2: [[up]]},
+        )
+        levels = [10, 50, 400, 800]
+        P = lcb_truncate(model, 800)
+        for n, pi in zip(levels, stationary(P, levels)):
+            assert np.all(np.isfinite(pi.flat))
+            assert np.abs(pi.flat - stationary(lcb_truncate(P, n)).flat).max() <= 1e-15
+
+    def test_chunks_shorter_than_the_band(self, monkeypatch):
+        # lo = 7 states feed each chunk; with a 2-bit budget most chunks are
+        # shorter, so their feed spans several chunks and scales.
+        P = band_corner(2, random_band(np.random.default_rng(5), 2, 40, 3, 2), 3)
+        levels = [5, 20, 39]
+        want = stationary(P, levels)
+        solves = []
+        solve = block_matrix.dtbtrs
+
+        def counted(ab, *args, **kwargs):
+            solves.append(ab.shape[1])
+            return solve(ab, *args, **kwargs)
+
+        monkeypatch.setattr(block_matrix, "dtbtrs", counted)
+        monkeypatch.setattr(block_matrix, "_CHUNK_BITS", 2.0)
+        for pi, ref in zip(stationary(P, levels), want):
+            assert np.abs(pi.flat - ref.flat).max() <= 1e-14
+        assert sum(size < 7 for size in solves) > 20
 
 
 class TestDistances:

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from bmtrunc import (
+    BlockStochasticMatrix,
     BoundViolationError,
     OrderingViolationError,
     StationarySolveError,
-    load_model,
-    mean_drift,
     save_model,
 )
-from bmtrunc import cli
+from bmtrunc import cli, drift_bounds, gig1
 from bmtrunc.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_IO,
@@ -95,6 +94,23 @@ class TestParsing:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("build", [mg1_d2, gig1_d2])
+    def test_one_a_kernel_solve_per_validate(self, capsys, tmp_path, monkeypatch, build):
+        # mean_drift, printed by validate, and find_alpha share the solve.
+        path = str(tmp_path / "model.json")
+        save_model(build(), path)
+        calls = []
+        solve = gig1._kernel_stationary
+
+        def counted(psi):
+            calls.append(psi)
+            return solve(psi)
+
+        monkeypatch.setattr(gig1, "_kernel_stationary", counted)
+        code, _, _ = run(capsys, "--model", path, "--command", "validate")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_boundary_lift_model(self, capsys, walk_path):
         code, out, _ = run(capsys, "--model", walk_path, "--command", "validate")
         assert code == EXIT_OK
@@ -288,6 +304,41 @@ class TestCompare:
         assert code == EXIT_VALIDATION
         assert "reference level" in err
 
+    def test_one_stationary_call_per_compare(self, capsys, mg1_path, monkeypatch):
+        # perfbench/tracing.py wraps drift_bounds.stationary and reads the
+        # first argument's size: compare must reach every solve through it.
+        calls = []
+        solve = drift_bounds.stationary
+
+        def counted(P, *args, **kwargs):
+            calls.append(P)
+            return solve(P, *args, **kwargs)
+
+        monkeypatch.setattr(drift_bounds, "stationary", counted)
+        code, _, _ = run(capsys, "--model", mg1_path, "--command", "compare",
+                         "--n", "5,10,15", "--reference-level", "80")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert isinstance(calls[0], BlockStochasticMatrix)
+        assert calls[0].levels == 161
+
+    def test_rows_short_within_the_row_tolerance(self, capsys, tmp_path):
+        # Rows 9e-10 short of 1 pass the 1e-9 row check. GTH solves the chain
+        # whose diagonal completes each row, so the residual on the given
+        # rows is up to that defect.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"d": 1, "kind": "gig1", "gig1": {
+            "A": {"-1": [[0.5999999991]], "1": [[0.4]]},
+            "B": {"-1": [[0.5999999991]], "0": [[0.5999999991]], "1": [[0.4]]},
+        }}))
+        for command in ("validate", "bound", "compare"):
+            code, out, err = run(capsys, "--model", str(path), "--command", command)
+            assert code == EXIT_OK, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [10, 20, 50]
+        for r in rows:
+            assert float(r[4]) <= float(r[2]) <= float(r[3])
+
 
 class TestCouple:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -330,27 +381,30 @@ class TestCouple:
 
     def test_certificate_output_bytes_are_pinned(self, capsys, tmp_path):
         # Both certificate paths (skip-free: mg1_walk, mg1_d2; boundary lift:
-        # natural_walk, gig1_d2) feed validate, bound and compare.
+        # natural_walk, gig1_d2) feed validate, bound and compare. The compare
+        # digests were recorded after the switch to one bottom-up sweep, whose
+        # bound1 and measured_error differ from the per-level top-down solves
+        # in the last bits (below 7e-16 relative and 4e-16 absolute).
         expected = {
             "natural_walk": (
                 "80581ab28f409751eeee75522ee63fd6eb6b3707959d42062fefd20945c16fc6",
                 "2b07b9141bb3c22617aec1d9cba15137d0fca2256ac19b359fbef23b616b5379",
-                "3d15fee869bb3226a4eb5c1399063dc139a9d16d621188dbc492d82eeec809ee",
+                "da585a312dca6f6110ea4dfe3343119d2a4625d32517e6726e1962622f7d6062",
             ),
             "mg1_walk": (
                 "609da06f3abcb4ef721d1ec287a25f6d8f8cfbadfcc5335c15700626a62510ce",
                 "8fbf161b2f6a91d53bfc9853d01f73e83e8c59b5654884f324d7b38806a1f4f9",
-                "10b7e46a127bce5eded1cc1fce2e904caa307acb79429d03d3f21811f8056fdb",
+                "10eaec7ad0bc4bc190d5fdec6f70fcf0c1dff3ecdfafb28fafd070db102ecc48",
             ),
             "mg1_d2": (
                 "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
                 "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
-                "c358e5ffe5215600be4e5c8a4bc46033bd511531c0b8d3f7bc6a042c6e957a3f",
+                "0bb6ee78ef52ac8878824520f103ba936bdcb6a343b3f60edbf37b3c66fb7900",
             ),
             "gig1_d2": (
                 "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",
                 "b4cff6a80d385851afee96eaf5ae1469e98fbedcac699e35c41509aad6545c5c",
-                "12004225e635894e334c844d94d0a57940086f470d68c3d61521265fae58c2ba",
+                "9257aaf79cb85b34d4a62737ae8a7a5730a48f43d2856f42128f058c62cd7cf0",
             ),
         }
         builders = {"natural_walk": natural_walk, "mg1_walk": mg1_walk,
@@ -420,18 +474,13 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "not negative" in err
 
-    def test_stationary_solve_failure_is_validation(self, capsys, tmp_path):
-        # Rows 9e-10 short of 1 pass the 1e-9 row check, but the A-kernel's
-        # stationary residual then fails its 1e-10 check.
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps({"d": 1, "kind": "gig1", "gig1": {
-            "A": {"-1": [[0.5999999991]], "1": [[0.4]]},
-            "B": {"-1": [[0.5999999991]], "0": [[0.5999999991]], "1": [[0.4]]},
-        }}))
-        with pytest.raises(StationarySolveError):
-            mean_drift(load_model(str(path)))
+    def test_stationary_solve_failure_is_validation(self, capsys, walk_path, monkeypatch):
+        def failing(psi):
+            raise StationarySolveError("stationary residual 2.000e-10 exceeds 1e-10")
+
+        monkeypatch.setattr(gig1, "_kernel_stationary", failing)
         for command in ("validate", "bound", "compare"):
-            code, out, err = run(capsys, "--model", str(path), "--command", command)
+            code, out, err = run(capsys, "--model", walk_path, "--command", command)
             assert code == EXIT_VALIDATION
             assert err.startswith("validation failure: stationary residual")
             assert out == ""

@@ -229,6 +229,77 @@ def test_banded_stationary_reports_every_closed_class(seed, d, levels, lower, up
     assert_stationary_matches_dense(P)
 
 
+# --- one bottom-up sweep for a family of truncation levels ---
+
+sweep_level_counts = st.integers(min_value=2, max_value=10)
+
+
+def sweep_levels(P):
+    """Every level stationary(P, levels) accepts: 1..top-U and the top."""
+    top = P.levels - 1
+    return [n for n in range(1, top + 1) if n <= top - P.upper or n == top]
+
+
+def assert_sweep_matches(P, levels):
+    """Each level's vector matches its own top-down solve and the dense oracle.
+
+    When some level has several closed classes, the sweep must raise the
+    classes of one such level instead. Returns the vectors (or []).
+    """
+    expected = {}
+    for n in levels:
+        try:
+            expected[n] = dense_stationary(lcb_truncate(P, n))
+        except MultipleClosedClassesError as err:
+            expected[n] = err.classes
+    failing = [want for want in expected.values() if isinstance(want, list)]
+    if failing:
+        with pytest.raises(MultipleClosedClassesError) as got:
+            stationary(P, levels)
+        assert got.value.classes in failing
+        return []
+    family = stationary(P, levels)
+    for n, pi in zip(levels, family):
+        want = expected[n]
+        assert np.max(np.abs(pi.flat - want)) <= 1e-13
+        assert np.max(np.abs(pi.flat - stationary(lcb_truncate(P, n)).flat)) <= 1e-13
+        assert np.all(pi.flat[want == 0.0] == 0.0)
+    return family
+
+
+@given(seeds, dims, sweep_level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
+def test_sweep_matches_every_level_and_the_dense_oracle(seed, d, levels, lower, upper, density):
+    P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
+    assert_sweep_matches(P, sweep_levels(P))
+
+
+@given(seeds, dims, sweep_level_counts, band_widths, st.integers(min_value=1, max_value=3))
+def test_sweep_gives_transient_states_zero_mass(seed, d, levels, lower, upper):
+    # As in the top-down test: no row above level 0 returns to it, in any
+    # truncation, while level 0 moves up.
+    band = random_band(make_rng(seed), d, levels, lower, upper)
+    cols = band_columns(levels, band.shape[1], lower)
+    band[1:][cols[1:] == 0] = 0.0
+    P = band_corner(d, band, lower)
+    family = assert_sweep_matches(P, sweep_levels(P))
+    assert family and all(np.all(pi.entries[0] == 0.0) for pi in family)
+
+
+@given(seeds, dims, st.integers(min_value=4, max_value=10), band_widths, band_widths)
+def test_sweep_names_the_closed_classes_of_the_failing_level(seed, d, levels, lower, upper):
+    # Cut between the halves: every level from `split` up has a closed class
+    # in each half, and the levels below it may have one.
+    band = random_band(make_rng(seed), d, levels, lower, upper)
+    split = levels // 2
+    rows = np.arange(levels)[:, None]
+    band[(rows < split) != (band_columns(levels, band.shape[1], lower) < split)] = 0.0
+    P = band_corner(d, band, lower)
+    for n in sweep_levels(P):
+        assert_sweep_matches(P, [n])
+    with pytest.raises(MultipleClosedClassesError):
+        stationary(P, sweep_levels(P))
+
+
 @given(seeds, st.integers(min_value=1, max_value=12))
 def test_band_monotone_check_on_truncations_matches_transform_oracle(seed, n):
     # support -2..2 and boundary blocks up to level 3: narrow against n
