@@ -12,6 +12,15 @@ Core containers and checks for level-phase Markov chains with block size d:
 
 Levels index the unbounded coordinate, phases the finite one; state (k, i)
 maps to flat index k*d + i.
+
+Every CLI command runs in a fresh process, so import time is part of its
+run time. numpy takes about 0.1 s to import; scipy.sparse.csgraph and
+scipy.linalg.lapack together take about 0.22 s more, which is more than the
+whole `validate` or `bound` work. So scipy is imported where it is used:
+in the closed-class check of a band (_band_closed_classes) and in the banded
+back-substitution (dtbtrs), which `compare` and `validate` on a finite corner
+run. The d x d kernels of a GI/G/1 model take their classes from a numpy
+boolean closure (_reach) instead.
 """
 
 from __future__ import annotations
@@ -21,9 +30,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import sparse
-from scipy.linalg.lapack import dtbtrs
-from scipy.sparse import csgraph
 
 __all__ = [
     "BlockStochasticMatrix",
@@ -405,11 +411,19 @@ def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
 
 
 def _band_closed_classes(W: np.ndarray, lo: int) -> list[np.ndarray]:
-    """Increasing state lists of the closed classes of an unpadded state band."""
+    """Increasing state lists of the closed classes of an unpadded state band.
+
+    np.nonzero lists the entries row by row with increasing columns, which is
+    CSR order already, so the graph is built from its index arrays directly.
+    """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     states = W.shape[0]
     rows, slots = np.nonzero(W)
     cols = rows + slots - lo
-    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(states, states))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=states))))
+    graph = sparse.csr_matrix((np.ones(rows.size), cols, indptr), shape=(states, states))
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     is_open = np.zeros(n_comp, dtype=bool)
     crossing = labels[rows] != labels[cols]
@@ -418,14 +432,61 @@ def _band_closed_classes(W: np.ndarray, lo: int) -> list[np.ndarray]:
     return [members[c] for c in np.nonzero(~is_open)[0]]
 
 
-def _unique_closed_class(W: np.ndarray, lo: int, up: int, d: int) -> np.ndarray:
-    """The one closed class of a padded state band, or MultipleClosedClassesError."""
-    classes = _band_closed_classes(W[up:W.shape[0] - lo], lo)
+def _reach(pattern: np.ndarray) -> np.ndarray:
+    """Reachability of a small square 0/1 pattern: R[i, j] when i leads to j.
+
+    Every state reaches itself. Repeated squaring of pattern | I takes about
+    log2(d) boolean products.
+    """
+    reach = np.asarray(pattern, dtype=bool) | np.eye(len(pattern), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def _small_closed_classes(pattern: np.ndarray) -> list[np.ndarray]:
+    """Increasing state lists of the closed classes of a small square pattern.
+
+    A state is in a closed class when every state it reaches reaches it back.
+    The classes come in _band_closed_classes' order: csgraph numbers the
+    components as its depth-first search (roots in increasing order, the
+    highest successor first) finishes them, and a closed class, once
+    entered, is finished before the search leaves it.
+    """
+    pattern = np.asarray(pattern, dtype=bool)
+    reach = _reach(pattern)
+    closed = ~(reach & ~reach.T).any(axis=1)
+    seen = np.zeros(len(reach), dtype=bool)
+    classes = []
+    for root in range(len(reach)):
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            if seen[s]:
+                continue
+            if closed[s]:  # the search leaves it only once all of it is seen
+                classes.append(np.nonzero(reach[s])[0])
+                seen |= reach[s]
+                continue
+            seen[s] = True
+            stack.extend(np.nonzero(pattern[s] & ~seen)[0].tolist())
+    return classes
+
+
+def _one_class(classes: list[np.ndarray], d: int) -> np.ndarray:
+    """The only class of the list, or MultipleClosedClassesError naming all of them."""
     if len(classes) > 1:
         raise MultipleClosedClassesError(
             [[(int(s) // d, int(s) % d) for s in cls] for cls in classes]
         )
     return classes[0]
+
+
+def _unique_closed_class(W: np.ndarray, lo: int, up: int, d: int) -> np.ndarray:
+    """The one closed class of a padded state band, or MultipleClosedClassesError."""
+    return _one_class(_band_closed_classes(W[up:W.shape[0] - lo], lo), d)
 
 
 def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
@@ -544,6 +605,13 @@ def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndar
 # per state, and pi(0) / pi(top) can leave float range: 1.5^3200 over a
 # 3200-level walk. Each chunk of the solve keeps that bound below 2^1000.
 _CHUNK_BITS = 1000.0
+
+
+def dtbtrs(*args, **kwargs):
+    """scipy.linalg.lapack.dtbtrs, imported on the first solve (see the module docstring)."""
+    from scipy.linalg.lapack import dtbtrs as banded_triangular_solve
+
+    return banded_triangular_solve(*args, **kwargs)
 
 
 def _solve_up(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -782,10 +850,16 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
 
 
 def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
-    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels."""
+    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels.
+
+    It is solved as stationary(P) solves it, with the closed classes read off
+    the kernel's closure instead of the band's scipy graph.
+    """
     entries = {(i, j): [[p]] for (i, j), p in np.ndenumerate(psi)}
     P = BlockStochasticMatrix.from_blocks(1, entries)
-    return stationary(P).flat
+    cls = _one_class(_small_closed_classes(np.asarray(psi) != 0.0), 1)
+    W, lo, up = _state_band(P)
+    return _checked(P, _gth_band(W, lo, up, cls.tolist(), 1)).flat
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:

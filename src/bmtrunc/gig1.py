@@ -10,17 +10,19 @@ eigenvalue delta(z) that dips below 1 for some z = alpha > 1 exactly when the
 mean level drift is negative. The weight vector alpha^k * v(alpha) then
 satisfies a geometric drift inequality up to finitely many boundary rows,
 which a boundary lift turns into a full K=0 certificate.
+
+The module needs numpy only. The root of the delta slope comes from a port
+of scipy's brentq (_brentq below), because importing scipy.optimize costs
+about 0.4 s per process on top of numpy's 0.1 s, several times the work of
+a `validate` or `bound` run; see block_matrix for the rest of scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import brentq
-from scipy.sparse import csgraph
 
 from .block_matrix import (
     CHECK_TOLERANCE,
@@ -30,6 +32,7 @@ from .block_matrix import (
     PhaseMatrix,
     PhaseStructureError,
     _kernel_stationary,
+    _reach,
 )
 from .drift_bounds import (
     VERIFY_TOLERANCE,
@@ -68,6 +71,10 @@ PATH_BOUNDARY_LIFT = "boundary-lift"
 # 35, so a larger alpha would not give a usable certificate anyway.
 _ALPHA_LIMIT = 2.0 ** 30
 
+# scipy.optimize.brentq's relative tolerance and iteration limit.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
 
 def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
     out = {}
@@ -83,10 +90,7 @@ def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
 
 
 def _is_irreducible(pattern: np.ndarray) -> bool:
-    n_comp, _ = csgraph.connected_components(
-        sparse.csr_matrix(pattern), directed=True, connection="strong"
-    )
-    return n_comp == 1
+    return bool(_reach(pattern).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,6 +420,73 @@ def mean_drift(model: GIG1Model) -> float:
     return float(model.a_stationary @ step)
 
 
+def _brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None):
+    """Root of f in the sign-change bracket [a, b], as scipy.optimize.brentq finds it.
+
+    A line-for-line port of scipy's Zeros/brentq.c with rtol = 4 eps and 100
+    iterations, so it returns the same bits. fa and fb are f(a) and f(b) when
+    the caller has them already; f is then not called there again.
+
+    Raises:
+        ValueError: a NaN value of f, or f(a) and f(b) of the same sign.
+        RuntimeError: no convergence in 100 iterations.
+    """
+
+    def value(x: float, fx: float | None) -> float:
+        fx = float(f(x)) if fx is None else float(fx)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur, None)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+def _delta_slope(model: GIG1Model, z: float) -> float:
+    """delta'(z) = mu(z) A'(z) v(z), the slope of the Perron eigenvalue at z."""
+    _, mu, v = perron(a_hat(model, z))
+    transform_slope = sum(
+        (j * z ** (j - 1) * blk for j, blk in model.A.items() if j != 0),
+        np.zeros((model.d, model.d)),
+    )
+    return float(mu @ transform_slope @ v)
+
+
 def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
     """Growth rate alpha > 1 minimizing the Perron eigenvalue delta(z).
 
@@ -436,22 +507,17 @@ def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
     if drift >= 0:
         raise ValueError(f"mean drift {drift:.6g} is not negative; no certificate exists")
 
-    def delta_slope(z: float) -> float:
-        _, mu, v = perron(a_hat(model, z))
-        transform_slope = sum(
-            (j * z ** (j - 1) * blk for j, blk in model.A.items() if j != 0),
-            np.zeros((model.d, model.d)),
-        )
-        return float(mu @ transform_slope @ v)
-
+    delta_slope = partial(_delta_slope, model)
     lo, hi = 1.0, 2.0
-    while delta_slope(hi) < 0.0:
+    f_lo, f_hi = None, delta_slope(hi)
+    while f_hi < 0.0:
         if hi >= _ALPHA_LIMIT:
             raise ValueError(
                 f"delta(z) has no finite minimiser: it still falls at z = {hi:.6g}"
             )
-        lo, hi = hi, 2.0 * hi
-    alpha = float(brentq(delta_slope, lo, hi, xtol=1e-15))
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        f_hi = delta_slope(hi)
+    alpha = _brentq(delta_slope, lo, hi, xtol=1e-15, fa=f_lo, fb=f_hi)
     point = spectral_point(model, alpha)
     if point.delta >= 1.0:
         raise ValueError(f"refined delta({alpha:.9g}) = {point.delta:.9g} is not below 1")
