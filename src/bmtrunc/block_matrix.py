@@ -566,7 +566,7 @@ def _upward_views(W: np.ndarray, lo: int, up: int):
     return rows, cols, windows
 
 
-def _sweep_up(W: np.ndarray, lo: int, up: int, start: int, stop: int, pivots: np.ndarray):
+def _sweep_up(views, start: int, stop: int, pivots: np.ndarray):
     """Bottom-up GTH elimination of states start..stop-1, in place on a padded band.
 
     Eliminating state s adds col(s) row(s) / sum(row(s)) to the entries
@@ -575,15 +575,102 @@ def _sweep_up(W: np.ndarray, lo: int, up: int, start: int, stop: int, pivots: np
     0. Such a state is transient or the top state of the closed class: a
     state of the class below its top always reaches higher class states.
     Eliminating a transient state is harmless, because no row of the closed
-    class has an entry in its column.
+    class has an entry in its column. `views` are the band's _upward_views.
     """
-    rows, cols, windows = _upward_views(W, lo, up)
+    rows, cols, windows = views
     part = slice(start, stop)
     for s, row, col, window in zip(range(start, stop), rows[part], cols[part], windows[part]):
         total = np.add.reduce(row)
         pivots[s] = total
         if total > 0.0:
             window += np.multiply.outer(col, row / total)
+
+
+class _SharedSweep:
+    """The bottom-up sweep of a corner's padded state band, run level by level.
+
+    After the states below f = k*d are eliminated, later eliminations read
+    only the frontier F_k: rows f..f+lo-1 in the columns from f on, the
+    diagonal left out, which GTH never reads. They also read P's own rows
+    above the frontier. On a GI/G/1 corner the frontier converges like the
+    G/R iteration of the censored chain and reaches a bit-exact fixed point
+    or short cycle within a few dozen levels. So at the first repeat F_k ==
+    F_j, compared byte for byte, the levels from k on repeat the q = k - j
+    levels from j on: same pivots, same final columns below the diagonal,
+    and F_(k+t) == F_(j + t mod q). The sweep then copies that q-level block
+    instead of eliminating, as far as every band row the copied range reads
+    is bitwise equal to the row q levels below it in P.band. Boundary rows
+    at the bottom and folded rows at the top of the corner are therefore
+    always eliminated for real. The rows of the copied states right of the
+    diagonal, and the diagonal, keep stale values: nothing reads them again.
+
+    The stored frontiers hold no more entries than the band itself; past
+    that budget the sweep stops looking for repeats.
+    """
+
+    def __init__(self, P: BlockStochasticMatrix, W: np.ndarray, lo: int, up: int, pivots):
+        self.band, self.lower, self.d = P.band, P.lower, P.d
+        self.W, self.lo, self.up = W, lo, up
+        self.views = _upward_views(W, lo, up)
+        self.pivots = pivots
+        self.level = 0
+        r = np.arange(lo)[:, None]
+        slot = np.arange(lo + up + 1)
+        self.mask = (slot >= lo - r) & (slot != lo)  # frontier row f + r, column >= f
+        self.keys_left = W.size // max(1, int(self.mask.sum()))
+        self.frontiers = []  # bytes of F_p for every level p below self.level
+        self.seen = {}  # frontier bytes -> the latest level that had them
+
+    def _frontier(self, level: int) -> np.ndarray:
+        f = self.up + level * self.d
+        return self.W[f:f + self.lo]
+
+    def run_to(self, stop: int):
+        """Eliminate (or copy) every state below level `stop`."""
+        d = self.d
+        while self.level < stop:
+            k = self.level
+            if self.keys_left == 0:
+                _sweep_up(self.views, k * d, stop * d, self.pivots)
+                self.level = stop
+                return
+            key = self._frontier(k)[self.mask].tobytes()
+            j = self.seen.get(key)
+            if j is not None:
+                end = self._periodic_until(j, k, stop)
+                if end > k:
+                    self._tile(j, k, end)
+                    continue
+            self.seen[key] = k
+            self.frontiers.append(key)
+            self.keys_left -= 1
+            _sweep_up(self.views, k * d, (k + 1) * d, self.pivots)
+            self.level = k + 1
+
+    def _periodic_until(self, j: int, k: int, stop: int) -> int:
+        """Largest level e <= stop such that the states of levels k..e-1 may copy levels j..
+
+        Eliminating them reads band levels k+L..e+L at most (L = P.lower);
+        each must equal the level q = k - j below it, and exist.
+        """
+        q, first = k - j, k + self.lower
+        rows = self.band[first:stop + self.lower + 1]
+        same = np.all(rows == self.band[first - q:first - q + len(rows)], axis=(1, 2, 3))
+        differ = np.flatnonzero(~same)
+        return k + (int(differ[0]) if differ.size else len(rows)) - 1
+
+    def _tile(self, j: int, k: int, end: int):
+        """Fill levels k..end-1 with copies of levels j..k-1 and set the frontier at end."""
+        d, q = self.d, k - j
+        repeat = np.arange((end - k) * d) % (q * d)
+        self.pivots[k * d:end * d] = self.pivots[j * d:k * d][repeat]
+        cols = self.views[1]
+        cols[k * d:end * d] = cols[j * d:k * d][repeat]
+        block = self.frontiers[j:k]
+        self.frontiers += (block * ((end - k) // q + 1))[:end - k]
+        self._frontier(end)[self.mask] = np.frombuffer(self.frontiers[end - q], dtype=float)
+        self.seen.update(zip(self.frontiers[end - q:end], range(end - q, end)))
+        self.level = end
 
 
 def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndarray:
@@ -736,30 +823,29 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
     top_class = _unique_closed_class(W, lo, up, d) if top in levels else None
-    _, shared_cols, _ = _upward_views(W, lo, up)
+    sweep = _SharedSweep(P, W, lo, up, pivots)
+    shared_cols = sweep.views[1]
     solved = {}
-    swept = 0
     for n in sorted(set(levels)):
         if n == top:
-            _sweep_up(W, lo, up, swept, P.levels * d, pivots)
-            solved[n] = _level_vector(P, top_class, pivots, shared_cols, shared_cols, swept)
+            sweep.run_to(P.levels)
+            solved[n] = _level_vector(P, top_class, pivots, shared_cols, shared_cols, 0)
             continue
         # Rows below `first` reach no column level beyond n, so they are the
         # same in every truncation at n or above, and so is their reduction.
         # Its fill reaches no column level beyond n either, so folding the
         # reduced rows from `first` up equals reducing the folded rows.
-        first = max(0, n - P.upper) * d
-        _sweep_up(W, lo, up, swept, first, pivots)
-        swept = first
+        sweep.run_to(max(0, n - P.upper))
+        first = sweep.level * d
         corner = lcb_truncate(P, n)
         Wn, _, _ = _state_band(corner)
         cls = _unique_closed_class(Wn, lo, up, d)
         states = corner.levels * d
         Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
         level_pivots = pivots[:states].copy()
-        _sweep_up(Wn, lo, up, first, states, level_pivots)
-        level_cols = _upward_views(Wn, lo, up)[1]
-        solved[n] = _level_vector(corner, cls, level_pivots, shared_cols, level_cols, first)
+        level_views = _upward_views(Wn, lo, up)
+        _sweep_up(level_views, first, states, level_pivots)
+        solved[n] = _level_vector(corner, cls, level_pivots, shared_cols, level_views[1], first)
     return [solved[n] for n in levels]
 
 
@@ -777,7 +863,12 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     same in every truncation at n or above, so the sweep eliminates them
     once for all levels. Each level then folds a copy of its last U+1 reduced
     levels, eliminates those states and back-substitutes (see _solve_up).
-    Each level gets its own closed-class check and residual check. A level
+    Each level gets its own closed-class check and residual check. Where the
+    sweep's frontier repeats bit for bit, as it does within a few dozen
+    levels on a GI/G/1 truncation, the sweep copies the repeating levels
+    instead of eliminating them, as far as the band rows they read are
+    bitwise equal to the rows one period below (see _SharedSweep). The
+    results are bit for bit those of eliminating every state. A level
     must be P's top level or at most P.levels - 1 - U: the rows of the levels
     between reach past P's top level, where P has folded them, so they are
     not complete rows of the chain P was cut from.

@@ -392,9 +392,12 @@ def compare_against_oracle(
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
-            when only the dominating chain is certified).
+            when only the dominating chain is certified). One sweep over its
+            truncation at max(n_list) + U solves all of them.
 
     Raises:
+        ValueError: no levels, or a reference level at or below max(n_list)
+            or below the truncation's upward block width U.
         ReferenceNotConvergedError: oracle gap above convergence_tol.
         BoundViolationError: a measured error exceeded its bound.
     """
@@ -405,20 +408,26 @@ def compare_against_oracle(
         raise ValueError("reference_level must exceed every requested n")
 
     top = 2 * reference_level
-    *solved, pi_ref, pi_top = stationary(
-        lcb_truncate(model, top), n_list + [reference_level, top]
-    )
+    corner = lcb_truncate(model, top)
+    if reference_level < corner.upper:
+        raise ValueError(
+            f"reference level {reference_level} is below the chain's upward block "
+            f"width {corner.upper}; use a reference level of at least {corner.upper}"
+        )
+    *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
     gap = tv_distance(pi_ref, pi_top)
     if gap > convergence_tol:
         raise ReferenceNotConvergedError(gap, reference_level)
+    if dominating is None:
+        masses = solved
+    else:
+        reach = lcb_truncate(dominating, max(n_list)).upper
+        masses = stationary(lcb_truncate(dominating, max(n_list) + reach), n_list)
 
     reports = []
-    for n, pi_n in zip(n_list, solved):
+    for n, pi_n, mass_n in zip(n_list, solved, masses):
         measured = tv_distance(pi_n, pi_ref)
-        if dominating is None:
-            top_mass = pi_n.entries[n]
-        else:
-            top_mass = stationary(lcb_truncate(dominating, n)).entries[n]
+        top_mass = mass_n.entries[n]
         m_star, _ = optimize_m(cert, n, m_max, top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
         if measured > report.bound1 + BOUND_CHECK_SLACK:

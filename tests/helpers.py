@@ -6,7 +6,9 @@ check the band code against a dense computation. The explicit T-product
 oracles materialize the block lower-triangular all-ones transform, which the
 library itself never builds; tests use them to cross-check the suffix-sum
 implementations. scan_optimize_m evaluates every horizon m, where the library
-solves for the minimizer in closed form.
+solves for the minimizer in closed form. full_sweep and
+full_sweep_stationary eliminate every state of the shared bottom-up sweep,
+where the library copies the range in which the sweep repeats.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from bmtrunc import (
     GIG1Model,
     MultipleClosedClassesError,
     assemble,
+)
+from bmtrunc.block_matrix import (
+    _fold_rows,
+    _level_vector,
+    _state_band,
+    _sweep_up,
+    _unique_closed_class,
+    _upward_views,
+    lcb_truncate,
 )
 from bmtrunc.drift_bounds import _bound_terms
 
@@ -156,6 +167,50 @@ def dense_level_inverse(P: BlockStochasticMatrix, k: int, i: int, j: int, u) -> 
     if cdf[-1] <= 0.0:
         return np.zeros(u.shape, dtype=np.int64)
     return (cdf / cdf[-1] < u[..., None]).sum(axis=-1)
+
+
+# --- full bottom-up sweep oracle (tests only) ---
+
+
+def full_sweep(P: BlockStochasticMatrix):
+    """Padded state band, lo and pivots after eliminating every state of P bottom-up."""
+    W, lo, up = _state_band(P)
+    pivots = np.zeros(P.levels * P.d)
+    _sweep_up(_upward_views(W, lo, up), 0, P.levels * P.d, pivots)
+    return W, lo, pivots
+
+
+def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
+    """stationary(P, levels) with a shared sweep that eliminates every state.
+
+    Oracle for the repeat shortcut: the same folds, finishing sweeps and
+    back-substitutions, with no state copied from an earlier level.
+    """
+    top, d = P.levels - 1, P.d
+    W, lo, up = _state_band(P)
+    pivots = np.zeros(P.levels * d)
+    top_class = _unique_closed_class(W, lo, up, d) if top in levels else None
+    views = _upward_views(W, lo, up)
+    solved = {}
+    swept = 0
+    for n in sorted(set(levels)):
+        if n == top:
+            _sweep_up(views, swept, P.levels * d, pivots)
+            solved[n] = _level_vector(P, top_class, pivots, views[1], views[1], 0)
+            continue
+        first = max(0, n - P.upper) * d
+        _sweep_up(views, swept, first, pivots)
+        swept = first
+        corner = lcb_truncate(P, n)
+        Wn, _, _ = _state_band(corner)
+        cls = _unique_closed_class(Wn, lo, up, d)
+        states = corner.levels * d
+        Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
+        level_pivots = pivots[:states].copy()
+        level_views = _upward_views(Wn, lo, up)
+        _sweep_up(level_views, first, states, level_pivots)
+        solved[n] = _level_vector(corner, cls, level_pivots, views[1], level_views[1], first)
+    return [solved[n] for n in levels]
 
 
 # --- horizon scan oracle (tests only) ---

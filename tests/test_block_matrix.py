@@ -25,7 +25,16 @@ from bmtrunc import (
 
 from bmtrunc import block_matrix
 
-from helpers import band_corner, corner_from_dense, dense, mg1_d2, natural_walk, random_band
+from helpers import (
+    band_corner,
+    corner_from_dense,
+    dense,
+    full_sweep_stationary,
+    mg1_d2,
+    natural_walk,
+    random_band,
+    random_monotone_gig1,
+)
 
 
 def corner(rows, d=1):
@@ -286,6 +295,49 @@ class TestStationarySweep:
         for pi, ref in zip(stationary(P, levels), want):
             assert np.abs(pi.flat - ref.flat).max() <= 1e-14
         assert sum(size < 7 for size in solves) > 20
+
+
+    @staticmethod
+    def swept_states(monkeypatch, P, levels) -> np.ndarray:
+        """How often stationary(P, levels) eliminates each state for real."""
+        counts = np.zeros(P.levels * P.d, dtype=int)
+        sweep = block_matrix._sweep_up
+
+        def counted(views, start, stop, pivots):
+            counts[start:stop] += 1
+            return sweep(views, start, stop, pivots)
+
+        monkeypatch.setattr(block_matrix, "_sweep_up", counted)
+        stationary(P, levels)
+        monkeypatch.undo()
+        return counts
+
+    @pytest.mark.parametrize("model", [natural_walk, random_monotone_gig1])
+    def test_repeat_stops_before_a_perturbed_row(self, monkeypatch, model):
+        # Level 200 swaps its outermost blocks: the sweep copies the repeating
+        # range below it, eliminates every state that reads it, then repeats.
+        P = lcb_truncate(model(), 400)
+        band = P.band.copy()
+        band[200, [0, -1]] = band[200, [-1, 0]]
+        P = BlockStochasticMatrix(P.d, band, P.lower)
+        levels = [10, 150, 199, 250, 350, 400]
+        for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
+            assert np.array_equal(got.entries, want.entries)
+        counts = self.swept_states(monkeypatch, P, [400])
+        lo = P.lower * P.d + P.d - 1
+        assert np.all(counts[200 * P.d - lo:201 * P.d] == 1)
+        assert counts[:400 * P.d].sum() < 200 * P.d
+
+    def test_level_dependent_band_sweeps_every_state(self, monkeypatch):
+        P = band_corner(2, random_band(np.random.default_rng(7), 2, 60, 2, 1), 2)
+        levels = [5, 30, 58, 59]
+        for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
+            assert np.array_equal(got.entries, want.entries)
+        assert np.all(self.swept_states(monkeypatch, P, [59]) == 1)
+
+    def test_repeating_walk_eliminates_few_states(self, monkeypatch):
+        P = lcb_truncate(natural_walk(), 3200)
+        assert self.swept_states(monkeypatch, P, [10, 1600, 3200]).sum() < 100
 
 
 class TestDistances:

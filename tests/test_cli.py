@@ -32,6 +32,7 @@ from helpers import (
     mg1_d2,
     mg1_walk,
     natural_walk,
+    random_monotone_gig1,
     symmetric_walk,
 )
 
@@ -303,6 +304,20 @@ class TestCompare:
                            "--n", "10,50", "--reference-level", "30")
         assert code == EXIT_VALIDATION
         assert "reference level" in err
+
+    def test_reference_level_must_clear_the_upward_reach(self, capsys, tmp_path):
+        # Level-0 rows reach 3 levels up; the reference level must be at least 3.
+        path = str(tmp_path / "random.json")
+        save_model(random_monotone_gig1(), path)
+        code, _, err = run(capsys, "--model", path, "--command", "compare",
+                           "--n", "1", "--reference-level", "2")
+        assert code == EXIT_VALIDATION
+        assert "reference level 2 is below the chain's upward block width 3" in err
+        # at 3 the width check passes; the reference is then too short to converge
+        code, _, err = run(capsys, "--model", path, "--command", "compare",
+                           "--n", "1", "--reference-level", "3")
+        assert code == EXIT_VALIDATION
+        assert "reference truncation at level 3 not converged" in err
 
     def test_one_stationary_call_per_compare(self, capsys, mg1_path, monkeypatch):
         # perfbench/tracing.py wraps drift_bounds.stationary and reads the

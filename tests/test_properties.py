@@ -3,7 +3,8 @@
 Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
-The closed-form horizon optimizer is checked against the full m scan.
+The closed-form horizon optimizer is checked against the full m scan, and
+the shared sweep's repeat shortcut against a sweep over every state.
 """
 
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bmtrunc.block_matrix import _SharedSweep, _state_band
 from bmtrunc.coupling import _CouplingKernel
 
 from bmtrunc import (
@@ -45,6 +47,8 @@ from helpers import (
     dense_closed_classes,
     dense_level_inverse,
     dense_stationary,
+    full_sweep,
+    full_sweep_stationary,
     oracle_block_monotone,
     oracle_dominates,
     random_block_increasing,
@@ -298,6 +302,22 @@ def test_sweep_names_the_closed_classes_of_the_failing_level(seed, d, levels, lo
         assert_sweep_matches(P, [n])
     with pytest.raises(MultipleClosedClassesError):
         stationary(P, sweep_levels(P))
+
+
+@given(seeds, st.integers(min_value=10, max_value=200), st.data())
+def test_repeat_shortcut_matches_the_full_sweep_bit_for_bit(seed, top, data):
+    # The frontier first repeats at about level 40-80 on these models, so
+    # short corners sweep every state and long ones copy most of theirs.
+    P = lcb_truncate(random_monotone_gig1(seed), top)
+    W, lo, up = _state_band(P)
+    pivots = np.zeros(P.levels * P.d)
+    _SharedSweep(P, W, lo, up, pivots).run_to(P.levels)
+    W_full, _, pivots_full = full_sweep(P)
+    assert np.array_equal(pivots, pivots_full)
+    assert np.array_equal(W[:, :lo], W_full[:, :lo])
+    levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=4))
+    for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
+        assert np.array_equal(got.entries, want.entries)
 
 
 @given(seeds, st.integers(min_value=1, max_value=12))
