@@ -16,11 +16,14 @@ maps to flat index k*d + i.
 Every CLI command runs in a fresh process, so import time is part of its
 run time. numpy takes about 0.1 s to import; scipy.sparse.csgraph and
 scipy.linalg.lapack together take about 0.22 s more, which is more than the
-whole `validate` or `bound` work. So scipy is imported where it is used:
-in the closed-class check of a band (_band_closed_classes) and in the banded
-back-substitution (dtbtrs), which `compare` and `validate` on a finite corner
-run. The d x d kernels of a GI/G/1 model take their classes from a numpy
-boolean closure (_reach) instead.
+whole `validate` or `bound` work. So scipy is imported where it is used.
+scipy.linalg.lapack serves the banded back-substitution (dtbtrs) that every
+`compare` runs. scipy's csgraph serves the closed-class check of a band
+(_band_closed_classes): closed_classes (`validate` on a finite corner), the
+top-down stationary(P), and the slow path of stationary(P, levels), which
+otherwise reads each level's closed class off its own GTH pivots
+(_class_top). The d x d kernels of a GI/G/1 model take their classes from a
+numpy boolean closure (_reach).
 """
 
 from __future__ import annotations
@@ -82,6 +85,34 @@ def _slot_columns(levels: int, width: int, lower: int) -> np.ndarray:
     return np.arange(levels)[:, None] + np.arange(width) - lower
 
 
+def _checked_row_sums(band: np.ndarray, d: int, substochastic: bool = False, first: int = 0):
+    """Row sums of band rows (levels first..), once the rows pass the corner checks.
+
+    Every entry must be finite and non-negative, and every row must sum to 1
+    (at most 1 if substochastic) within ROW_SUM_TOLERANCE; a ValueError names
+    the first row that fails. The sums come back as a (levels, d) array.
+    """
+    if not np.all(np.isfinite(band)):
+        raise ValueError("matrix entries must be finite")
+    mins = band.min(axis=(1, 3)).reshape(-1)
+    if np.any(mins < 0):
+        k, i = divmod(int(np.argmin(mins)), d)
+        raise ValueError(f"negative entry in row (level {first + k}, phase {i})")
+    sums = band.sum(axis=(1, 3))
+    flat = sums.reshape(-1)
+    if substochastic:
+        bad = flat > 1.0 + ROW_SUM_TOLERANCE
+    else:
+        bad = np.abs(flat - 1.0) > ROW_SUM_TOLERANCE
+    if np.any(bad):
+        state = int(np.argmax(bad))
+        raise ValueError(
+            f"row (level {first + state // d}, phase {state % d}) sums to "
+            f"{flat[state]:.12g}, outside tolerance {ROW_SUM_TOLERANCE:g}"
+        )
+    return sums
+
+
 class BlockStochasticMatrix:
     """Finite corner of a block-partitioned (sub)stochastic matrix, stored as a block band.
 
@@ -125,27 +156,7 @@ class BlockStochasticMatrix:
         self.substochastic = substochastic
         self.tail = tail
         self._values = None
-        self._check_rows()
-
-    def _check_rows(self):
-        band = self.band
-        if not np.all(np.isfinite(band)):
-            raise ValueError("matrix entries must be finite")
-        mins = band.min(axis=(1, 3)).reshape(-1)
-        if np.any(mins < 0):
-            k, i = divmod(int(np.argmin(mins)), self.d)
-            raise ValueError(f"negative entry in row (level {k}, phase {i})")
-        sums = band.sum(axis=(1, 3)).reshape(-1)
-        if self.substochastic:
-            bad = sums > 1.0 + ROW_SUM_TOLERANCE
-        else:
-            bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
-        if np.any(bad):
-            state = int(np.argmax(bad))
-            raise ValueError(
-                f"row (level {state // self.d}, phase {state % self.d}) sums to "
-                f"{sums[state]:.12g}, outside tolerance {ROW_SUM_TOLERANCE:g}"
-            )
+        _checked_row_sums(band, d, substochastic)
 
     @property
     def levels(self) -> int:
@@ -355,7 +366,8 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
     column levels >= n into column n. Accepts either a stored corner with at
     least n+1 complete rows or a GI/G/1-type model object (exact analytic
     fold). The fold stays inside the band: a row's column-n slot is at most
-    `upper` levels above it whenever the row has mass at or beyond n.
+    `upper` levels above it whenever the row has mass at or beyond n, so
+    only the top `upper` + 1 levels are folded (_fold_levels).
 
     Args:
         P: BlockStochasticMatrix (complete rows) or GI/G/1-type model.
@@ -375,18 +387,30 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
             f"n={n} exceeds the {P.levels} stored levels and no tail descriptor is attached"
         )
     band = P.band[: n + 1].copy()
-    width = band.shape[1]
-    beyond = _slot_columns(n + 1, width, P.lower) >= n
-    fold = np.where(beyond[:, :, None, None], band, 0.0).sum(axis=1)
-    band[beyond] = 0.0
-    k = np.arange(max(0, n - P.upper), n + 1)
-    band[k, n - k + P.lower] = fold[k]
+    first = max(0, n - P.upper)
+    band[first:] = _fold_levels(P.band, P.lower, n, first)
     return BlockStochasticMatrix(
         d=P.d,
         band=band,
         lower=P.lower,
         substochastic=P.substochastic,
     )
+
+
+def _fold_levels(band: np.ndarray, lower: int, n: int, first: int) -> np.ndarray:
+    """LCB fold at level n of the block-band rows of levels first..n (a copy).
+
+    Each row's blocks in column levels >= n are summed, in slot order, into
+    its column-n slot. Rows below n - upper reach no column level >= n, so
+    first = max(0, n - upper) folds every row that changes.
+    """
+    rows = band[first:n + 1]
+    beyond = _slot_columns(n + 1, band.shape[1], lower)[first:] >= n
+    fold = np.where(beyond[:, :, None, None], rows, 0.0).sum(axis=1)
+    out = np.where(beyond[:, :, None, None], 0.0, rows)
+    k = np.arange(first, n + 1)
+    out[k - first, n - k + lower] = fold
+    return out
 
 
 def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
@@ -750,14 +774,14 @@ def _solve_up(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.ldexp(x, scale - scale.max())
 
 
-def _left_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
-    """x P for x of shape (levels, d), computed on the band; shape (col_levels, d)."""
-    width = P.band.shape[1]
-    terms = np.einsum("ki,koij->koj", x, P.band)
-    out = np.zeros((max(P.levels + width - 1, P.lower + P.col_levels), P.d))
+def _left_product(band: np.ndarray, lower: int, x: np.ndarray) -> np.ndarray:
+    """x P for x of shape (levels, d) and P the square corner of a band; same shape."""
+    levels, width = band.shape[:2]
+    terms = np.einsum("ki,koij->koj", x, band)
+    out = np.zeros((max(levels + width - 1, lower + levels), band.shape[2]))
     for o in range(width):
-        out[o:o + P.levels] += terms[:, o]
-    return out[P.lower:P.lower + P.col_levels]
+        out[o:o + levels] += terms[:, o]
+    return out[lower:lower + levels]
 
 
 def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
@@ -771,30 +795,46 @@ def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked(P: BlockStochasticMatrix, pi: np.ndarray) -> BlockVector:
-    """pi (flat) as a BlockVector, once its residual on P's band passes.
+def _checked(band: np.ndarray, lower: int, pi: np.ndarray, deviation: float) -> BlockVector:
+    """pi (flat) as a BlockVector, once its residual on a square corner's band passes.
 
     GTH takes each diagonal entry as the complement of the rest of its row,
     so on rows that sum to 1 - e the exact solution has a residual of up to
-    e. The bound is STATIONARY_RESIDUAL_TOLERANCE plus P's largest
-    |row sum - 1|, which is 1e-10 on exactly stochastic rows.
+    e. The bound is STATIONARY_RESIDUAL_TOLERANCE plus `deviation`, the
+    band's largest |row sum - 1|, which is 1e-10 on exactly stochastic rows.
     """
-    pi = pi.reshape(P.levels, P.d)
-    bound = STATIONARY_RESIDUAL_TOLERANCE + float(np.max(np.abs(P.band.sum(axis=(1, 3)) - 1.0)))
-    residual = float(np.max(np.abs(_left_product(P, pi) - pi)))
+    d = band.shape[2]
+    pi = pi.reshape(-1, d)
+    bound = STATIONARY_RESIDUAL_TOLERANCE + float(deviation)
+    residual = float(np.max(np.abs(_left_product(band, lower, pi) - pi)))
     if not residual <= bound:
         raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {bound:g}")
-    return BlockVector(P.d, pi)
+    return BlockVector(d, pi)
 
 
-def _level_vector(P, cls, pivots, shared_cols, level_cols, first: int) -> BlockVector:
-    """Checked stationary vector of corner P from its bottom-up reduction.
+def _deviation(band: np.ndarray) -> float:
+    """Largest |row sum - 1| over the rows of a band."""
+    return float(np.max(np.abs(band.sum(axis=(1, 3)) - 1.0)))
 
-    The columns of the states below `first` come from the shared sweep's
-    band, the others from the level's own band.
+
+def _class_top(band: np.ndarray, lower: int, pivots: np.ndarray) -> int:
+    """Top state h of the one closed class of a square corner, from its bottom-up pivots.
+
+    The top state of every closed class gets a pivot of exactly 0.0: it
+    reaches no higher state, and no elimination puts an entry right of its
+    diagonal. So when every pivot below the corner's top state is positive,
+    the corner has one closed class and it holds the top state. Otherwise
+    (the slow path) the classes are read off the band's graph: several raise
+    MultipleClosedClassesError, and one gives its own top state. A pivot that
+    underflows to 0.0 sends a corner to the slow path, never past it, and a
+    zero pivot below h inside the class is a StationarySolveError.
     """
-    d = P.d
-    h = int(cls[-1])
+    h = pivots.size - 1
+    if np.all(pivots[:h] > 0.0):
+        return h
+    d = band.shape[2]
+    W, lo, up = _state_band(BlockStochasticMatrix(d, band, lower))
+    cls = _unique_closed_class(W, lo, up, d)
     stalled = cls[:-1][pivots[cls[:-1]] <= 0.0]
     if stalled.size:
         s = int(stalled[0])
@@ -802,12 +842,24 @@ def _level_vector(P, cls, pivots, shared_cols, level_cols, first: int) -> BlockV
             f"state (level {s // d}, phase {s % d}) cannot reach higher states inside "
             "its class (numerical degeneracy)"
         )
-    split = min(first, h)
-    below = np.concatenate((shared_cols[:split], level_cols[split:h])).T
-    x = _solve_up(below, pivots[:h])
-    pi = np.zeros(P.levels * d)
+    return int(cls[-1])
+
+
+def _level_vector(band, lower: int, pivots, cols, deviation: float) -> BlockVector:
+    """Checked stationary vector of a square corner from its bottom-up reduction.
+
+    pivots[s] is the pivot and cols[s] the reduced column below the diagonal
+    (see _upward_views) of every state s of the corner. The pivots decide the
+    closed class (_class_top); only a zero pivot below the top state sends
+    the corner to the slow path, which reads the classes off the band's
+    graph. The class is solved by _solve_up, and the residual is checked on
+    the unreduced band, whose largest |row sum - 1| is `deviation`.
+    """
+    h = _class_top(band, lower, pivots)
+    x = _solve_up(cols[:h].T, pivots[:h])
+    pi = np.zeros(pivots.size)
     pi[:h + 1] = x / x.sum()
-    return _checked(P, pi)
+    return _checked(band, lower, pi, deviation)
 
 
 def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
@@ -822,30 +874,39 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     d = P.d
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
-    top_class = _unique_closed_class(W, lo, up, d) if top in levels else None
     sweep = _SharedSweep(P, W, lo, up, pivots)
     shared_cols = sweep.views[1]
+    # deviation[k]: the largest |row sum - 1| of P's levels below k
+    worst = np.abs(P.band.sum(axis=(1, 3)) - 1.0).max(axis=1)
+    deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
     solved = {}
     for n in sorted(set(levels)):
         if n == top:
             sweep.run_to(P.levels)
-            solved[n] = _level_vector(P, top_class, pivots, shared_cols, shared_cols, 0)
+            solved[n] = _level_vector(P.band, P.lower, pivots, shared_cols, deviation[-1])
             continue
-        # Rows below `first` reach no column level beyond n, so they are the
-        # same in every truncation at n or above, and so is their reduction.
-        # Its fill reaches no column level beyond n either, so folding the
-        # reduced rows from `first` up equals reducing the folded rows.
+        # Rows below `first` reach no column level beyond n, so they are P's
+        # own rows, checked by P's constructor, in every truncation at n or
+        # above, and so is their reduction. Its fill reaches no column level
+        # beyond n either, so folding the reduced rows from `first` up equals
+        # reducing the folded rows: only those (U+1)d states are swept here.
         sweep.run_to(max(0, n - P.upper))
-        first = sweep.level * d
-        corner = lcb_truncate(P, n)
-        Wn, _, _ = _state_band(corner)
-        cls = _unique_closed_class(Wn, lo, up, d)
-        states = corner.levels * d
-        Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
-        level_pivots = pivots[:states].copy()
-        level_views = _upward_views(Wn, lo, up)
-        _sweep_up(level_views, first, states, level_pivots)
-        solved[n] = _level_vector(corner, cls, level_pivots, shared_cols, level_views[1], first)
+        k = sweep.level
+        first, states = k * d, (n + 1) * d
+        folded = _fold_levels(P.band, P.lower, n, k)
+        sums = _checked_row_sums(folded, d, first=k)
+        Wn = np.zeros((up + states - first + lo, lo + up + 1))
+        Wn[up:up + states - first] = _fold_rows(W[up + first:up + states], first, n, d, lo)
+        level_pivots = np.concatenate((pivots[:first], np.zeros(states - first)))
+        views = _upward_views(Wn, lo, up)
+        _sweep_up(views, 0, states - first, level_pivots[first:])
+        solved[n] = _level_vector(
+            np.concatenate((P.band[:k], folded)),
+            P.lower,
+            level_pivots,
+            np.concatenate((shared_cols[:first], views[1])),
+            max(deviation[k], float(np.max(np.abs(sums - 1.0)))),
+        )
     return [solved[n] for n in levels]
 
 
@@ -862,8 +923,13 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     update, Queueing Systems 2019). The states below level n - U are the
     same in every truncation at n or above, so the sweep eliminates them
     once for all levels. Each level then folds a copy of its last U+1 reduced
-    levels, eliminates those states and back-substitutes (see _solve_up).
-    Each level gets its own closed-class check and residual check. Where the
+    levels, eliminates those states and back-substitutes (see _solve_up):
+    O((U+1) d) states of its own, with no corner of its own built. The
+    level's pivots decide its closed class (see _class_top): when every
+    pivot below the top state is positive there is one class and it holds
+    the top state, and only a zero pivot sends the level to the slow path,
+    which reads the classes off the level's band graph. Each level gets its
+    own residual check on the band lcb_truncate(P, n) would build. Where the
     sweep's frontier repeats bit for bit, as it does within a few dozen
     levels on a GI/G/1 truncation, the sweep copies the repeating levels
     instead of eliminating them, as far as the band rows they read are
@@ -871,7 +937,10 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     results are bit for bit those of eliminating every state. A level
     must be P's top level or at most P.levels - 1 - U: the rows of the levels
     between reach past P's top level, where P has folded them, so they are
-    not complete rows of the chain P was cut from.
+    not complete rows of the chain P was cut from. The levels are solved
+    from the lowest up, P's top level last, and the first level that fails
+    a check raises its error: with several reducible levels, the lowest one
+    names its classes.
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).
@@ -883,10 +952,12 @@ def stationary(P: BlockStochasticMatrix, levels=None):
 
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
-        ValueError: non-square or substochastic input, or a level outside
-            1..P.levels-1-U that is not P's top level.
+        ValueError: non-square or substochastic input, a level outside
+            1..P.levels-1-U that is not P's top level, or a folded row whose
+            sum leaves the row tolerance.
         StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
-            above STATIONARY_RESIDUAL_TOLERANCE plus P's largest |row sum - 1|.
+            above STATIONARY_RESIDUAL_TOLERANCE plus the corner's largest
+            |row sum - 1|.
     """
     if not P.square:
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
@@ -896,7 +967,8 @@ def stationary(P: BlockStochasticMatrix, levels=None):
         return _stationary_levels(P, [int(n) for n in levels])
     W, lo, up = _state_band(P)
     cls = _unique_closed_class(W, lo, up, P.d)
-    return _checked(P, _gth_band(W, lo, up, cls.tolist(), P.d))
+    pi = _gth_band(W, lo, up, cls.tolist(), P.d)
+    return _checked(P.band, P.lower, pi, _deviation(P.band))
 
 
 def tv_distance(x: BlockVector, y: BlockVector) -> float:
@@ -950,7 +1022,7 @@ def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
     P = BlockStochasticMatrix.from_blocks(1, entries)
     cls = _one_class(_small_closed_classes(np.asarray(psi) != 0.0), 1)
     W, lo, up = _state_band(P)
-    return _checked(P, _gth_band(W, lo, up, cls.tolist(), 1)).flat
+    return _checked(P.band, P.lower, _gth_band(W, lo, up, cls.tolist(), 1), _deviation(P.band)).flat
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:
@@ -967,5 +1039,5 @@ def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) 
         raise ValueError("init has more levels than the matrix")
     x = init.padded(P.levels)
     for _ in range(m):
-        x = _left_product(P, x)
+        x = _left_product(P.band, P.lower, x)
     return BlockVector(P.d, x)

@@ -8,7 +8,10 @@ library itself never builds; tests use them to cross-check the suffix-sum
 implementations. scan_optimize_m evaluates every horizon m, where the library
 solves for the minimizer in closed form. full_sweep and
 full_sweep_stationary eliminate every state of the shared bottom-up sweep,
-where the library copies the range in which the sweep repeats.
+where the library copies the range in which the sweep repeats, and
+finish each level on its own whole corner with the csgraph class check;
+full_band_fold folds every level of a corner, where lcb_truncate folds only
+the top ones.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from bmtrunc import (
     assemble,
 )
 from bmtrunc.block_matrix import (
+    _checked,
+    _deviation,
     _fold_rows,
-    _level_vector,
+    _solve_up,
     _state_band,
     _sweep_up,
     _unique_closed_class,
@@ -181,36 +186,54 @@ def full_sweep(P: BlockStochasticMatrix):
 
 
 def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
-    """stationary(P, levels) with a shared sweep that eliminates every state.
+    """stationary(P, levels) the long way, with a shared sweep over every state.
 
-    Oracle for the repeat shortcut: the same folds, finishing sweeps and
-    back-substitutions, with no state copied from an earlier level.
+    Oracle for the repeat shortcut and the per-level finish: each level
+    builds its whole corner with lcb_truncate, takes its closed class from
+    the csgraph check, folds the shared sweep's reduced rows, sweeps them and
+    checks the residual on that corner. No state is copied from an earlier
+    level and no class is read off the pivots.
     """
     top, d = P.levels - 1, P.d
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
-    top_class = _unique_closed_class(W, lo, up, d) if top in levels else None
     views = _upward_views(W, lo, up)
     solved = {}
     swept = 0
     for n in sorted(set(levels)):
-        if n == top:
-            _sweep_up(views, swept, P.levels * d, pivots)
-            solved[n] = _level_vector(P, top_class, pivots, views[1], views[1], 0)
-            continue
-        first = max(0, n - P.upper) * d
-        _sweep_up(views, swept, first, pivots)
-        swept = first
-        corner = lcb_truncate(P, n)
+        corner = P if n == top else lcb_truncate(P, n)
         Wn, _, _ = _state_band(corner)
         cls = _unique_closed_class(Wn, lo, up, d)
         states = corner.levels * d
+        first = states if n == top else max(0, n - P.upper) * d
+        _sweep_up(views, swept, first, pivots)
+        swept = first
         Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
         level_pivots = pivots[:states].copy()
         level_views = _upward_views(Wn, lo, up)
         _sweep_up(level_views, first, states, level_pivots)
-        solved[n] = _level_vector(corner, cls, level_pivots, views[1], level_views[1], first)
+        h = int(cls[-1])
+        assert np.all(level_pivots[cls[:-1]] > 0.0)
+        below = np.concatenate((views[1][:min(first, h)], level_views[1][min(first, h):h])).T
+        pi = np.zeros(states)
+        x = _solve_up(below, level_pivots[:h])
+        pi[:h + 1] = x / x.sum()
+        solved[n] = _checked(corner.band, corner.lower, pi, _deviation(corner.band))
     return [solved[n] for n in levels]
+
+
+def full_band_fold(P: BlockStochasticMatrix, n: int) -> BlockStochasticMatrix:
+    """lcb_truncate(P, n) of a stored corner by a fold over every level of the band.
+
+    Oracle for lcb_truncate, which folds only the top U+1 levels.
+    """
+    band = P.band[: n + 1].copy()
+    beyond = band_columns(n + 1, band.shape[1], P.lower) >= n
+    fold = np.where(beyond[:, :, None, None], band, 0.0).sum(axis=1)
+    band[beyond] = 0.0
+    k = np.arange(max(0, n - P.upper), n + 1)
+    band[k, n - k + P.lower] = fold[k]
+    return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower, substochastic=P.substochastic)
 
 
 # --- horizon scan oracle (tests only) ---

@@ -24,11 +24,13 @@ from bmtrunc import (
 )
 
 from bmtrunc import block_matrix
+from bmtrunc.block_matrix import StationarySolveError
 
 from helpers import (
     band_corner,
     corner_from_dense,
     dense,
+    full_sweep,
     full_sweep_stationary,
     mg1_d2,
     natural_walk,
@@ -42,6 +44,14 @@ def corner(rows, d=1):
 
 
 WALK3 = [[0.6, 0.4, 0.0], [0.6, 0.0, 0.4], [0.0, 0.6, 0.4]]
+
+# Rows 9e-10 short of 1, within the 1e-9 row tolerance (see the CLI test
+# test_rows_short_within_the_row_tolerance).
+SHORT_WALK = GIG1Model(
+    d=1,
+    A={-1: [[0.5999999991]], 1: [[0.4]]},
+    B={-1: [[0.5999999991]], 0: [[0.5999999991]], 1: [[0.4]]},
+)
 
 
 class TestBlockStochasticMatrix:
@@ -338,6 +348,74 @@ class TestStationarySweep:
     def test_repeating_walk_eliminates_few_states(self, monkeypatch):
         P = lcb_truncate(natural_walk(), 3200)
         assert self.swept_states(monkeypatch, P, [10, 1600, 3200]).sum() < 100
+
+    # d = 1 chains, rows {level: probability}. A: {0,1,2} closed, 3 transient
+    # and {4,5} closed; its truncation at 4 folds 4 -> 5 into a closed {4}.
+    # B: {0,1} closed and 2 -> 3 -> 1, so its truncation at 2 folds 2 -> 3
+    # into a closed {2} while B itself has one closed class.
+    REDUCIBLE_A = {0: {0: .5, 1: .5}, 1: {0: .5, 2: .5}, 2: {1: 1.0}, 3: {2: 1.0},
+                   4: {5: 1.0}, 5: {4: 1.0}}
+    REDUCIBLE_B = {0: {0: .5, 1: .5}, 1: {0: .5, 1: .5}, 2: {3: 1.0}, 3: {1: 1.0},
+                   4: {3: 1.0}, 5: {4: 1.0}}
+
+    @pytest.mark.parametrize("rows, levels, classes", [
+        # only P's top level is reducible
+        (REDUCIBLE_A, [1, 3, 5], [[0, 1, 2], [4, 5]]),
+        # only a lower level is reducible
+        (REDUCIBLE_B, [2, 5], [[0, 1], [2]]),
+        # both: the levels are checked from the lowest up, so level 4 names its
+        # classes before the top level does
+        (REDUCIBLE_A, [1, 3, 4, 5], [[0, 1, 2], [4]]),
+    ])
+    def test_the_lowest_reducible_level_names_its_classes(self, rows, levels, classes):
+        P = BlockStochasticMatrix.from_blocks(
+            1, {(k, l): [[p]] for k, row in rows.items() for l, p in row.items()}
+        )
+        with pytest.raises(MultipleClosedClassesError) as err:
+            stationary(P, levels)
+        assert err.value.classes == [[(s, 0) for s in cls] for cls in classes]
+
+    def test_a_zero_pivot_takes_the_slow_path(self, monkeypatch):
+        # An underflowed pivot inside the class cannot pass for a class top:
+        # the slow path finds the class and rejects the zero pivot.
+        P = lcb_truncate(mg1_d2(), 20)
+        _, _, pivots = full_sweep(P)
+        assert block_matrix._class_top(P.band, P.lower, pivots) == pivots.size - 1
+        calls = []
+        graph = block_matrix._band_closed_classes
+        monkeypatch.setattr(
+            block_matrix, "_band_closed_classes", lambda *a: calls.append(1) or graph(*a)
+        )
+        pivots[7] = 0.0
+        with pytest.raises(StationarySolveError, match=r"level 3, phase 1"):
+            block_matrix._class_top(P.band, P.lower, pivots)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("P", [
+        lcb_truncate(mg1_d2(), 60),
+        lcb_truncate(random_monotone_gig1(), 80),
+        lcb_truncate(SHORT_WALK, 40),
+        band_corner(2, random_band(np.random.default_rng(4), 2, 30, 2, 3), 2),
+    ])
+    def test_residual_check_sees_the_truncated_band(self, monkeypatch, P):
+        # Each level's residual runs on the band lcb_truncate(P, n) builds, with
+        # its largest |row sum - 1|, without building that corner.
+        top = P.levels - 1
+        levels = [1, 2, 10, top // 2, top - P.upper, top]
+        seen = []
+        check = block_matrix._checked
+
+        def recorded(band, lower, pi, deviation):
+            seen.append((band.copy(), lower, deviation))
+            return check(band, lower, pi, deviation)
+
+        monkeypatch.setattr(block_matrix, "_checked", recorded)
+        stationary(P, levels)
+        assert len(seen) == len(levels)
+        for n, (band, lower, deviation) in zip(sorted(levels), seen):
+            want = lcb_truncate(P, n)
+            assert np.array_equal(band, want.band) and lower == want.lower
+            assert deviation == np.max(np.abs(want.band.sum(axis=(1, 3)) - 1.0))
 
 
 class TestDistances:

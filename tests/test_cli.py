@@ -14,7 +14,7 @@ from bmtrunc import (
     StationarySolveError,
     save_model,
 )
-from bmtrunc import cli, drift_bounds, gig1
+from bmtrunc import block_matrix, cli, drift_bounds, gig1
 from bmtrunc.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_IO,
@@ -336,6 +336,55 @@ class TestCompare:
         assert len(calls) == 1
         assert isinstance(calls[0], BlockStochasticMatrix)
         assert calls[0].levels == 161
+
+    @pytest.mark.parametrize("build, argv", [
+        (mg1_d2, ["--n", "10,20,50"]),
+        (gig1_d2, []),
+    ])
+    def test_levels_finish_without_a_corner_or_a_class_graph(
+        self, capsys, tmp_path, monkeypatch, build, argv
+    ):
+        # Every level of these models finishes from the sweep's pivots: no
+        # csgraph class check and no corner built inside the solve, and one
+        # residual check per requested n plus the reference and top levels.
+        path = str(tmp_path / "model.json")
+        save_model(build(), path)
+        counts = {"graph": 0, "residual": 0}
+        built = []
+        graph, check = block_matrix._band_closed_classes, block_matrix._checked
+        init, solve = BlockStochasticMatrix.__init__, drift_bounds.stationary
+
+        def counted_graph(*args):
+            counts["graph"] += 1
+            return graph(*args)
+
+        def counted_check(*args):
+            counts["residual"] += solving  # the d x d kernel solve checks its own
+            return check(*args)
+
+        def recorded_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((self.levels, solving))
+
+        def flagged_solve(*args, **kwargs):
+            nonlocal solving
+            solving = True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving = False
+
+        solving = False
+        monkeypatch.setattr(block_matrix, "_band_closed_classes", counted_graph)
+        monkeypatch.setattr(block_matrix, "_checked", counted_check)
+        monkeypatch.setattr(BlockStochasticMatrix, "__init__", recorded_init)
+        monkeypatch.setattr(drift_bounds, "stationary", flagged_solve)
+        code, out, _ = run(capsys, "--model", path, "--command", "compare", *argv)
+        assert code == EXIT_OK
+        rows = len(out.splitlines()) - 1
+        assert counts == {"graph": 0, "residual": rows + 2}
+        assert not any(inside for _, inside in built)
+        assert (2 * 8 * 50 + 1, False) in built  # the reference corner, at 16 max n
 
     def test_rows_short_within_the_row_tolerance(self, capsys, tmp_path):
         # Rows 9e-10 short of 1 pass the 1e-9 row check. GTH solves the chain

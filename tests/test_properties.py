@@ -4,17 +4,21 @@ Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
 The closed-form horizon optimizer is checked against the full m scan, and
-the shared sweep's repeat shortcut against a sweep over every state.
+the shared sweep's repeat shortcut and per-level finish against a sweep over
+every state that finishes each level on its own corner, and the truncation's
+top-level fold against a fold over every level.
 """
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bmtrunc.block_matrix import _SharedSweep, _state_band
+from bmtrunc import block_matrix
+from bmtrunc.block_matrix import _SharedSweep, _class_top, _state_band
 from bmtrunc.coupling import _CouplingKernel
 
 from bmtrunc import (
@@ -47,6 +51,7 @@ from helpers import (
     dense_closed_classes,
     dense_level_inverse,
     dense_stationary,
+    full_band_fold,
     full_sweep,
     full_sweep_stationary,
     oracle_block_monotone,
@@ -185,6 +190,26 @@ def test_truncation_error_shrinks_with_n(seed, d, levels):
 # --- banded stationary solver against the dense GTH oracle ---
 
 
+reducible_kinds = st.sampled_from(["dense", "sparse", "transient", "split"])
+
+
+def reducible_corner(seed, d, levels, lower, upper, kind):
+    """A random square corner: full or sparse, with a transient level 0, or cut in halves.
+
+    "transient": no row above level 0 returns to it while level 0 moves up
+    (needs upper >= 1). "split": no block crosses between the two halves of
+    the levels, so each half holds a closed class.
+    """
+    band = random_band(make_rng(seed), d, levels, lower, upper, 0.5 if kind == "sparse" else 1.0)
+    cols = band_columns(levels, band.shape[1], lower)
+    if kind == "transient":
+        band[1:][cols[1:] == 0] = 0.0
+    elif kind == "split":
+        rows = np.arange(levels)[:, None]
+        band[(rows < levels // 2) != (cols < levels // 2)] = 0.0
+    return band_corner(d, band, lower)
+
+
 def assert_stationary_matches_dense(P):
     try:
         expected = dense_stationary(P)
@@ -208,25 +233,15 @@ def test_banded_stationary_matches_dense_oracle(seed, d, levels, lower, upper, d
 
 @given(seeds, dims, level_counts, band_widths, st.integers(min_value=1, max_value=3))
 def test_banded_stationary_gives_transient_states_zero_mass(seed, d, levels, lower, upper):
-    # No row above level 0 returns to it while level 0 moves up: level 0 is
-    # transient, and with lower = 0 every level below the last one is too.
-    band = random_band(make_rng(seed), d, levels, lower, upper)
-    cols = band_columns(levels, band.shape[1], lower)
-    band[1:][cols[1:] == 0] = 0.0
-    P = band_corner(d, band, lower)
+    # Level 0 is transient, and with lower = 0 every level below the last one is too.
+    P = reducible_corner(seed, d, levels, lower, upper, "transient")
     assert np.all(stationary(P).entries[0] == 0.0)
     assert_stationary_matches_dense(P)
 
 
 @given(seeds, dims, level_counts, band_widths, band_widths)
 def test_banded_stationary_reports_every_closed_class(seed, d, levels, lower, upper):
-    # Cutting every block between the two halves of the levels leaves at
-    # least one closed class in each half.
-    band = random_band(make_rng(seed), d, levels, lower, upper)
-    split = levels // 2
-    rows = np.arange(levels)[:, None]
-    band[(rows < split) != (band_columns(levels, band.shape[1], lower) < split)] = 0.0
-    P = band_corner(d, band, lower)
+    P = reducible_corner(seed, d, levels, lower, upper, "split")
     with pytest.raises(MultipleClosedClassesError) as err:
         dense_stationary(P)
     assert len(err.value.classes) >= 2
@@ -263,6 +278,8 @@ def assert_sweep_matches(P, levels):
         assert got.value.classes in failing
         return []
     family = stationary(P, levels)
+    for got, want in zip(family, full_sweep_stationary(P, levels)):
+        assert np.array_equal(got.entries, want.entries)
     for n, pi in zip(levels, family):
         want = expected[n]
         assert np.max(np.abs(pi.flat - want)) <= 1e-13
@@ -279,25 +296,17 @@ def test_sweep_matches_every_level_and_the_dense_oracle(seed, d, levels, lower, 
 
 @given(seeds, dims, sweep_level_counts, band_widths, st.integers(min_value=1, max_value=3))
 def test_sweep_gives_transient_states_zero_mass(seed, d, levels, lower, upper):
-    # As in the top-down test: no row above level 0 returns to it, in any
-    # truncation, while level 0 moves up.
-    band = random_band(make_rng(seed), d, levels, lower, upper)
-    cols = band_columns(levels, band.shape[1], lower)
-    band[1:][cols[1:] == 0] = 0.0
-    P = band_corner(d, band, lower)
+    # As in the top-down test, in every truncation.
+    P = reducible_corner(seed, d, levels, lower, upper, "transient")
     family = assert_sweep_matches(P, sweep_levels(P))
     assert family and all(np.all(pi.entries[0] == 0.0) for pi in family)
 
 
 @given(seeds, dims, st.integers(min_value=4, max_value=10), band_widths, band_widths)
 def test_sweep_names_the_closed_classes_of_the_failing_level(seed, d, levels, lower, upper):
-    # Cut between the halves: every level from `split` up has a closed class
-    # in each half, and the levels below it may have one.
-    band = random_band(make_rng(seed), d, levels, lower, upper)
-    split = levels // 2
-    rows = np.arange(levels)[:, None]
-    band[(rows < split) != (band_columns(levels, band.shape[1], lower) < split)] = 0.0
-    P = band_corner(d, band, lower)
+    # Every level from levels // 2 up has a closed class in each half, and
+    # the levels below it may have one.
+    P = reducible_corner(seed, d, levels, lower, upper, "split")
     for n in sweep_levels(P):
         assert_sweep_matches(P, [n])
     with pytest.raises(MultipleClosedClassesError):
@@ -318,6 +327,39 @@ def test_repeat_shortcut_matches_the_full_sweep_bit_for_bit(seed, top, data):
     levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=4))
     for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
         assert np.array_equal(got.entries, want.entries)
+
+
+@given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))
+def test_lcb_truncate_matches_the_full_band_fold(seed, d, levels, lower, upper, density):
+    P = band_corner(d, random_band(make_rng(seed), d, levels, lower, upper, density), lower)
+    for n in range(1, levels):
+        got, want = lcb_truncate(P, n), full_band_fold(P, n)
+        assert np.array_equal(got.band, want.band)
+        assert (got.lower, got.col_levels) == (want.lower, want.col_levels)
+
+
+@given(seeds, dims, level_counts, band_widths, st.integers(min_value=1, max_value=3),
+       reducible_kinds)
+def test_pivots_decide_the_closed_class(seed, d, levels, lower, upper, kind):
+    # All pivots below the top are positive exactly when the oracle finds one
+    # closed class holding the top state; only then is csgraph skipped.
+    # Otherwise the slow path names the oracle's classes in its order, or
+    # gives the top state of the one class.
+    P = reducible_corner(seed, d, levels, lower, upper, kind)
+    _, _, pivots = full_sweep(P)
+    want = dense_closed_classes(dense(P) > 0.0)
+    top = P.levels * d - 1
+    one = len(want) == 1 and want[0][-1] == top
+    assert bool(np.all(pivots[:top] > 0.0)) == one
+    graph = block_matrix._band_closed_classes
+    with mock.patch.object(block_matrix, "_band_closed_classes", side_effect=graph) as slow:
+        if len(want) > 1:
+            with pytest.raises(MultipleClosedClassesError) as err:
+                _class_top(P.band, P.lower, pivots)
+            assert err.value.classes == [[(int(s) // d, int(s) % d) for s in c] for c in want]
+        else:
+            assert _class_top(P.band, P.lower, pivots) == want[0][-1]
+    assert slow.call_count == (0 if one else 1)
 
 
 @given(seeds, st.integers(min_value=1, max_value=12))

@@ -3,6 +3,7 @@
 The Brent port must return scipy.optimize.brentq's bits, the boolean closure
 must give csgraph's classes in csgraph's order, and a fresh process that runs
 `validate`, `bound` and `couple` on a GI/G/1 model must not import scipy.
+`compare` may then import scipy.linalg, but not scipy.sparse.
 """
 
 import json
@@ -168,6 +169,18 @@ with contextlib.redirect_stdout(io.StringIO()):
         report[command + " " + model] = main(["--model", model, "--command", command])
     report["cold"] = scipy_modules()
     report["compare"] = main(["--model", mg1, "--command", "compare", "--n", "10,20"])
+    report["compare " + gig1] = main(["--model", gig1, "--command", "compare"])
+report["warm"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+
+from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, stationary
+
+# two absorbing states: only the slow path can name the classes
+P = BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (1, 1): [[1.0]]})
+try:
+    stationary(P, [1])
+except MultipleClosedClassesError as err:
+    report["classes"] = err.classes
+report["slow"] = "scipy.sparse.csgraph" in sys.modules
 print(json.dumps(report))
 """
 
@@ -180,10 +193,17 @@ def cold_run(*args: str) -> dict:
 
 
 def test_gig1_cold_path_loads_no_scipy(tmp_path):
+    # compare loads scipy.linalg for dtbtrs, but no scipy.sparse: its levels
+    # take their closed class from the sweep's pivots. A reducible corner
+    # still loads csgraph, which names its classes.
     mg1, gig = str(tmp_path / "mg1_d2.json"), str(tmp_path / "gig1_d2.json")
     save_model(mg1_d2(), mg1)
     save_model(gig1_d2(), gig)
     assert cold_run("import") == {"import": []}
     report = cold_run(mg1, gig)
     assert report.pop("cold") == []
+    assert report.pop("warm") == []
+    assert report.pop("classes") == [[[0, 0]], [[1, 0]]]
+    assert report.pop("slow") is True
     assert set(report.values()) == {0}
+    assert len(report) == 6
