@@ -17,13 +17,14 @@ Every CLI command runs in a fresh process, so import time is part of its
 run time. numpy takes about 0.1 s to import; scipy.sparse.csgraph and
 scipy.linalg.lapack together take about 0.22 s more, which is more than the
 whole `validate` or `bound` work. So scipy is imported where it is used.
-scipy.linalg.lapack serves the banded back-substitution (dtbtrs) that every
-`compare` runs. scipy's csgraph serves the closed-class check of a band
-(_band_closed_classes): closed_classes (`validate` on a finite corner), the
-top-down stationary(P), and the slow path of stationary(P, levels), which
-otherwise reads each level's closed class off its own GTH pivots
-(_class_top). The d x d kernels of a GI/G/1 model take their classes from a
-numpy boolean closure (_reach).
+scipy.linalg.lapack serves the banded back-substitution (dtbtrs) of every
+stationary solve of a corner, and so of every `compare`. scipy's csgraph
+serves the closed-class check of a band (_band_closed_classes):
+closed_classes (`validate` on a finite corner) and the slow path of
+stationary, which otherwise reads a corner's closed class off its own GTH
+pivots (_class_top). The d x d kernels of a GI/G/1 model take their classes
+from a numpy boolean closure (_reach) and are solved by a dense GTH
+(_kernel_stationary), with no scipy.
 """
 
 from __future__ import annotations
@@ -416,21 +417,21 @@ def _fold_levels(band: np.ndarray, lower: int, n: int, first: int) -> np.ndarray
 def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
     """Padded state-level band (W, lo, up) of a square corner.
 
-    State s = k*d + i keeps columns s-lo..s+up: W[up + s, t - s + lo] is the
-    entry (s, t). The first `up` rows and the last `lo` rows are zero
-    padding, so the strided views of the top-down and bottom-up sweeps never
-    leave the array.
+    State s = k*d + i keeps columns s-lo..s+up: W[s, t - s + lo] is the
+    entry (s, t). The last `lo` rows are zero padding, so the strided views
+    of the bottom-up sweep (_upward_views), which read up to lo rows below
+    a state, never leave the array.
     """
     d, width = P.d, P.band.shape[1]
     lo = P.lower * d + d - 1
     up = P.upper * d + d - 1
     states = P.levels * d
-    W = np.zeros((up + states + lo, lo + up + 1))
+    W = np.zeros((states + lo, lo + up + 1))
     o = np.arange(width)[:, None, None]
     i = np.arange(d)[None, :, None]
     j = np.arange(d)[None, None, :]
     rows = np.broadcast_to(i, (width, d, d))
-    W[up:up + states].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
+    W[:states].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
     return W, lo, up
 
 
@@ -508,11 +509,6 @@ def _one_class(classes: list[np.ndarray], d: int) -> np.ndarray:
     return classes[0]
 
 
-def _unique_closed_class(W: np.ndarray, lo: int, up: int, d: int) -> np.ndarray:
-    """The one closed class of a padded state band, or MultipleClosedClassesError."""
-    return _one_class(_band_closed_classes(W[up:W.shape[0] - lo], lo), d)
-
-
 def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
     """Closed communicating classes of a square corner, as flat state lists.
 
@@ -521,54 +517,8 @@ def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
     """
     if not P.square:
         raise ValueError("closed classes need a square corner; apply lcb_truncate first")
-    W, lo, up = _state_band(P)
-    return _band_closed_classes(W[up:up + P.levels * P.d], lo)
-
-
-def _gth_band(W: np.ndarray, lo: int, up: int, states: list[int], d: int) -> np.ndarray:
-    """Stationary vector of one closed class by GTH state reduction on the band.
-
-    Subtraction-free top-down elimination (Grassmann, Taksar & Heyman 1985),
-    in place on the padded band from _state_band. Eliminating state s adds
-    col(s) row(s) / sum(row(s)) to the entries (i, j), s-up <= i < s and
-    s-lo <= j < s: all inside the band, so the band never grows. A skewed
-    strided view exposes each of those windows as a plain 2-D array.
-
-    States outside `states` are skipped. A closed class has no entries
-    leading out of it, so its rows reduce exactly as in the class's own
-    submatrix; skipped rows pick up updates but get zero mass.
-    """
-    total_states = W.shape[0] - up - lo
-    width = lo + up + 1
-    flat = W.reshape(-1)
-    step = flat.strides[0]
-    rows = W[up:up + total_states, :lo]  # rows[s, c] = (s, s - lo + c)
-    cols = as_strided(flat[lo + up:], (total_states, up), (width * step, (width - 1) * step))
-    windows = as_strided(
-        flat[up:], (total_states, up, lo), (width * step, (width - 1) * step, step)
-    )  # windows[s, r, c] = (s - up + r, s - lo + c); cols[s, r] = (s - up + r, s)
-    trim = np.empty(total_states)
-    for s in reversed(states[1:]):
-        # Near the top-left corner the band reaches past state 0: clip to the
-        # real columns, so a short full kernel reduces exactly as a dense one.
-        row = rows[s] if s >= lo else rows[s, lo - s:]
-        total = row.sum()
-        if total <= 0.0:
-            raise StationarySolveError(
-                f"state (level {s // d}, phase {s % d}) cannot reach lower states inside "
-                "its class (numerical degeneracy)"
-            )
-        trim[s] = total
-        window = windows[s] if s >= lo else windows[s, :, lo - s:]
-        window += np.multiply.outer(cols[s], row / total)
-    pi = np.zeros(total_states)
-    pi[states[0]] = 1.0
-    for s in states[1:]:
-        if s >= up:
-            pi[s] = (pi[s - up:s] @ cols[s]) / trim[s]
-        else:
-            pi[s] = (pi[:s] @ cols[s, up - s:]) / trim[s]
-    return pi / pi.sum()
+    W, lo, _ = _state_band(P)
+    return _band_closed_classes(W[:P.levels * P.d], lo)
 
 
 def _upward_views(W: np.ndarray, lo: int, up: int):
@@ -578,13 +528,13 @@ def _upward_views(W: np.ndarray, lo: int, up: int):
     (s + 1 + r, s) column s below it, and windows[s, r, c] =
     (s + 1 + r, s + 1 + c) the entries that eliminating s updates.
     """
-    states = W.shape[0] - up - lo
+    states = W.shape[0] - lo
     width = lo + up + 1
     flat = W.reshape(-1)
     step = flat.strides[0]
     skew = (width * step, (width - 1) * step)
-    below = (up + 1) * width + lo
-    rows = W[up:up + states, lo + 1:]
+    below = width + lo
+    rows = W[:states, lo + 1:]
     cols = as_strided(flat[below - 1:], (states, lo), skew)
     windows = as_strided(flat[below:], (states, lo, up), skew + (step,))
     return rows, cols, windows
@@ -634,7 +584,7 @@ class _SharedSweep:
 
     def __init__(self, P: BlockStochasticMatrix, W: np.ndarray, lo: int, up: int, pivots):
         self.band, self.lower, self.d = P.band, P.lower, P.d
-        self.W, self.lo, self.up = W, lo, up
+        self.W, self.lo = W, lo
         self.views = _upward_views(W, lo, up)
         self.pivots = pivots
         self.level = 0
@@ -646,7 +596,7 @@ class _SharedSweep:
         self.seen = {}  # frontier bytes -> the latest level that had them
 
     def _frontier(self, level: int) -> np.ndarray:
-        f = self.up + level * self.d
+        f = level * self.d
         return self.W[f:f + self.lo]
 
     def run_to(self, stop: int):
@@ -812,11 +762,6 @@ def _checked(band: np.ndarray, lower: int, pi: np.ndarray, deviation: float) -> 
     return BlockVector(d, pi)
 
 
-def _deviation(band: np.ndarray) -> float:
-    """Largest |row sum - 1| over the rows of a band."""
-    return float(np.max(np.abs(band.sum(axis=(1, 3)) - 1.0)))
-
-
 def _class_top(band: np.ndarray, lower: int, pivots: np.ndarray) -> int:
     """Top state h of the one closed class of a square corner, from its bottom-up pivots.
 
@@ -833,8 +778,7 @@ def _class_top(band: np.ndarray, lower: int, pivots: np.ndarray) -> int:
     if np.all(pivots[:h] > 0.0):
         return h
     d = band.shape[2]
-    W, lo, up = _state_band(BlockStochasticMatrix(d, band, lower))
-    cls = _unique_closed_class(W, lo, up, d)
+    cls = _one_class(closed_classes(BlockStochasticMatrix(d, band, lower)), d)
     stalled = cls[:-1][pivots[cls[:-1]] <= 0.0]
     if stalled.size:
         s = int(stalled[0])
@@ -866,7 +810,7 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     """Stationary vectors of lcb_truncate(P, n) for n in levels, one sweep for all."""
     top = P.levels - 1
     for n in levels:
-        if not 1 <= n <= top or top - P.upper < n < top:
+        if n != top and not 1 <= n <= top - P.upper:
             raise ValueError(
                 f"level {n} is neither in 1..{top - P.upper} nor the corner's top level "
                 f"{top}: the rows of the levels between carry the corner's own fold"
@@ -895,8 +839,8 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
         first, states = k * d, (n + 1) * d
         folded = _fold_levels(P.band, P.lower, n, k)
         sums = _checked_row_sums(folded, d, first=k)
-        Wn = np.zeros((up + states - first + lo, lo + up + 1))
-        Wn[up:up + states - first] = _fold_rows(W[up + first:up + states], first, n, d, lo)
+        Wn = np.zeros((states - first + lo, lo + up + 1))
+        Wn[:states - first] = _fold_rows(W[first:states], first, n, d, lo)
         level_pivots = np.concatenate((pivots[:first], np.zeros(states - first)))
         views = _upward_views(Wn, lo, up)
         _sweep_up(views, 0, states - first, level_pivots[first:])
@@ -913,34 +857,25 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
 def stationary(P: BlockStochasticMatrix, levels=None):
     """Stationary distribution of a finite stochastic corner, or of its truncations.
 
-    Without `levels`: the stationary vector of P by top-down GTH. Closed-class
-    check, elimination and residual all run on the band: O(levels (L+U)^2
-    d^3) time and O(levels (L+U) d^2) memory for a corner with L block
-    levels below and U above the diagonal.
-
     With `levels`: a list with the stationary vector of lcb_truncate(P, n)
     for each n in levels, from one bottom-up GTH sweep (Masuyama's sequential
     update, Queueing Systems 2019). The states below level n - U are the
     same in every truncation at n or above, so the sweep eliminates them
-    once for all levels. Each level then folds a copy of its last U+1 reduced
-    levels, eliminates those states and back-substitutes (see _solve_up):
-    O((U+1) d) states of its own, with no corner of its own built. The
-    level's pivots decide its closed class (see _class_top): when every
-    pivot below the top state is positive there is one class and it holds
-    the top state, and only a zero pivot sends the level to the slow path,
-    which reads the classes off the level's band graph. Each level gets its
-    own residual check on the band lcb_truncate(P, n) would build. Where the
-    sweep's frontier repeats bit for bit, as it does within a few dozen
-    levels on a GI/G/1 truncation, the sweep copies the repeating levels
-    instead of eliminating them, as far as the band rows they read are
-    bitwise equal to the rows one period below (see _SharedSweep). The
-    results are bit for bit those of eliminating every state. A level
-    must be P's top level or at most P.levels - 1 - U: the rows of the levels
-    between reach past P's top level, where P has folded them, so they are
-    not complete rows of the chain P was cut from. The levels are solved
-    from the lowest up, P's top level last, and the first level that fails
-    a check raises its error: with several reducible levels, the lowest one
-    names its classes.
+    once for all levels, and copies the levels where it repeats bit for bit
+    (see _SharedSweep). Each level then folds a copy of its last U+1 reduced
+    levels and eliminates those states: O((U+1) d) states of its own, with
+    no corner of its own built. Its pivots decide its closed class (see
+    _class_top), it back-substitutes (see _solve_up), and its residual is
+    checked on the band lcb_truncate(P, n) would build. The results are bit
+    for bit those of eliminating every state. A level must be P's top level
+    or at most P.levels - 1 - U: the rows of the levels between reach past
+    P's top level, where P has folded them. The levels are solved from the
+    lowest up, and the first level that fails a check raises its error: with
+    several reducible levels, the lowest one names its classes.
+
+    Without `levels`: the vector of P itself, stationary(P, [P.levels - 1])[0],
+    in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2) memory for a
+    corner with L block levels below and U above the diagonal.
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).
@@ -963,12 +898,9 @@ def stationary(P: BlockStochasticMatrix, levels=None):
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
     if P.substochastic:
         raise ValueError("stationary needs stochastic rows")
-    if levels is not None:
-        return _stationary_levels(P, [int(n) for n in levels])
-    W, lo, up = _state_band(P)
-    cls = _unique_closed_class(W, lo, up, P.d)
-    pi = _gth_band(W, lo, up, cls.tolist(), P.d)
-    return _checked(P.band, P.lower, pi, _deviation(P.band))
+    if levels is None:
+        return _stationary_levels(P, [P.levels - 1])[0]
+    return _stationary_levels(P, [int(n) for n in levels])
 
 
 def tv_distance(x: BlockVector, y: BlockVector) -> float:
@@ -1013,16 +945,34 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
 
 
 def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
-    """Stationary vector of a d x d stochastic kernel: a one-phase corner with d levels.
+    """Stationary vector of a d x d stochastic kernel, by dense GTH on its closed class.
 
-    It is solved as stationary(P) solves it, with the closed classes read off
-    the kernel's closure instead of the band's scipy graph.
+    The class comes from the kernel's boolean closure, so no scipy is loaded.
+    States are eliminated top-down on the class's own submatrix (Grassmann,
+    Taksar & Heyman 1985); states off the class get 0. The residual is
+    checked as stationary checks it, with the kernel as a one-level corner
+    of d phases.
     """
-    entries = {(i, j): [[p]] for (i, j), p in np.ndenumerate(psi)}
-    P = BlockStochasticMatrix.from_blocks(1, entries)
-    cls = _one_class(_small_closed_classes(np.asarray(psi) != 0.0), 1)
-    W, lo, up = _state_band(P)
-    return _checked(P.band, P.lower, _gth_band(W, lo, up, cls.tolist(), 1), _deviation(P.band)).flat
+    psi = np.asarray(psi, dtype=float)
+    cls = _one_class(_small_closed_classes(psi != 0.0), 1)
+    A = psi[np.ix_(cls, cls)]
+    trim = np.empty(cls.size)
+    for s in range(cls.size - 1, 0, -1):
+        row = A[s, :s]
+        trim[s] = row.sum()
+        if trim[s] <= 0.0:
+            raise StationarySolveError(
+                f"state (level {cls[s]}, phase 0) cannot reach lower states inside "
+                "its class (numerical degeneracy)"
+            )
+        A[:s, :s] += np.outer(A[:s, s], row / trim[s])
+    x = np.empty(cls.size)
+    x[0] = 1.0
+    for s in range(1, cls.size):
+        x[s] = (x[:s] @ A[:s, s]) / trim[s]
+    pi = np.zeros(len(psi))
+    pi[cls] = x / x.sum()
+    return _checked(psi[None, None], 0, pi, np.max(np.abs(psi.sum(axis=1) - 1.0))).flat
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:

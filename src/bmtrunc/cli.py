@@ -8,6 +8,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -259,10 +260,8 @@ def _trajectory_csv(ensemble: CoupledEnsemble, path: int = 0) -> str:
 
 
 def _dominance_dump_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return out + "_dominance"
-    return f"{stem}_dominance.{ext}"
+    stem, ext = os.path.splitext(out)
+    return f"{stem}_dominance{ext}"
 
 
 def cmd_couple(config: RunConfig) -> int:

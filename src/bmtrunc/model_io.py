@@ -96,12 +96,17 @@ def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
 
 def _parse_block_map(raw, d: int, where: str) -> dict[int, np.ndarray]:
     _expect(isinstance(raw, dict), f"{where}: expected an object of offset -> matrix")
-    out = {}
+    out, keys = {}, {}
     for key, mat in raw.items():
         try:
             offset = int(key)
         except (TypeError, ValueError):
             raise ModelSchemaError(f"{where}: offset {key!r} is not an integer") from None
+        _expect(
+            offset not in keys,
+            f"{where}: offsets {keys.get(offset)!r} and {key!r} are both {offset}",
+        )
+        keys[offset] = key
         out[offset] = _parse_matrix(mat, d, f"{where}[{key}]")
     return out
 
@@ -129,7 +134,7 @@ def load_model(path: str):
         if kind == "finite":
             raw_blocks = doc.get("blocks")
             _expect(isinstance(raw_blocks, list) and raw_blocks, "blocks: expected a non-empty list")
-            blocks = {}
+            blocks, first = {}, {}
             for idx, entry in enumerate(raw_blocks):
                 _expect(isinstance(entry, dict), f"blocks[{idx}]: expected an object")
                 k, l = entry.get("k"), entry.get("l")
@@ -137,6 +142,11 @@ def load_model(path: str):
                     isinstance(k, int) and isinstance(l, int) and k >= 0 and l >= 0,
                     f"blocks[{idx}]: k and l must be non-negative integers",
                 )
+                _expect(
+                    (k, l) not in first,
+                    f"blocks[{first.get((k, l))}] and blocks[{idx}]: both are block (k={k}, l={l})",
+                )
+                first[(k, l)] = idx
                 blocks[(k, l)] = _parse_matrix(entry.get("values"), d, f"blocks[{idx}].values")
             return BlockStochasticMatrix.from_blocks(d, blocks)
         section = doc.get("gig1")

@@ -31,13 +31,13 @@ from bmtrunc import (
 )
 from bmtrunc.block_matrix import (
     _checked,
-    _deviation,
     _fold_rows,
+    _one_class,
     _solve_up,
     _state_band,
     _sweep_up,
-    _unique_closed_class,
     _upward_views,
+    closed_classes,
     lcb_truncate,
 )
 from bmtrunc.drift_bounds import _bound_terms
@@ -203,12 +203,12 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
     for n in sorted(set(levels)):
         corner = P if n == top else lcb_truncate(P, n)
         Wn, _, _ = _state_band(corner)
-        cls = _unique_closed_class(Wn, lo, up, d)
+        cls = _one_class(closed_classes(corner), d)
         states = corner.levels * d
         first = states if n == top else max(0, n - P.upper) * d
         _sweep_up(views, swept, first, pivots)
         swept = first
-        Wn[up + first:up + states] = _fold_rows(W[up + first:up + states], first, n, d, lo)
+        Wn[first:states] = _fold_rows(W[first:states], first, n, d, lo)
         level_pivots = pivots[:states].copy()
         level_views = _upward_views(Wn, lo, up)
         _sweep_up(level_views, first, states, level_pivots)
@@ -218,7 +218,8 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         pi = np.zeros(states)
         x = _solve_up(below, level_pivots[:h])
         pi[:h + 1] = x / x.sum()
-        solved[n] = _checked(corner.band, corner.lower, pi, _deviation(corner.band))
+        deviation = np.abs(corner.band.sum(axis=(1, 3)) - 1.0).max()
+        solved[n] = _checked(corner.band, corner.lower, pi, deviation)
     return [solved[n] for n in levels]
 
 

@@ -30,6 +30,7 @@ from helpers import (
     band_corner,
     corner_from_dense,
     dense,
+    dense_stationary,
     full_sweep,
     full_sweep_stationary,
     mg1_d2,
@@ -232,6 +233,24 @@ class TestStationary:
         pi = stationary(P)
         assert pi.flat[0] == 0.0
         assert pi.flat.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "rows, d",
+        [
+            ([[1.0]], 1),
+            ([[0.3, 0.7], [0.6, 0.4]], 2),
+            ([[0.5, 0.5], [0.0, 1.0]], 2),  # phase 0 transient
+            ([[1.0, 0.0], [0.8, 0.2]], 2),  # phase 1 transient: the class is below the top
+        ],
+    )
+    def test_one_level_corner_matches_dense(self, rows, d):
+        # P's top level is level 0: the corner is the truncation at its own top
+        P = corner(rows, d)
+        assert P.levels == 1
+        want = dense_stationary(P)
+        for pi in (stationary(P), *stationary(P, [0])):
+            assert np.max(np.abs(pi.flat - want)) <= 1e-15
+            assert np.array_equal(pi.flat == 0.0, want == 0.0)
 
     def test_rejects_rectangular_corner(self):
         P = corner_from_dense(1, [[0.5, 0.3, 0.2]])

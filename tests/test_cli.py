@@ -505,6 +505,21 @@ class TestCouple:
     def test_dominance_dump_path_without_extension(self):
         assert cli._dominance_dump_path("plain") == "plain_dominance"
         assert cli._dominance_dump_path("a/b.csv") == "a/b_dominance.csv"
+        # the extension comes from the file name only
+        assert cli._dominance_dump_path("run.v2/traj") == "run.v2/traj_dominance"
+        assert cli._dominance_dump_path(".hidden") == ".hidden_dominance"
+        assert cli._dominance_dump_path("run.v2/.hidden") == "run.v2/.hidden_dominance"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dumps_into_a_dotted_directory(self, capsys, tmp_path):
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        folder = tmp_path / "run.v2"
+        folder.mkdir()
+        code, _, err = run(capsys, "--model", path, "--command", "couple",
+                           "--n", "8", "--seed", "3", "--out", str(folder / "traj"))
+        assert code == EXIT_OK, err
+        assert sorted(f.name for f in folder.iterdir()) == ["traj", "traj_dominance"]
 
 
 class TestExitCodes:
@@ -530,6 +545,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "--model", str(path), "--command", "validate")
         assert code == EXIT_VALIDATION
         assert "level 0" in err
+
+    def test_colliding_offsets_are_validation(self, capsys, tmp_path):
+        # "1" and "01" are both A(1): A's row would sum to 1.4
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"d": 1, "kind": "gig1", "gig1": {
+            "A": {"-1": [[0.7]], "1": [[0.4]], "01": [[0.3]]},
+            "B": {"-1": [[0.7]], "0": [[0.7]], "1": [[0.3]]},
+        }}))
+        for command in ("validate", "bound"):
+            code, out, err = run(capsys, "--model", str(path), "--command", command)
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert "gig1.A: offsets '1' and '01' are both 1" in err
+
+    def test_colliding_blocks_are_validation(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"d": 1, "kind": "finite", "blocks": [
+            {"k": 0, "l": 0, "values": [[0.5]]},
+            {"k": 0, "l": 0, "values": [[0.5]]},
+        ]}))
+        code, out, err = run(capsys, "--model", str(path), "--command", "validate")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "blocks[0] and blocks[1]: both are block (k=0, l=0)" in err
 
     def test_positive_drift_bound_is_validation(self, capsys, tmp_path):
         path = str(tmp_path / "flat.json")

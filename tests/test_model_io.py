@@ -143,6 +143,15 @@ class TestModelSchemaErrors:
                 '{"d": 1, "kind": "gig1", "gig1": {"A": {"x": [[1.0]]}, "B": {}}}',
                 "offset 'x'",
             ),
+            (
+                '{"d": 1, "kind": "gig1", "gig1": {"A": {}, "B": {"1": [[0.5]], "+1": [[0.5]]}}}',
+                "gig1.B: offsets '1' and '\\+1' are both 1",
+            ),
+            (
+                '{"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": 1, "values": [[1.0]]}, '
+                '{"k": 1, "l": 0, "values": [[1.0]]}, {"k": 0, "l": 1, "values": [[1.0]]}]}',
+                "blocks\\[0\\] and blocks\\[2\\]: both are block \\(k=0, l=1\\)",
+            ),
         ]
         for text, fragment in cases:
             with pytest.raises(ModelSchemaError, match=fragment):

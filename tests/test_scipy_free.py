@@ -1,9 +1,10 @@
 """The numpy replacements for scipy on the GI/G/1 path, checked against scipy.
 
 The Brent port must return scipy.optimize.brentq's bits, the boolean closure
-must give csgraph's classes in csgraph's order, and a fresh process that runs
-`validate`, `bound` and `couple` on a GI/G/1 model must not import scipy.
-`compare` may then import scipy.linalg, but not scipy.sparse.
+must give csgraph's classes in csgraph's order, the kernel solve must give
+the dense GTH oracle's bits, and a fresh process that runs `validate`,
+`bound` and `couple` on a GI/G/1 model must not import scipy. `compare` and
+`stationary(P)` may then import scipy.linalg, but not scipy.sparse.
 """
 
 import json
@@ -20,12 +21,19 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 import bmtrunc
-from bmtrunc import MultipleClosedClassesError, save_model, stationary
+from bmtrunc import MultipleClosedClassesError, save_model
 from bmtrunc import gig1
-from bmtrunc.block_matrix import BlockStochasticMatrix, _kernel_stationary, _small_closed_classes
+from bmtrunc.block_matrix import _kernel_stationary, _small_closed_classes
 from bmtrunc.gig1 import _brentq, _delta_slope, _is_irreducible, find_alpha
 
-from helpers import dense_closed_classes, gig1_d2, mg1_d2, random_monotone_gig1
+from helpers import (
+    corner_from_dense,
+    dense_closed_classes,
+    dense_gth,
+    gig1_d2,
+    mg1_d2,
+    random_monotone_gig1,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 tolerances = st.sampled_from([1e-15, 1e-12, 2e-12, 1e-8, 1e-3])
@@ -143,11 +151,12 @@ def test_kernel_classes_match_the_csgraph_classes(pattern, seed):
             _kernel_stationary(psi)
         assert err.value.classes == [[(int(s), 0) for s in cls] for cls in want]
         return
-    entries = {(i, j): [[p]] for (i, j), p in np.ndenumerate(psi)}
-    banded = stationary(BlockStochasticMatrix.from_blocks(1, entries)).flat
+    cls = want[0]
+    expected = np.zeros(len(psi))
+    expected[cls] = dense_gth(psi[np.ix_(cls, cls)])
     pi = _kernel_stationary(psi)
-    assert np.array_equal(pi, banded)
-    assert np.nonzero(pi)[0].tolist() == want[0].tolist()
+    assert np.array_equal(pi, expected)
+    assert np.nonzero(pi)[0].tolist() == cls.tolist()
 
 
 _COLD_RUN = """
@@ -162,7 +171,7 @@ if sys.argv[1] == "import":
     raise SystemExit(0)
 from bmtrunc.cli import main
 
-mg1, gig1 = sys.argv[1:3]
+mg1, gig1, split = sys.argv[1:4]
 report = {}
 with contextlib.redirect_stdout(io.StringIO()):
     for model, command in ((mg1, "validate"), (gig1, "validate"), (mg1, "bound"), (mg1, "couple")):
@@ -172,17 +181,36 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["compare " + gig1] = main(["--model", gig1, "--command", "compare"])
 report["warm"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
 
-from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, stationary
+from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, lcb_truncate, load_model
+from bmtrunc import stationary
 
-# two absorbing states: only the slow path can name the classes
-P = BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (1, 1): [[1.0]]})
-try:
-    stationary(P, [1])
-except MultipleClosedClassesError as err:
-    report["classes"] = err.classes
+report["corner"] = stationary(lcb_truncate(load_model(mg1), 50)).is_probability()
+report["solved"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+
+# two closed classes: only the slow path can name them
+absorbing = BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (1, 1): [[1.0]]})
+for key, solve in (
+    ("classes", lambda: stationary(absorbing, [1])),
+    ("split", lambda: stationary(load_model(split))),
+):
+    try:
+        solve()
+    except MultipleClosedClassesError as err:
+        report[key] = err.classes
 report["slow"] = "scipy.sparse.csgraph" in sys.modules
 print(json.dumps(report))
 """
+
+# d = 2: level 0 leaks into the absorbing state (1, 0) and into the pair
+# (2, 0) <-> (2, 1); state (1, 1) moves to (1, 0).
+_SPLIT = [
+    [0.2, 0.3, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.6, 0.0, 0.0, 0.0, 0.4],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 0.0, 0.0, 0.7, 0.3],
+]
 
 
 def cold_run(*args: str) -> dict:
@@ -193,17 +221,24 @@ def cold_run(*args: str) -> dict:
 
 
 def test_gig1_cold_path_loads_no_scipy(tmp_path):
-    # compare loads scipy.linalg for dtbtrs, but no scipy.sparse: its levels
-    # take their closed class from the sweep's pivots. A reducible corner
-    # still loads csgraph, which names its classes.
+    # compare and stationary(P) load scipy.linalg for dtbtrs, but no
+    # scipy.sparse: they take the closed class from the sweep's pivots. A
+    # reducible corner still loads csgraph, which names its classes.
     mg1, gig = str(tmp_path / "mg1_d2.json"), str(tmp_path / "gig1_d2.json")
+    split = str(tmp_path / "split.json")
     save_model(mg1_d2(), mg1)
     save_model(gig1_d2(), gig)
+    save_model(corner_from_dense(2, _SPLIT), split)
     assert cold_run("import") == {"import": []}
-    report = cold_run(mg1, gig)
+    report = cold_run(mg1, gig, split)
     assert report.pop("cold") == []
     assert report.pop("warm") == []
+    assert report.pop("corner") is True
+    assert report.pop("solved") == []
     assert report.pop("classes") == [[[0, 0]], [[1, 0]]]
+    want = dense_closed_classes(np.array(_SPLIT) > 0.0)
+    assert len(want) == 2
+    assert report.pop("split") == [[[int(s) // 2, int(s) % 2] for s in c] for c in want]
     assert report.pop("slow") is True
     assert set(report.values()) == {0}
     assert len(report) == 6
