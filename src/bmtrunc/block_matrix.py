@@ -316,9 +316,9 @@ def is_block_monotone(S, tol: float = CHECK_TOLERANCE) -> bool:
 
     True iff for every stored pair of consecutive row levels k, k+1 and every
     (l, i, j): sum over m >= l of s(k,i;m,j) <= the same sum at k+1, within
-    tol. GI/G/1-type model objects are checked analytically via their own
-    method (their repeating rows cannot be enumerated). Stored corners are
-    checked on their band.
+    tol. GI/G/1-type model objects answer through their own method, which
+    runs this check on the boundary rows that decide (their repeating rows
+    cannot be enumerated). Stored corners are checked on their band.
     """
     if hasattr(S, "is_block_monotone"):
         return S.is_block_monotone(tol)
@@ -365,10 +365,10 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
 
     Keeps rows/columns 0..n, copying columns l < n and folding all mass from
     column levels >= n into column n. Accepts either a stored corner with at
-    least n+1 complete rows or a GI/G/1-type model object (exact analytic
-    fold). The fold stays inside the band: a row's column-n slot is at most
-    `upper` levels above it whenever the row has mass at or beyond n, so
-    only the top `upper` + 1 levels are folded (_fold_levels).
+    least n+1 complete rows or a GI/G/1-type model object (its own truncate,
+    the same fold). The fold stays inside the band: a row's column-n slot is
+    at most `upper` levels above it whenever the row has mass at or beyond n,
+    so only the top `upper` + 1 levels are folded (_fold_levels).
 
     Args:
         P: BlockStochasticMatrix (complete rows) or GI/G/1-type model.
@@ -810,47 +810,46 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     """Stationary vectors of lcb_truncate(P, n) for n in levels, one sweep for all."""
     top = P.levels - 1
     for n in levels:
-        if n != top and not 1 <= n <= top - P.upper:
-            raise ValueError(
-                f"level {n} is neither in 1..{top - P.upper} nor the corner's top level "
-                f"{top}: the rows of the levels between carry the corner's own fold"
-            )
+        if not (1 <= n <= top or n == top):
+            raise ValueError(f"level {n} is outside the corner's levels 1..{top}")
     d = P.d
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
     sweep = _SharedSweep(P, W, lo, up, pivots)
-    shared_cols = sweep.views[1]
+    cols = sweep.views[1]
+    band = P.band.copy()
     # deviation[k]: the largest |row sum - 1| of P's levels below k
     worst = np.abs(P.band.sum(axis=(1, 3)) - 1.0).max(axis=1)
     deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
     solved = {}
     for n in sorted(set(levels)):
-        if n == top:
-            sweep.run_to(P.levels)
-            solved[n] = _level_vector(P.band, P.lower, pivots, shared_cols, deviation[-1])
-            continue
         # Rows below `first` reach no column level beyond n, so they are P's
         # own rows, checked by P's constructor, in every truncation at n or
         # above, and so is their reduction. Its fill reaches no column level
         # beyond n either, so folding the reduced rows from `first` up equals
         # reducing the folded rows: only those (U+1)d states are swept here.
+        # They are folded and swept in place, in `band`, W and pivots, and
+        # put back for the levels above.
         sweep.run_to(max(0, n - P.upper))
         k = sweep.level
         first, states = k * d, (n + 1) * d
-        folded = _fold_levels(P.band, P.lower, n, k)
-        sums = _checked_row_sums(folded, d, first=k)
-        Wn = np.zeros((states - first + lo, lo + up + 1))
-        Wn[:states - first] = _fold_rows(W[first:states], first, n, d, lo)
-        level_pivots = np.concatenate((pivots[:first], np.zeros(states - first)))
-        views = _upward_views(Wn, lo, up)
-        _sweep_up(views, 0, states - first, level_pivots[first:])
+        saved = band[k:n + 1].copy(), W[first:states + lo].copy(), pivots[first:states].copy()
+        band[k:n + 1] = _fold_levels(P.band, P.lower, n, k)
+        sums = _checked_row_sums(band[k:n + 1], d, first=k)
+        W[first:states] = _fold_rows(W[first:states], first, n, d, lo)
+        # Their columns have no entries in rows above level n; cols[first + i, r]
+        # is the entry (first + i + 1 + r, first + i).
+        m = states - first
+        cols[first:states][np.add.outer(np.arange(m), np.arange(lo)) >= m - 1] = 0.0
+        _sweep_up(sweep.views, first, states, pivots)
         solved[n] = _level_vector(
-            np.concatenate((P.band[:k], folded)),
+            band[:n + 1],
             P.lower,
-            level_pivots,
-            np.concatenate((shared_cols[:first], views[1])),
+            pivots[:states],
+            cols,
             max(deviation[k], float(np.max(np.abs(sums - 1.0)))),
         )
+        band[k:n + 1], W[first:states + lo], pivots[first:states] = saved
     return [solved[n] for n in levels]
 
 
@@ -862,16 +861,17 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     update, Queueing Systems 2019). The states below level n - U are the
     same in every truncation at n or above, so the sweep eliminates them
     once for all levels, and copies the levels where it repeats bit for bit
-    (see _SharedSweep). Each level then folds a copy of its last U+1 reduced
-    levels and eliminates those states: O((U+1) d) states of its own, with
-    no corner of its own built. Its pivots decide its closed class (see
-    _class_top), it back-substitutes (see _solve_up), and its residual is
-    checked on the band lcb_truncate(P, n) would build. The results are bit
-    for bit those of eliminating every state. A level must be P's top level
-    or at most P.levels - 1 - U: the rows of the levels between reach past
-    P's top level, where P has folded them. The levels are solved from the
-    lowest up, and the first level that fails a check raises its error: with
-    several reducible levels, the lowest one names its classes.
+    (see _SharedSweep). Each level then folds its last U+1 reduced levels in
+    place, eliminates those states and puts them back afterwards: O((U+1) d)
+    states of its own, with no corner of its own built. Its pivots decide its
+    closed class (see _class_top), it back-substitutes (see _solve_up), and
+    its residual is checked on the band lcb_truncate(P, n) would build. The
+    results are bit for bit those of eliminating every state. A level may be
+    any of 1..P.levels - 1 (0 on a one-level corner); within U of the top it
+    folds P's folded rows again, as lcb_truncate(P, n) does. The levels are
+    solved from the lowest up, and the first level that fails a check raises
+    its error: with several reducible levels, the lowest one names its
+    classes.
 
     Without `levels`: the vector of P itself, stationary(P, [P.levels - 1])[0],
     in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2) memory for a
@@ -888,7 +888,7 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
         ValueError: non-square or substochastic input, a level outside
-            1..P.levels-1-U that is not P's top level, or a folded row whose
+            1..P.levels-1 that is not P's top level, or a folded row whose
             sum leaves the row tolerance.
         StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
             above STATIONARY_RESIDUAL_TOLERANCE plus the corner's largest

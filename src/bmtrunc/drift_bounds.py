@@ -387,17 +387,15 @@ def compare_against_oracle(
         n_list: truncation levels to evaluate.
         cert: K=0 certificate for the chain, or for a dominating chain.
         m_max: cap on the horizon m (None: certificate default).
-        reference_level: oracle truncation level, must exceed max(n_list) and
-            be at least the model's widest upward block offset.
+        reference_level: oracle truncation level, must exceed max(n_list).
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
             when only the dominating chain is certified). One sweep over its
-            truncation at max(n_list) + U solves all of them.
+            truncation at max(n_list) solves all of them.
 
     Raises:
-        ValueError: no levels, or a reference level at or below max(n_list)
-            or below the truncation's upward block width U.
+        ValueError: no levels, or a reference level at or below max(n_list).
         ReferenceNotConvergedError: oracle gap above convergence_tol.
         BoundViolationError: a measured error exceeded its bound.
     """
@@ -409,11 +407,6 @@ def compare_against_oracle(
 
     top = 2 * reference_level
     corner = lcb_truncate(model, top)
-    if reference_level < corner.upper:
-        raise ValueError(
-            f"reference level {reference_level} is below the chain's upward block "
-            f"width {corner.upper}; use a reference level of at least {corner.upper}"
-        )
     *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
     gap = tv_distance(pi_ref, pi_top)
     if gap > convergence_tol:
@@ -421,8 +414,7 @@ def compare_against_oracle(
     if dominating is None:
         masses = solved
     else:
-        reach = lcb_truncate(dominating, max(n_list)).upper
-        masses = stationary(lcb_truncate(dominating, max(n_list) + reach), n_list)
+        masses = stationary(lcb_truncate(dominating, max(n_list)), n_list)
 
     reports = []
     for n, pi_n, mass_n in zip(n_list, solved, masses):

@@ -30,9 +30,11 @@ from .block_matrix import (
     BlockStochasticMatrix,
     BlockVector,
     PhaseMatrix,
-    PhaseStructureError,
+    _fold_levels,
     _kernel_stationary,
     _reach,
+    is_block_monotone,
+    phase_matrix,
 )
 from .drift_bounds import (
     VERIFY_TOLERANCE,
@@ -78,8 +80,8 @@ _BRENT_MAXITER = 100
 
 def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
     out = {}
-    for offset, block in raw.items():
-        arr = np.asarray(block, dtype=float)
+    for offset in sorted(raw, key=int):  # sums over the blocks add in one order
+        arr = np.asarray(raw[offset], dtype=float)
         if arr.shape != (d, d):
             raise ValueError(f"{name}({offset}) has shape {arr.shape}, expected ({d},{d})")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -99,7 +101,9 @@ class GIG1Model:
 
     A maps Toeplitz offsets (column minus row level) to d x d blocks; B maps
     boundary offsets: B(l), l >= 0 are the row-0 blocks and B(-k), k >= 1 the
-    column-0 blocks of rows k >= 1. All-zero blocks may be omitted.
+    column-0 blocks of rows k >= 1. All-zero blocks may be omitted; offsets
+    are kept in increasing order. Rows are checked, ordered and folded by
+    the block_matrix code on the complete rows that _band writes.
     """
 
     d: int
@@ -118,18 +122,7 @@ class GIG1Model:
             raise ValueError("the A-blocks must sum to a stochastic matrix")
         if not _is_irreducible(a_total > 0):
             raise ValueError("the summed A-matrix must be irreducible")
-        # Every assembled row must be stochastic; rows beyond the supports
-        # replicate the full A-sum, so only the boundary-affected rows need
-        # explicit checks.
-        row0 = sum(
-            (blk for off, blk in self.B.items() if off >= 0), np.zeros((self.d, self.d))
-        )
-        if np.max(np.abs(np.asarray(row0).sum(axis=1) - 1.0)) > ROW_SUM_TOLERANCE:
-            raise ValueError("row 0 (the B(l), l >= 0 blocks) is not stochastic")
-        for k in range(1, max(self.L_A, self.L_B) + 1):
-            sums = self.B_block(-k).sum(axis=1) + self.a_suffix(1 - k).sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOLERANCE:
-                raise ValueError(f"assembled row {k} is not stochastic (sums {sums})")
+        self.boundary_corner  # its constructor checks that rows 0..k_star are stochastic
 
     @property
     def L_A(self) -> int:
@@ -168,54 +161,21 @@ class GIG1Model:
         """Stationary vector of the summed A-kernel, solved on first use."""
         return _kernel_stationary(self.a_sum())
 
-    def a_suffix(self, x: int) -> np.ndarray:
-        """Sum of A(j) over j >= x."""
-        return sum(
-            (blk for j, blk in self.A.items() if j >= x), np.zeros((self.d, self.d))
-        )
+    @cached_property
+    def boundary_corner(self) -> BlockStochasticMatrix:
+        """Complete rows 0..k_star: the rows that decide row sums, order and phase sums.
 
-    def a_prefix(self, x: int) -> np.ndarray:
-        """Sum of A(j) over j <= x."""
-        return sum(
-            (blk for j, blk in self.A.items() if j <= x), np.zeros((self.d, self.d))
-        )
-
-    def b_suffix(self, l: int) -> np.ndarray:
-        """Sum of B(m) over m >= l (boundary-row side, l >= 0)."""
-        return sum(
-            (blk for m, blk in self.B.items() if m >= l), np.zeros((self.d, self.d))
-        )
+        The pure Toeplitz rows from k_star on sum to the A-sum and are ordered.
+        """
+        return assemble(self, self.k_star + 1)
 
     def is_block_monotone(self, tol: float = CHECK_TOLERANCE) -> bool:
-        """Analytic block-monotonicity check on the repeating structure.
-
-        Interior Toeplitz rows are ordered automatically (suffix sums of one
-        sequence at shifted offsets), so monotonicity reduces to three
-        boundary conditions: the column-0 blocks must equal the matching
-        A-prefix sums, the row-0 phase sums must match the A-sum, and the
-        row-0 tail sums must not exceed row 1's.
-        """
-        for k in range(1, max(self.L_A, self.L_B) + 1):
-            if np.max(np.abs(self.B_block(-k) - self.a_prefix(-k))) > tol:
-                return False
-        if np.max(np.abs(self.b_suffix(0) - self.a_sum())) > tol:
-            return False
-        for l in range(1, max(self.U_B, self.U_A + 1) + 1):
-            if np.any(self.b_suffix(l) > self.a_suffix(l - 1) + tol):
-                return False
-        return True
+        """Block-monotonicity of the infinite chain, decided on boundary_corner."""
+        return is_block_monotone(self.boundary_corner, tol)
 
     def phase_matrix(self, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
-        psi = self.a_sum()
-        spread = float(np.max(np.abs(self.b_suffix(0) - psi)))
-        for k in range(1, self.k_star):
-            row_sum = self.B_block(-k) + self.a_suffix(1 - k)
-            spread = max(spread, float(np.max(np.abs(row_sum - psi))))
-        if spread > tol:
-            raise PhaseStructureError(
-                f"boundary row phase sums deviate from the A-sum by {spread:.3e} (> {tol:g})"
-            )
-        return PhaseMatrix(psi=psi)
+        """Phase-marginal kernel of the infinite chain, checked on boundary_corner."""
+        return phase_matrix(self.boundary_corner, tol)
 
     def mg1_pattern_mismatches(self, tol: float = 1e-12) -> list[str]:
         """Deviations from the skip-free-downward pattern, empty when it matches.
@@ -233,29 +193,26 @@ class GIG1Model:
                 problems.append(f"B({l}) != A({l - 1})")
         return problems
 
-    def _band(self, levels: int, last: int) -> tuple[np.ndarray, int]:
-        """Band and lower width of rows 0..levels-1, keeping column levels <= last."""
+    def _band(self, levels: int) -> tuple[np.ndarray, int]:
+        """Band and lower width of the complete rows 0..levels-1."""
         L = max(self.L_A, self.L_B)
         band = np.zeros((levels, L + max(self.U_A, self.U_B) + 1, self.d, self.d))
         for l, blk in self.B.items():
-            if l < 0:
-                if -l < levels:
-                    band[-l, L + l] = blk  # column 0 of row -l
-            elif l <= last:
+            if l >= 0:
                 band[0, L + l] = blk
+            elif -l < levels:
+                band[-l, L + l] = blk  # column 0 of row -l
         for j, blk in self.A.items():
-            band[max(1, 1 - j):min(levels, last - j + 1), L + j] = blk
+            band[max(1, 1 - j):, L + j] = blk
         return band, L
 
     def truncate(self, n: int) -> BlockStochasticMatrix:
-        """Exact LCB truncation at level n (column n absorbs all deeper mass)."""
+        """Exact LCB truncation at level n: complete rows 0..n, folded as lcb_truncate folds."""
         if n < 1:
             raise ValueError("truncation level n must be >= 1")
-        band, L = self._band(n + 1, n - 1)
-        if n <= self.U_B:
-            band[0, L + n] = self.b_suffix(n)
-        for x in range(min(self.U_A, n - 1) + 1):
-            band[n - x, L + x] = self.a_suffix(x)
+        band, L = self._band(n + 1)
+        first = max(0, n - max(self.U_A, self.U_B))
+        band[first:] = _fold_levels(band, L, n, first)
         return BlockStochasticMatrix(d=self.d, band=band, lower=L)
 
     def verify_drift(self, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
@@ -621,7 +578,7 @@ def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
             f"levels={levels} too small: boundary structure extends to level {model.k_star - 1}"
         )
     col_levels = max(levels - 1 + model.U_A, model.U_B) + 1
-    band, L = model._band(levels, col_levels - 1)
+    band, L = model._band(levels)
     return BlockStochasticMatrix(
         d=model.d,
         band=band,

@@ -84,6 +84,15 @@ def _expect(condition: bool, message: str):
         raise ModelSchemaError(message)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook that rejects a repeated key, where json keeps the last."""
+    out = {}
+    for key, value in pairs:
+        _expect(key not in out, f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
     _expect(isinstance(raw, list) and len(raw) == d, f"{where}: expected {d} rows")
     for r, row in enumerate(raw):
@@ -122,7 +131,7 @@ def load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelSchemaError(f"not valid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "top level: expected an object")
@@ -188,7 +197,7 @@ def save_model(model, path: str):
 def load_vector(path: str) -> BlockVector:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ModelSchemaError(f"not valid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "top level: expected an object")

@@ -283,13 +283,18 @@ class TestStationary:
 
 
 class TestStationarySweep:
-    def test_refuses_levels_inside_the_top_fold(self):
-        P = band_corner(2, random_band(np.random.default_rng(3), 2, 12, 1, 2), 1)
-        # top level 11, U = 2: levels 1..9 and 11
-        assert [pi.levels for pi in stationary(P, [9, 1, 11])] == [10, 2, 12]
-        for n in (0, 10, 12):
-            with pytest.raises(ValueError, match=f"level {n} "):
-                stationary(P, [9, n])
+    def test_solves_levels_inside_the_top_fold(self):
+        # U = 2 and 3: levels 10 and 9..11 fold rows P has folded already.
+        for P in (band_corner(2, random_band(np.random.default_rng(3), 2, 12, 1, 2), 1),
+                  lcb_truncate(random_monotone_gig1(), 12)):
+            levels = list(range(1, P.levels))
+            solved = stationary(P, levels)
+            for n, got, want in zip(levels, solved, full_sweep_stationary(P, levels)):
+                assert np.array_equal(got.entries, want.entries)
+                assert np.abs(got.flat - dense_stationary(lcb_truncate(P, n))).max() <= 1e-15
+            for n in (0, P.levels):
+                with pytest.raises(ValueError, match=f"level {n} is outside"):
+                    stationary(P, [9, n])
 
     def test_scales_carry_past_float_range(self):
         # The up-0.001 walk: pi(0) / pi(800) is about 10^2400, so unscaled
@@ -325,6 +330,17 @@ class TestStationarySweep:
             assert np.abs(pi.flat - ref.flat).max() <= 1e-14
         assert sum(size < 7 for size in solves) > 20
 
+    def test_short_chunks_see_each_level_cut_at_its_top(self, monkeypatch):
+        # Short chunks make the back-substitution read the column sums of
+        # every state. With L = 3 > U + 1, rows above a level reach into the
+        # columns of states the shared sweep eliminated below it, and into
+        # the level's own: the level must see its own columns cut at its top
+        # and the shared ones as they were swept, like the full-sweep oracle.
+        P = band_corner(2, random_band(np.random.default_rng(0), 2, 14, 3, 1), 3)
+        monkeypatch.setattr(block_matrix, "_CHUNK_BITS", 2.0)
+        levels = list(range(1, P.levels))
+        for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
+            assert np.array_equal(got.entries, want.entries)
 
     @staticmethod
     def swept_states(monkeypatch, P, levels) -> np.ndarray:

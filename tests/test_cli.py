@@ -207,6 +207,22 @@ class TestValidate:
         assert json.loads(target.read_text())["kind"] == "gig1"
 
 
+    def test_offset_order_does_not_change_output(self, capsys, tmp_path):
+        # Sums over the blocks run in increasing offset order, whatever
+        # order the file lists them in.
+        path, reversed_path = str(tmp_path / "model.json"), tmp_path / "reversed.json"
+        save_model(random_monotone_gig1(), path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        for key in ("A", "B"):
+            doc["gig1"][key] = dict(reversed(doc["gig1"][key].items()))
+        reversed_path.write_text(json.dumps(doc))
+        for argv in (("validate",), ("bound", "--n", "5:30:5"), ("compare", "--n", "5,10")):
+            want = run(capsys, "--model", path, "--command", *argv)
+            assert want[0] == EXIT_OK
+            assert run(capsys, "--model", str(reversed_path), "--command", *argv) == want
+
+
 class TestBound:
     def test_csv_output_and_determinism(self, capsys, mg1_path):
         argv = ("--model", mg1_path, "--command", "bound",
@@ -305,19 +321,16 @@ class TestCompare:
         assert code == EXIT_VALIDATION
         assert "reference level" in err
 
-    def test_reference_level_must_clear_the_upward_reach(self, capsys, tmp_path):
-        # Level-0 rows reach 3 levels up; the reference level must be at least 3.
+    def test_reference_level_inside_the_top_fold_is_solved(self, capsys, tmp_path):
+        # Level-0 rows reach 3 levels up, so at reference level 2 the top
+        # level 4 folds the reference level's rows; both are solved.
         path = str(tmp_path / "random.json")
         save_model(random_monotone_gig1(), path)
-        code, _, err = run(capsys, "--model", path, "--command", "compare",
-                           "--n", "1", "--reference-level", "2")
-        assert code == EXIT_VALIDATION
-        assert "reference level 2 is below the chain's upward block width 3" in err
-        # at 3 the width check passes; the reference is then too short to converge
-        code, _, err = run(capsys, "--model", path, "--command", "compare",
-                           "--n", "1", "--reference-level", "3")
-        assert code == EXIT_VALIDATION
-        assert "reference truncation at level 3 not converged" in err
+        for level in (2, 3):
+            code, _, err = run(capsys, "--model", path, "--command", "compare",
+                               "--n", "1", "--reference-level", str(level))
+            assert code == EXIT_VALIDATION
+            assert f"reference truncation at level {level} not converged" in err
 
     def test_one_stationary_call_per_compare(self, capsys, mg1_path, monkeypatch):
         # perfbench/tracing.py wraps drift_bounds.stationary and reads the
@@ -567,6 +580,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "--model", str(path), "--command", "validate")
         assert (code, out) == (EXIT_VALIDATION, "")
         assert "blocks[0] and blocks[1]: both are block (k=0, l=0)" in err
+
+    def test_repeated_keys_are_validation(self, capsys, tmp_path):
+        # Read as written, A's row sums to 1.4; json would keep only the 0.3.
+        path = tmp_path / "twice.json"
+        path.write_text('{"d": 1, "kind": "gig1", "gig1": {'
+                        '"A": {"-1": [[0.7]], "1": [[0.4]], "1": [[0.3]]}, '
+                        '"B": {"-1": [[0.7]], "0": [[0.7]], "1": [[0.3]]}}}')
+        code, out, err = run(capsys, "--model", str(path), "--command", "validate")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "key '1' appears twice in one object" in err
 
     def test_positive_drift_bound_is_validation(self, capsys, tmp_path):
         path = str(tmp_path / "flat.json")

@@ -11,7 +11,6 @@ from bmtrunc import (
     GIG1Model,
     PhaseStructureError,
     is_block_monotone,
-    lcb_truncate,
     save_model,
     stationary,
     verify_certificate,
@@ -36,6 +35,7 @@ from helpers import (
     _A2,
     broken_walk,
     dense,
+    full_band_fold,
     gig1_d2,
     mg1_d2,
     mg1_walk,
@@ -78,9 +78,9 @@ class TestGIG1Model:
             GIG1Model(d=1, A={-1: [[0.6]], 1: [[0.3]]}, B={0: [[1.0]]})
         with pytest.raises(ValueError, match="irreducible"):
             GIG1Model(d=2, A={0: np.eye(2)}, B={0: np.eye(2)})
-        with pytest.raises(ValueError, match="row 0"):
+        with pytest.raises(ValueError, match=r"row \(level 0"):
             GIG1Model(d=1, A={-1: [[0.6]], 1: [[0.4]]}, B={0: [[0.9]]})
-        with pytest.raises(ValueError, match="assembled row 1"):
+        with pytest.raises(ValueError, match=r"row \(level 1"):
             GIG1Model(d=1, A={-1: [[0.6]], 1: [[0.4]]}, B={-1: [[0.7]], 0: [[1.0]]})
 
     def test_support_extents_and_block_lookup(self):
@@ -99,12 +99,13 @@ class TestGIG1Model:
         )
         assert 0 not in model.A
 
-    def test_monotonicity_analytic_matches_finite_checks(self):
+    def test_monotonicity_matches_the_dense_oracle(self):
         for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(),
                       random_monotone_gig1(), broken_walk()):
-            analytic = model.is_block_monotone()
-            assert analytic == is_block_monotone(assemble(model, 10))
-            assert analytic == oracle_block_monotone(model.truncate(6))
+            monotone = model.is_block_monotone()
+            assert monotone == is_block_monotone(assemble(model, 10))
+            assert monotone == oracle_block_monotone(model.truncate(6))
+        assert not broken_walk().is_block_monotone()
 
     def test_mg1_pattern_detection(self):
         assert mg1_walk().mg1_pattern_mismatches() == []
@@ -122,14 +123,17 @@ class TestGIG1Model:
 
     def test_phase_structure_violation_detected(self):
         model = GIG1Model(d=2, A=_A2, B={-1: _A2[-1], 0: [[0.5, 0.5], [0.5, 0.5]]})
-        with pytest.raises(PhaseStructureError, match="deviate"):
+        with pytest.raises(PhaseStructureError, match="vary across levels"):
             model.phase_matrix()
 
     def test_truncate_equals_folding_the_assembled_corner(self):
         for model in (natural_walk(), mg1_d2(), gig1_d2(), random_monotone_gig1()):
-            direct = model.truncate(6)
-            folded = lcb_truncate(assemble(model, 7), 6)
-            np.testing.assert_array_equal(dense(direct), dense(folded))
+            U = max(model.U_A, model.U_B)
+            for n in range(1, model.k_star + U + 3):
+                direct = model.truncate(n)
+                folded = full_band_fold(assemble(model, max(n + 1, model.k_star)), n)
+                assert np.array_equal(direct.band, folded.band)
+                assert direct.lower == folded.lower
         with pytest.raises(ValueError, match="n must be"):
             natural_walk().truncate(0)
 

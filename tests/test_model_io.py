@@ -152,6 +152,16 @@ class TestModelSchemaErrors:
                 '{"k": 1, "l": 0, "values": [[1.0]]}, {"k": 0, "l": 1, "values": [[1.0]]}]}',
                 "blocks\\[0\\] and blocks\\[2\\]: both are block \\(k=0, l=1\\)",
             ),
+            (
+                '{"d": 1, "kind": "gig1", "gig1": {"A": {"-1": [[0.7]], "1": [[0.4]], '
+                '"1": [[0.3]]}, "B": {"-1": [[0.7]], "0": [[0.7]], "1": [[0.3]]}}}',
+                "key '1' appears twice",
+            ),
+            (
+                '{"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": 0, "values": [[0.5]], '
+                '"values": [[1.0]]}]}',
+                "key 'values' appears twice",
+            ),
         ]
         for text, fragment in cases:
             with pytest.raises(ModelSchemaError, match=fragment):
@@ -188,6 +198,9 @@ class TestVectorRoundTrip:
             load_vector(str(path))
         path.write_text('{"entries": [[0.5]]}')
         with pytest.raises(ModelSchemaError, match="d: expected"):
+            load_vector(str(path))
+        path.write_text('{"d": 1, "entries": [[0.5]], "entries": [[1.0]]}')
+        with pytest.raises(ModelSchemaError, match="key 'entries' appears twice"):
             load_vector(str(path))
 
 

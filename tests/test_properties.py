@@ -24,6 +24,7 @@ from bmtrunc.coupling import _CouplingKernel
 from bmtrunc import (
     BlockStochasticMatrix,
     BlockVector,
+    GIG1Model,
     DriftCertificate,
     GeometricTail,
     MultipleClosedClassesError,
@@ -254,9 +255,8 @@ sweep_level_counts = st.integers(min_value=2, max_value=10)
 
 
 def sweep_levels(P):
-    """Every level stationary(P, levels) accepts: 1..top-U and the top."""
-    top = P.levels - 1
-    return [n for n in range(1, top + 1) if n <= top - P.upper or n == top]
+    """Every level stationary(P, levels) accepts on a corner of two or more levels."""
+    return list(range(1, P.levels))
 
 
 def assert_sweep_matches(P, levels):
@@ -367,6 +367,18 @@ def test_band_monotone_check_on_truncations_matches_transform_oracle(seed, n):
     # support -2..2 and boundary blocks up to level 3: narrow against n
     P = lcb_truncate(random_monotone_gig1(seed), n)
     assert is_block_monotone(P) and oracle_block_monotone(P)
+
+
+@given(seeds, st.integers(min_value=1, max_value=3), st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+def test_model_monotone_check_matches_transform_oracle(seed, l, share):
+    # Moving part of B(0) up to B(l) raises row 0's tail sums, which may
+    # then pass row 1's; the oracle sees rows 0..k_star unfolded.
+    model = random_monotone_gig1(seed)
+    B = dict(model.B)
+    B[0], B[l] = (1.0 - share) * B[0], B[l] + share * B[0]
+    model = GIG1Model(d=model.d, A=model.A, B=B)
+    n = model.k_star + max(model.U_A, model.U_B) + 2
+    assert model.is_block_monotone() == oracle_block_monotone(model.truncate(n))
 
 
 @given(seeds)
