@@ -11,7 +11,9 @@ full_sweep_stationary eliminate every state of the shared bottom-up sweep,
 where the library copies the range in which the sweep repeats, and
 finish each level on its own whole corner with the csgraph class check;
 full_band_fold folds every level of a corner, where lcb_truncate folds only
-the top ones.
+the top ones. axis_row_sums, axis_row_error and einsum_left_product are
+the row check and the band product in numpy's multi-axis reductions and
+einsum, where the library loops over the band's offset slots.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from bmtrunc import (
     assemble,
 )
 from bmtrunc.block_matrix import (
+    ROW_SUM_TOLERANCE,
     _checked,
     _fold_rows,
     _one_class,
@@ -219,7 +222,7 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         x = _solve_up(below, level_pivots[:h])
         pi[:h + 1] = x / x.sum()
         deviation = np.abs(corner.band.sum(axis=(1, 3)) - 1.0).max()
-        solved[n] = _checked(corner.band, corner.lower, pi, deviation)
+        solved[n] = _checked((corner.band,), corner.lower, pi, deviation)
     return [solved[n] for n in levels]
 
 
@@ -235,6 +238,57 @@ def full_band_fold(P: BlockStochasticMatrix, n: int) -> BlockStochasticMatrix:
     k = np.arange(max(0, n - P.upper), n + 1)
     band[k, n - k + P.lower] = fold[k]
     return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower, substochastic=P.substochastic)
+
+
+# --- axis-reduction and einsum kernel oracles (tests only) ---
+
+
+def axis_row_sums(band: np.ndarray) -> np.ndarray:
+    """(levels, d) row sums of band rows, by numpy's reduction over axes (1, 3)."""
+    return band.sum(axis=(1, 3))
+
+
+def axis_row_error(band: np.ndarray, substochastic: bool = False, first: int = 0):
+    """Message of the row check's ValueError on band rows (levels first..), or None.
+
+    A non-finite entry anywhere is reported first, then a negative entry, then
+    a row sum off 1 (above 1 if substochastic) by more than ROW_SUM_TOLERANCE;
+    each names the first row that fails, from per-row (1, 3)-axis reductions.
+    """
+    d = band.shape[2]
+    sums = axis_row_sums(band).reshape(-1)
+    off = sums - 1.0 if substochastic else np.abs(sums - 1.0)
+    for failing, message in (
+        (~np.isfinite(band).all(axis=(1, 3)).reshape(-1), "non-finite entry in row {}"),
+        ((band < 0.0).any(axis=(1, 3)).reshape(-1), "negative entry in row {}"),
+        (~(off <= ROW_SUM_TOLERANCE), "row {} sums to {:.12g}, outside tolerance {:g}"),
+    ):
+        if failing.any():
+            s = int(np.flatnonzero(failing)[0])
+            where = f"(level {first + s // d}, phase {s % d})"
+            return message.format(where, sums[s], ROW_SUM_TOLERANCE)
+    return None
+
+
+def einsum_left_product(band: np.ndarray, lower: int, x: np.ndarray) -> np.ndarray:
+    """x P for x of shape (levels, d) and P the square corner of a band, by einsum."""
+    levels, width = band.shape[:2]
+    terms = np.einsum("ki,koij->koj", x, band)
+    out = np.zeros((max(levels + width - 1, lower + levels), band.shape[2]))
+    for o in range(width):
+        out[o:o + levels] += terms[:, o]
+    return out[lower:lower + levels]
+
+
+def einsum_right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
+    """P x for x of shape (col_levels, d), by one einsum per band slot."""
+    width = P.band.shape[1]
+    padded = np.zeros((max(P.levels + width - 1, P.lower + P.col_levels), P.d))
+    padded[P.lower:P.lower + P.col_levels] = x
+    out = np.zeros((P.levels, P.d))
+    for o in range(width):
+        out += np.einsum("kij,kj->ki", P.band[:, o], padded[o:o + P.levels])
+    return out
 
 
 # --- horizon scan oracle (tests only) ---

@@ -64,6 +64,24 @@ class TestBlockStochasticMatrix:
         with pytest.raises(ValueError, match=r"level 1, phase 0"):
             corner([[0.5, 0.5], [0.3, 0.6]])
 
+    @pytest.mark.parametrize("edits, message", [
+        # the first negative row, not the most negative one
+        ({(0, 0, 0): -0.1, (0, 0, 1): 1.1, (1, 1, 1): -0.5, (1, 1, 0): 1.5},
+         "negative entry in row (level 0, phase 0)"),
+        # a non-finite entry anywhere comes before a negative one
+        ({(0, 1, 0): -0.1, (0, 1, 1): 1.1, (2, 0, 1): np.nan, (1, 1, 0): np.inf},
+         "non-finite entry in row (level 1, phase 1)"),
+        ({(1, 0, 0): 0.5 + 2e-9, (2, 1, 1): 0.0},
+         "row (level 1, phase 0) sums to 1.000000002, outside tolerance 1e-09"),
+    ])
+    def test_row_check_names_the_first_failing_row(self, edits, message):
+        band = np.full((3, 1, 2, 2), 0.5)
+        for (k, i, j), value in edits.items():
+            band[k, 0, i, j] = value
+        with pytest.raises(ValueError) as err:
+            BlockStochasticMatrix(2, band)
+        assert str(err.value) == message
+
     def test_substochastic_rows_allowed_when_flagged(self):
         P = corner_from_dense(1, [[0.3, 0.3], [0.1, 0.2]], substochastic=True)
         assert P.levels == 2
@@ -415,7 +433,7 @@ class TestStationarySweep:
         # the slow path finds the class and rejects the zero pivot.
         P = lcb_truncate(mg1_d2(), 20)
         _, _, pivots = full_sweep(P)
-        assert block_matrix._class_top(P.band, P.lower, pivots) == pivots.size - 1
+        assert block_matrix._class_top((P.band,), P.lower, pivots) == pivots.size - 1
         calls = []
         graph = block_matrix._band_closed_classes
         monkeypatch.setattr(
@@ -423,7 +441,7 @@ class TestStationarySweep:
         )
         pivots[7] = 0.0
         with pytest.raises(StationarySolveError, match=r"level 3, phase 1"):
-            block_matrix._class_top(P.band, P.lower, pivots)
+            block_matrix._class_top((P.band,), P.lower, pivots)
         assert calls == [1]
 
     @pytest.mark.parametrize("P", [
@@ -434,15 +452,19 @@ class TestStationarySweep:
     ])
     def test_residual_check_sees_the_truncated_band(self, monkeypatch, P):
         # Each level's residual runs on the band lcb_truncate(P, n) builds, with
-        # its largest |row sum - 1|, without building that corner.
+        # its largest |row sum - 1|, without building that corner or copying
+        # P's band: P's own rows below the fold, then the folded rows.
         top = P.levels - 1
         levels = [1, 2, 10, top // 2, top - P.upper, top]
         seen = []
         check = block_matrix._checked
 
-        def recorded(band, lower, pi, deviation):
-            seen.append((band.copy(), lower, deviation))
-            return check(band, lower, pi, deviation)
+        def recorded(rows, lower, pi, deviation):
+            below, folded = rows
+            assert np.shares_memory(below, P.band) or below.size == 0
+            assert len(folded) <= P.upper + 1
+            seen.append((np.concatenate(rows), lower, deviation))
+            return check(rows, lower, pi, deviation)
 
         monkeypatch.setattr(block_matrix, "_checked", recorded)
         stationary(P, levels)
@@ -450,7 +472,7 @@ class TestStationarySweep:
         for n, (band, lower, deviation) in zip(sorted(levels), seen):
             want = lcb_truncate(P, n)
             assert np.array_equal(band, want.band) and lower == want.lower
-            assert deviation == np.max(np.abs(want.band.sum(axis=(1, 3)) - 1.0))
+            assert deviation == np.max(np.abs(block_matrix._row_sums(want.band) - 1.0))
 
 
 class TestDistances:

@@ -5,8 +5,9 @@ d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
 The closed-form horizon optimizer is checked against the full m scan, and
 the shared sweep's repeat shortcut and per-level finish against a sweep over
-every state that finishes each level on its own corner, and the truncation's
-top-level fold against a fold over every level.
+every state that finishes each level on its own corner, the truncation's
+top-level fold against a fold over every level, and the row check and band
+products against numpy's axis reductions, einsum and the dense product.
 """
 
 import os
@@ -18,7 +19,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bmtrunc import block_matrix
-from bmtrunc.block_matrix import _SharedSweep, _class_top, _state_band
+from bmtrunc.block_matrix import (
+    _SharedSweep,
+    _checked_row_sums,
+    _class_top,
+    _left_product,
+    _right_product,
+    _state_band,
+)
 from bmtrunc.coupling import _CouplingKernel
 
 from bmtrunc import (
@@ -28,6 +36,7 @@ from bmtrunc import (
     DriftCertificate,
     GeometricTail,
     MultipleClosedClassesError,
+    assemble,
     block_dominates,
     closed_classes,
     find_alpha,
@@ -44,6 +53,8 @@ from bmtrunc import (
 )
 
 from helpers import (
+    axis_row_error,
+    axis_row_sums,
     band_columns,
     band_corner,
     corner_from_dense,
@@ -52,6 +63,8 @@ from helpers import (
     dense_closed_classes,
     dense_level_inverse,
     dense_stationary,
+    einsum_left_product,
+    einsum_right_product,
     full_band_fold,
     full_sweep,
     full_sweep_stationary,
@@ -338,6 +351,97 @@ def test_lcb_truncate_matches_the_full_band_fold(seed, d, levels, lower, upper, 
         assert (got.lower, got.col_levels) == (want.lower, want.col_levels)
 
 
+# --- the band kernels against axis reductions, einsum and dense products ---
+
+row_faults = st.sampled_from(["nan", "inf", "-inf", "negative", "over", "under"])
+
+
+def inject(band, state, fault, rng):
+    """Put a fault into row `state` (flat k*d + i) of a band: one bad entry or a sum off by 2e-9."""
+    d = band.shape[2]
+    k, i = divmod(state, d)
+    # the first slot the row stores mass in; every row has its self-loop
+    o = int(np.flatnonzero(band[k, :, i].any(axis=1))[0])
+    if fault in ("over", "under"):
+        j = int(np.argmax(band[k, o, i]))
+        band[k, o, i, j] += 2e-9 if fault == "over" else -2e-9
+    else:
+        j = int(rng.integers(d))
+        band[k, o, i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(
+            fault, -(band[k, o, i, j] + rng.uniform(0.01, 1.0))
+        )
+
+
+def assert_row_check_matches(band, substochastic, first, faults, rng):
+    d = band.shape[2]
+    for where, fault in faults:
+        inject(band, where % (band.shape[0] * d), fault, rng)
+    want = axis_row_error(band, substochastic, first)
+    if want is None:
+        sums, oracle = _checked_row_sums(band, d, substochastic, first), axis_row_sums(band)
+        assert np.all(np.abs(sums - oracle) <= 4 * np.spacing(oracle))
+    else:
+        with pytest.raises(ValueError) as err:
+            _checked_row_sums(band, d, substochastic, first)
+        assert str(err.value) == want
+
+
+@given(seeds, dims, level_counts, st.integers(min_value=0, max_value=2), band_widths,
+       st.sampled_from([1.0, 0.5]), st.booleans(), st.integers(min_value=0, max_value=5),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=99), row_faults), max_size=3))
+def test_row_check_matches_the_axis_oracle(
+    seed, d, levels, lower, upper, density, substochastic, first, faults
+):
+    # Row sums within 4 ulp of numpy's (1, 3)-axis sum; NaN, inf, negative
+    # and off-by-2e-9 rows raise the oracle's error, naming the first failing
+    # row. Substochastic rows may sum to less than 1, but not to more.
+    rng = make_rng(seed)
+    band = band_corner(d, random_band(rng, d, levels, lower, upper, density), lower).band
+    if substochastic:
+        band = band * rng.uniform(0.5, 1.0, size=(levels, 1, d, 1))
+    assert_row_check_matches(band, substochastic, first, faults, rng)
+
+
+@pytest.mark.parametrize("faults", [[], [(9, "negative"), (30, "nan")], [(70, "over"), (5, "under")]])
+def test_row_check_matches_the_axis_oracle_at_d8(faults):
+    rng = make_rng(8)
+    band = band_corner(8, random_band(rng, 8, 12, 1, 2), 1).band
+    assert_row_check_matches(band, False, 0, faults, rng)
+
+
+@given(seeds, dims, level_counts, st.integers(min_value=0, max_value=2), band_widths,
+       st.sampled_from([1.0, 0.5]), st.data())
+def test_band_products_match_the_dense_product(seed, d, levels, lower, upper, density, data):
+    # The residual product runs on a band split into row blocks anywhere.
+    rng = make_rng(seed)
+    P = band_corner(d, random_band(rng, d, levels, lower, upper, density), lower)
+    x = rng.dirichlet(np.ones(levels * d)).reshape(levels, d)
+    split = data.draw(st.integers(min_value=0, max_value=levels))
+    got = _left_product((P.band[:split], P.band[split:]), lower, x)
+    assert np.max(np.abs(got.reshape(-1) - x.reshape(-1) @ dense(P))) <= 1e-15
+    assert np.max(np.abs(got - einsum_left_product(P.band, lower, x))) <= 1e-15
+    v = rng.uniform(size=(levels, d))
+    got = _right_product(P, v)
+    assert np.max(np.abs(got.reshape(-1) - dense(P) @ v.reshape(-1))) <= 1e-15
+    assert np.max(np.abs(got - einsum_right_product(P, v))) <= 1e-15
+
+
+@pytest.mark.parametrize("corner", [
+    lambda rng: assemble(random_monotone_gig1(), 30),
+    lambda rng: band_corner(8, random_band(rng, 8, 40, 1, 2), 1),
+], ids=["rectangular", "d8"])
+def test_band_products_match_the_dense_product_on_wide_corners(corner):
+    rng = make_rng(3)
+    P = corner(rng)
+    if P.square:
+        x = rng.dirichlet(np.ones(P.levels * P.d)).reshape(P.levels, P.d)
+        got = _left_product((P.band,), P.lower, x).reshape(-1)
+        assert np.max(np.abs(got - x.reshape(-1) @ dense(P))) <= 1e-15
+    v = rng.uniform(size=(P.col_levels, P.d))
+    got = _right_product(P, v).reshape(-1)
+    assert np.max(np.abs(got - dense(P) @ v.reshape(-1))) <= 1e-15
+
+
 @given(seeds, dims, level_counts, band_widths, st.integers(min_value=1, max_value=3),
        reducible_kinds)
 def test_pivots_decide_the_closed_class(seed, d, levels, lower, upper, kind):
@@ -355,10 +459,10 @@ def test_pivots_decide_the_closed_class(seed, d, levels, lower, upper, kind):
     with mock.patch.object(block_matrix, "_band_closed_classes", side_effect=graph) as slow:
         if len(want) > 1:
             with pytest.raises(MultipleClosedClassesError) as err:
-                _class_top(P.band, P.lower, pivots)
+                _class_top((P.band,), P.lower, pivots)
             assert err.value.classes == [[(int(s) // d, int(s) % d) for s in c] for c in want]
         else:
-            assert _class_top(P.band, P.lower, pivots) == want[0][-1]
+            assert _class_top((P.band,), P.lower, pivots) == want[0][-1]
     assert slow.call_count == (0 if one else 1)
 
 
