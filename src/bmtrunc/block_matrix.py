@@ -14,17 +14,14 @@ Levels index the unbounded coordinate, phases the finite one; state (k, i)
 maps to flat index k*d + i.
 
 Every CLI command runs in a fresh process, so import time is part of its
-run time. numpy takes about 0.1 s to import; scipy.sparse.csgraph and
-scipy.linalg.lapack together take about 0.22 s more, which is more than the
-whole `validate` or `bound` work. So scipy is imported where it is used.
-scipy.linalg.lapack serves the banded back-substitution (dtbtrs) of every
-stationary solve of a corner, and so of every `compare`. scipy's csgraph
-serves the closed-class check of a band (_band_closed_classes):
-closed_classes (`validate` on a finite corner) and the slow path of
-stationary, which otherwise reads a corner's closed class off its own GTH
-pivots (_class_top). The d x d kernels of a GI/G/1 model take their classes
-from a numpy boolean closure (_reach) and are solved by a dense GTH
-(_kernel_stationary), with no scipy.
+run time. numpy takes about 0.1 s to import, and scipy.linalg.lapack about
+0.2 s more, which is more than the whole `validate` or `bound` work. So the
+one scipy routine, the banded back-substitution (dtbtrs) of every stationary
+solve of a corner, is imported on the first solve. Closed classes come from
+one iterative Tarjan search on a block band (_closed_classes): it serves
+closed_classes, the slow path of stationary, which otherwise reads a
+corner's closed class off its own GTH pivots (_class_top), and the d x d
+kernels of a GI/G/1 model (_kernel_stationary, gig1._is_irreducible).
 """
 
 from __future__ import annotations
@@ -102,22 +99,19 @@ def _row_sums(band: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _checked_row_sums(band: np.ndarray, d: int, substochastic: bool = False, first: int = 0):
+def _checked_row_sums(band: np.ndarray, d: int, first: int = 0):
     """Row sums of band rows (levels first..), once the rows pass the corner checks.
 
     Every entry must be finite and non-negative, and every row must sum to 1
-    (at most 1 if substochastic) within ROW_SUM_TOLERANCE; a ValueError names
-    the first row that fails. The sums come back as a (levels, d) array.
+    within ROW_SUM_TOLERANCE; a ValueError names the first row that fails.
+    The sums come back as a (levels, d) array.
 
     Passing rows cost one band minimum and the row sums: a NaN or -inf entry
     makes the minimum fail `>= 0`, and a +inf entry among non-negative ones
     makes its row sum inf. Only failing rows are scanned row by row.
     """
     sums = _row_sums(band)
-    if substochastic:
-        fits = sums <= 1.0 + ROW_SUM_TOLERANCE
-    else:
-        fits = np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE
+    fits = np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE
     if band.min() >= 0.0 and fits.all():
         return sums
     rows = band.transpose(0, 2, 1, 3).reshape(fits.size, -1)
@@ -135,30 +129,21 @@ def _checked_row_sums(band: np.ndarray, d: int, substochastic: bool = False, fir
 
 
 class BlockStochasticMatrix:
-    """Finite corner of a block-partitioned (sub)stochastic matrix, stored as a block band.
+    """Finite corner of a block-partitioned stochastic matrix, stored as a block band.
 
     Rows are levels 0..levels-1 and columns levels 0..col_levels-1 of d x d
     blocks. Only the blocks within `lower` levels below and `upper` levels
     above the diagonal are stored: band[k, o] is the block at row level k,
     column level k - lower + o, and the band slots outside the column range
     are zero. Rectangular corners (col_levels > levels) hold complete rows of
-    a larger matrix whose remaining rows, if any, are described by `tail` (a
-    GI/G/1-type model object that can regenerate them).
+    a larger matrix.
 
     Build from `band` with its `lower` width and `col_levels` (default: a
     square corner), or from a sparse block map with from_blocks. The band is
     the only storage, and no library code builds an N x N view of a corner.
     """
 
-    def __init__(
-        self,
-        d: int,
-        band,
-        lower: int = 0,
-        col_levels: int | None = None,
-        substochastic: bool = False,
-        tail: object | None = None,
-    ):
+    def __init__(self, d: int, band, lower: int = 0, col_levels: int | None = None):
         if d < 1:
             raise ValueError("block size d must be >= 1")
         band = np.asarray(band, dtype=float)
@@ -174,10 +159,8 @@ class BlockStochasticMatrix:
         self.band = band
         self.lower = lower
         self.col_levels = col_levels
-        self.substochastic = substochastic
-        self.tail = tail
         self._values = None
-        _checked_row_sums(band, d, substochastic)
+        _checked_row_sums(band, d)
 
     @property
     def levels(self) -> int:
@@ -223,7 +206,6 @@ class BlockStochasticMatrix:
         blocks: dict[tuple[int, int], np.ndarray],
         levels: int | None = None,
         col_levels: int | None = None,
-        **kwargs,
     ) -> "BlockStochasticMatrix":
         """Assemble from a sparse {(k, l): d x d block} map; absent blocks are zero.
 
@@ -248,7 +230,7 @@ class BlockStochasticMatrix:
         lower = max(0, int((rows - cols).max(initial=0)))
         band = np.zeros((levels, lower + max(0, int((cols - rows).max(initial=0))) + 1, d, d))
         band[rows, cols - rows + lower] = stack
-        return cls(d, band, lower, col_levels, **kwargs)
+        return cls(d, band, lower, col_levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,20 +384,11 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
     if not isinstance(P, BlockStochasticMatrix):
         return P.truncate(n)
     if P.levels < n + 1:
-        if P.tail is not None:
-            return P.tail.truncate(n)
-        raise ValueError(
-            f"n={n} exceeds the {P.levels} stored levels and no tail descriptor is attached"
-        )
+        raise ValueError(f"n={n} exceeds the {P.levels} stored levels")
     band = P.band[: n + 1].copy()
     first = max(0, n - P.upper)
     band[first:] = _fold_levels(P.band, P.lower, n, first)
-    return BlockStochasticMatrix(
-        d=P.d,
-        band=band,
-        lower=P.lower,
-        substochastic=P.substochastic,
-    )
+    return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower)
 
 
 def _fold_levels(band: np.ndarray, lower: int, n: int, first: int) -> np.ndarray:
@@ -455,69 +428,60 @@ def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
     return W, lo, up
 
 
-def _band_closed_classes(W: np.ndarray, lo: int) -> list[np.ndarray]:
-    """Increasing state lists of the closed classes of an unpadded state band.
+def _closed_classes(band: np.ndarray, lower: int = 0) -> list[np.ndarray]:
+    """Increasing state lists of the closed classes of a square corner's block band.
 
-    np.nonzero lists the entries row by row with increasing columns, which is
-    CSR order already, so the graph is built from its index arrays directly.
+    The state graph is read off the band: np.nonzero lists its entries by row
+    state, then by increasing column state. An iterative Tarjan search (SIAM
+    J. Comput. 1, 1972) takes the roots in increasing order and the highest
+    successor first, and finishes the strongly connected components in the
+    order scipy's csgraph numbers them. A state's Tarjan stack position
+    stands in for its DFS number, and a finished state's is `states`, above
+    every low link. A component is closed unless one of its states leaks: it
+    has an edge into a component finished before it.
     """
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
-    states = W.shape[0]
-    rows, slots = np.nonzero(W)
-    cols = rows + slots - lo
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=states))))
-    graph = sparse.csr_matrix((np.ones(rows.size), cols, indptr), shape=(states, states))
-    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    is_open = np.zeros(n_comp, dtype=bool)
-    crossing = labels[rows] != labels[cols]
-    is_open[labels[rows[crossing]]] = True
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    return [members[c] for c in np.nonzero(~is_open)[0]]
-
-
-def _reach(pattern: np.ndarray) -> np.ndarray:
-    """Reachability of a small square 0/1 pattern: R[i, j] when i leads to j.
-
-    Every state reaches itself. Repeated squaring of pattern | I takes about
-    log2(d) boolean products.
-    """
-    reach = np.asarray(pattern, dtype=bool) | np.eye(len(pattern), dtype=bool)
-    while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
-            return reach
-        reach = wider
-
-
-def _small_closed_classes(pattern: np.ndarray) -> list[np.ndarray]:
-    """Increasing state lists of the closed classes of a small square pattern.
-
-    A state is in a closed class when every state it reaches reaches it back.
-    The classes come in _band_closed_classes' order: csgraph numbers the
-    components as its depth-first search (roots in increasing order, the
-    highest successor first) finishes them, and a closed class, once
-    entered, is finished before the search leaves it.
-    """
-    pattern = np.asarray(pattern, dtype=bool)
-    reach = _reach(pattern)
-    closed = ~(reach & ~reach.T).any(axis=1)
-    seen = np.zeros(len(reach), dtype=bool)
-    classes = []
-    for root in range(len(reach)):
-        stack = [root]
-        while stack:
-            s = stack.pop()
-            if seen[s]:
+    levels, _, d, _ = band.shape
+    k, i, o, j = np.nonzero(band.transpose(0, 2, 1, 3))
+    states = levels * d
+    heads = np.searchsorted(k * d + i, np.arange(states + 1)).tolist()
+    succ = ((k - lower + o) * d + j).tolist()
+    unread = heads[1:]  # each state's successors are read from the highest down
+    pos, low, leaks = [-1] * states, [0] * states, [False] * states
+    stack, closed = [], []
+    for root in range(states):
+        if pos[root] >= 0:
+            continue
+        pos[root] = low[root] = 0  # the stack is empty between roots
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            e = unread[v]
+            if e > heads[v]:
+                unread[v] = e = e - 1
+                w = succ[e]
+                if pos[w] < 0:
+                    pos[w] = low[w] = len(stack)
+                    stack.append(w)
+                    path.append(w)
+                elif pos[w] < low[v]:
+                    low[v] = pos[w]
+                elif pos[w] == states:
+                    leaks[v] = True
                 continue
-            if closed[s]:  # the search leaves it only once all of it is seen
-                classes.append(np.nonzero(reach[s])[0])
-                seen |= reach[s]
-                continue
-            seen[s] = True
-            stack.extend(np.nonzero(pattern[s] & ~seen)[0].tolist())
-    return classes
+            path.pop()
+            if low[v] == pos[v]:
+                members = stack[low[v]:]
+                del stack[low[v]:]
+                for w in members:
+                    pos[w] = states
+                if not any(leaks[w] for w in members):
+                    closed.append(np.array(sorted(members)))
+                if path:
+                    leaks[path[-1]] = True
+            elif low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+    return closed
 
 
 def _one_class(classes: list[np.ndarray], d: int) -> np.ndarray:
@@ -537,8 +501,7 @@ def closed_classes(P: BlockStochasticMatrix) -> list[np.ndarray]:
     """
     if not P.square:
         raise ValueError("closed classes need a square corner; apply lcb_truncate first")
-    W, lo, _ = _state_band(P)
-    return _band_closed_classes(W[:P.levels * P.d], lo)
+    return _closed_classes(P.band, P.lower)
 
 
 def _upward_views(W: np.ndarray, lo: int, up: int):
@@ -805,17 +768,17 @@ def _class_top(rows, lower: int, pivots: np.ndarray) -> int:
     reaches no higher state, and no elimination puts an entry right of its
     diagonal. So when every pivot below the corner's top state is positive,
     the corner has one closed class and it holds the top state. Otherwise
-    (the slow path) the corner is built from its band row blocks `rows` and
-    the classes are read off its graph: several raise
-    MultipleClosedClassesError, and one gives its own top state. A pivot that
-    underflows to 0.0 sends a corner to the slow path, never past it, and a
-    zero pivot below h inside the class is a StationarySolveError.
+    (the slow path) the classes are read off the graph of its band row
+    blocks `rows`: several raise MultipleClosedClassesError, and one gives
+    its own top state. A pivot that underflows to 0.0 sends a corner to the
+    slow path, never past it, and a zero pivot below h inside the class is a
+    StationarySolveError.
     """
     h = pivots.size - 1
     if np.all(pivots[:h] > 0.0):
         return h
     d = rows[0].shape[2]
-    cls = _one_class(closed_classes(BlockStochasticMatrix(d, np.concatenate(rows), lower)), d)
+    cls = _one_class(_closed_classes(np.concatenate(rows), lower), d)
     stalled = cls[:-1][pivots[cls[:-1]] <= 0.0]
     if stalled.size:
         s = int(stalled[0])
@@ -926,17 +889,15 @@ def stationary(P: BlockStochasticMatrix, levels=None):
 
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
-        ValueError: non-square or substochastic input, a level outside
-            1..P.levels-1 that is not P's top level, or a folded row whose
-            sum leaves the row tolerance.
+        ValueError: non-square input, a level outside 1..P.levels-1 that
+            is not P's top level, or a folded row whose sum leaves the row
+            tolerance.
         StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
             above STATIONARY_RESIDUAL_TOLERANCE plus the corner's largest
             |row sum - 1|.
     """
     if not P.square:
         raise ValueError("stationary needs a square corner; apply lcb_truncate first")
-    if P.substochastic:
-        raise ValueError("stationary needs stochastic rows")
     if levels is None:
         return _stationary_levels(P, [P.levels - 1])[0]
     return _stationary_levels(P, [int(n) for n in levels])
@@ -986,14 +947,13 @@ def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
 def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
     """Stationary vector of a d x d stochastic kernel, by dense GTH on its closed class.
 
-    The class comes from the kernel's boolean closure, so no scipy is loaded.
-    States are eliminated top-down on the class's own submatrix (Grassmann,
-    Taksar & Heyman 1985); states off the class get 0. The residual is
-    checked as stationary checks it, with the kernel as a one-level corner
-    of d phases.
+    The class comes from the kernel's graph as a one-level band. States are
+    eliminated top-down on the class's own submatrix (Grassmann, Taksar &
+    Heyman 1985); states off the class get 0. The residual is checked as
+    stationary checks it, with the kernel as a one-level corner of d phases.
     """
     psi = np.asarray(psi, dtype=float)
-    cls = _one_class(_small_closed_classes(psi != 0.0), 1)
+    cls = _one_class(_closed_classes(psi[None, None]), 1)
     A = psi[np.ix_(cls, cls)]
     trim = np.empty(cls.size)
     for s in range(cls.size - 1, 0, -1):

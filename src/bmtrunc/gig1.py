@@ -14,7 +14,8 @@ which a boundary lift turns into a full K=0 certificate.
 The module needs numpy only. The root of the delta slope comes from a port
 of scipy's brentq (_brentq below), because importing scipy.optimize costs
 about 0.4 s per process on top of numpy's 0.1 s, several times the work of
-a `validate` or `bound` run; see block_matrix for the rest of scipy.
+a `validate` or `bound` run. Irreducibility is read off the closed classes
+of block_matrix's Tarjan search.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .block_matrix import (
     BlockStochasticMatrix,
     BlockVector,
     PhaseMatrix,
+    _closed_classes,
     _fold_levels,
     _kernel_stationary,
-    _reach,
     is_block_monotone,
     phase_matrix,
 )
@@ -92,7 +93,8 @@ def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
 
 
 def _is_irreducible(pattern: np.ndarray) -> bool:
-    return bool(_reach(pattern).all())
+    """True when a square 0/1 pattern has one closed class holding all its states."""
+    return _closed_classes(pattern[None, None])[0].size == len(pattern)
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,8 +572,7 @@ def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
     """Explicit corner with complete rows 0..levels-1 (no folding).
 
     Columns extend far enough to hold every stored row in full, so each row
-    sums to 1 exactly as in the infinite matrix; the model rides along as
-    the tail descriptor for deeper rows.
+    sums to 1 exactly as in the infinite matrix.
     """
     if levels < model.k_star:
         raise ValueError(
@@ -579,10 +580,4 @@ def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:
         )
     col_levels = max(levels - 1 + model.U_A, model.U_B) + 1
     band, L = model._band(levels)
-    return BlockStochasticMatrix(
-        d=model.d,
-        band=band,
-        lower=L,
-        col_levels=col_levels,
-        tail=model,
-    )
+    return BlockStochasticMatrix(d=model.d, band=band, lower=L, col_levels=col_levels)

@@ -40,7 +40,6 @@ from bmtrunc.block_matrix import (
     _state_band,
     _sweep_up,
     _upward_views,
-    closed_classes,
     lcb_truncate,
 )
 from bmtrunc.drift_bounds import _bound_terms
@@ -206,7 +205,7 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
     for n in sorted(set(levels)):
         corner = P if n == top else lcb_truncate(P, n)
         Wn, _, _ = _state_band(corner)
-        cls = _one_class(closed_classes(corner), d)
+        cls = _one_class(dense_closed_classes(dense(corner) > 0.0), d)
         states = corner.levels * d
         first = states if n == top else max(0, n - P.upper) * d
         _sweep_up(views, swept, first, pivots)
@@ -237,7 +236,7 @@ def full_band_fold(P: BlockStochasticMatrix, n: int) -> BlockStochasticMatrix:
     band[beyond] = 0.0
     k = np.arange(max(0, n - P.upper), n + 1)
     band[k, n - k + P.lower] = fold[k]
-    return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower, substochastic=P.substochastic)
+    return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower)
 
 
 # --- axis-reduction and einsum kernel oracles (tests only) ---
@@ -248,16 +247,16 @@ def axis_row_sums(band: np.ndarray) -> np.ndarray:
     return band.sum(axis=(1, 3))
 
 
-def axis_row_error(band: np.ndarray, substochastic: bool = False, first: int = 0):
+def axis_row_error(band: np.ndarray, first: int = 0):
     """Message of the row check's ValueError on band rows (levels first..), or None.
 
     A non-finite entry anywhere is reported first, then a negative entry, then
-    a row sum off 1 (above 1 if substochastic) by more than ROW_SUM_TOLERANCE;
+    a row sum off 1 by more than ROW_SUM_TOLERANCE;
     each names the first row that fails, from per-row (1, 3)-axis reductions.
     """
     d = band.shape[2]
     sums = axis_row_sums(band).reshape(-1)
-    off = sums - 1.0 if substochastic else np.abs(sums - 1.0)
+    off = np.abs(sums - 1.0)
     for failing, message in (
         (~np.isfinite(band).all(axis=(1, 3)).reshape(-1), "non-finite entry in row {}"),
         ((band < 0.0).any(axis=(1, 3)).reshape(-1), "negative entry in row {}"),

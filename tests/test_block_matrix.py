@@ -11,6 +11,7 @@ from bmtrunc import (
     BlockVector,
     MultipleClosedClassesError,
     PhaseStructureError,
+    assemble,
     block_dominates,
     is_block_increasing,
     is_block_monotone,
@@ -81,10 +82,6 @@ class TestBlockStochasticMatrix:
         with pytest.raises(ValueError) as err:
             BlockStochasticMatrix(2, band)
         assert str(err.value) == message
-
-    def test_substochastic_rows_allowed_when_flagged(self):
-        P = corner_from_dense(1, [[0.3, 0.3], [0.1, 0.2]], substochastic=True)
-        assert P.levels == 2
 
     def test_rejects_more_rows_than_columns(self):
         with pytest.raises(ValueError, match="col_levels >= levels"):
@@ -223,8 +220,13 @@ class TestLcbTruncate:
         assert dense(got)[:, :2] == pytest.approx(np.asarray(rows)[:3, :2])
 
     def test_requires_enough_stored_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n=5 exceeds the 3 stored levels$"):
             lcb_truncate(corner(WALK3), 5)
+        # a rectangular corner of complete rows truncates only within them
+        rows = assemble(mg1_d2(), 6)
+        assert lcb_truncate(rows, 5).levels == 6
+        with pytest.raises(ValueError, match=r"^n=6 exceeds the 6 stored levels$"):
+            lcb_truncate(rows, 6)
 
 
 class TestStationary:
@@ -435,9 +437,9 @@ class TestStationarySweep:
         _, _, pivots = full_sweep(P)
         assert block_matrix._class_top((P.band,), P.lower, pivots) == pivots.size - 1
         calls = []
-        graph = block_matrix._band_closed_classes
+        graph = block_matrix._closed_classes
         monkeypatch.setattr(
-            block_matrix, "_band_closed_classes", lambda *a: calls.append(1) or graph(*a)
+            block_matrix, "_closed_classes", lambda *a: calls.append(1) or graph(*a)
         )
         pivots[7] = 0.0
         with pytest.raises(StationarySolveError, match=r"level 3, phase 1"):

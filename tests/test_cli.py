@@ -358,21 +358,21 @@ class TestCompare:
         self, capsys, tmp_path, monkeypatch, build, argv
     ):
         # Every level of these models finishes from the sweep's pivots: no
-        # csgraph class check and no corner built inside the solve, and one
+        # class graph and no corner built inside the solve, and one
         # residual check per requested n plus the reference and top levels.
         path = str(tmp_path / "model.json")
         save_model(build(), path)
         counts = {"graph": 0, "residual": 0}
         built = []
-        graph, check = block_matrix._band_closed_classes, block_matrix._checked
+        graph, check = block_matrix._closed_classes, block_matrix._checked
         init, solve = BlockStochasticMatrix.__init__, drift_bounds.stationary
 
         def counted_graph(*args):
-            counts["graph"] += 1
+            counts["graph"] += solving  # the d x d kernel solve reads its own graph
             return graph(*args)
 
         def counted_check(*args):
-            counts["residual"] += solving  # the d x d kernel solve checks its own
+            counts["residual"] += solving  # and checks its own residual
             return check(*args)
 
         def recorded_init(self, *args, **kwargs):
@@ -388,7 +388,7 @@ class TestCompare:
                 solving = False
 
         solving = False
-        monkeypatch.setattr(block_matrix, "_band_closed_classes", counted_graph)
+        monkeypatch.setattr(block_matrix, "_closed_classes", counted_graph)
         monkeypatch.setattr(block_matrix, "_checked", counted_check)
         monkeypatch.setattr(BlockStochasticMatrix, "__init__", recorded_init)
         monkeypatch.setattr(drift_bounds, "stationary", flagged_solve)

@@ -372,41 +372,37 @@ def inject(band, state, fault, rng):
         )
 
 
-def assert_row_check_matches(band, substochastic, first, faults, rng):
+def assert_row_check_matches(band, first, faults, rng):
     d = band.shape[2]
     for where, fault in faults:
         inject(band, where % (band.shape[0] * d), fault, rng)
-    want = axis_row_error(band, substochastic, first)
+    want = axis_row_error(band, first)
     if want is None:
-        sums, oracle = _checked_row_sums(band, d, substochastic, first), axis_row_sums(band)
+        sums, oracle = _checked_row_sums(band, d, first), axis_row_sums(band)
         assert np.all(np.abs(sums - oracle) <= 4 * np.spacing(oracle))
     else:
         with pytest.raises(ValueError) as err:
-            _checked_row_sums(band, d, substochastic, first)
+            _checked_row_sums(band, d, first)
         assert str(err.value) == want
 
 
 @given(seeds, dims, level_counts, st.integers(min_value=0, max_value=2), band_widths,
-       st.sampled_from([1.0, 0.5]), st.booleans(), st.integers(min_value=0, max_value=5),
+       st.sampled_from([1.0, 0.5]), st.integers(min_value=0, max_value=5),
        st.lists(st.tuples(st.integers(min_value=0, max_value=99), row_faults), max_size=3))
-def test_row_check_matches_the_axis_oracle(
-    seed, d, levels, lower, upper, density, substochastic, first, faults
-):
+def test_row_check_matches_the_axis_oracle(seed, d, levels, lower, upper, density, first, faults):
     # Row sums within 4 ulp of numpy's (1, 3)-axis sum; NaN, inf, negative
     # and off-by-2e-9 rows raise the oracle's error, naming the first failing
-    # row. Substochastic rows may sum to less than 1, but not to more.
+    # row.
     rng = make_rng(seed)
     band = band_corner(d, random_band(rng, d, levels, lower, upper, density), lower).band
-    if substochastic:
-        band = band * rng.uniform(0.5, 1.0, size=(levels, 1, d, 1))
-    assert_row_check_matches(band, substochastic, first, faults, rng)
+    assert_row_check_matches(band, first, faults, rng)
 
 
 @pytest.mark.parametrize("faults", [[], [(9, "negative"), (30, "nan")], [(70, "over"), (5, "under")]])
 def test_row_check_matches_the_axis_oracle_at_d8(faults):
     rng = make_rng(8)
     band = band_corner(8, random_band(rng, 8, 12, 1, 2), 1).band
-    assert_row_check_matches(band, False, 0, faults, rng)
+    assert_row_check_matches(band, 0, faults, rng)
 
 
 @given(seeds, dims, level_counts, st.integers(min_value=0, max_value=2), band_widths,
@@ -446,17 +442,17 @@ def test_band_products_match_the_dense_product_on_wide_corners(corner):
        reducible_kinds)
 def test_pivots_decide_the_closed_class(seed, d, levels, lower, upper, kind):
     # All pivots below the top are positive exactly when the oracle finds one
-    # closed class holding the top state; only then is csgraph skipped.
-    # Otherwise the slow path names the oracle's classes in its order, or
-    # gives the top state of the one class.
+    # closed class holding the top state; only then is the class graph
+    # skipped. Otherwise the slow path names the oracle's classes in its
+    # order, or gives the top state of the one class.
     P = reducible_corner(seed, d, levels, lower, upper, kind)
     _, _, pivots = full_sweep(P)
     want = dense_closed_classes(dense(P) > 0.0)
     top = P.levels * d - 1
     one = len(want) == 1 and want[0][-1] == top
     assert bool(np.all(pivots[:top] > 0.0)) == one
-    graph = block_matrix._band_closed_classes
-    with mock.patch.object(block_matrix, "_band_closed_classes", side_effect=graph) as slow:
+    graph = block_matrix._closed_classes
+    with mock.patch.object(block_matrix, "_closed_classes", side_effect=graph) as slow:
         if len(want) > 1:
             with pytest.raises(MultipleClosedClassesError) as err:
                 _class_top((P.band,), P.lower, pivots)

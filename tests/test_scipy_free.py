@@ -1,17 +1,21 @@
-"""The numpy replacements for scipy on the GI/G/1 path, checked against scipy.
+"""The replacements for scipy in the package, checked against scipy.
 
-The Brent port must return scipy.optimize.brentq's bits, the boolean closure
+The Brent port must return scipy.optimize.brentq's bits, the Tarjan search
 must give csgraph's classes in csgraph's order, the kernel solve must give
 the dense GTH oracle's bits, and a fresh process that runs `validate`,
-`bound` and `couple` on a GI/G/1 model must not import scipy. `compare` and
-`stationary(P)` may then import scipy.linalg, but not scipy.sparse.
+`bound` and `couple` on a GI/G/1 model or `validate` on a finite corner must
+not import scipy. `compare` and `stationary(P)` may then import
+scipy.linalg, but not scipy.sparse, and no other scipy module is imported
+anywhere in the package.
 """
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -21,17 +25,20 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 import bmtrunc
-from bmtrunc import MultipleClosedClassesError, save_model
+from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, closed_classes, save_model
 from bmtrunc import gig1
-from bmtrunc.block_matrix import _kernel_stationary, _small_closed_classes
+from bmtrunc.block_matrix import _closed_classes, _kernel_stationary
 from bmtrunc.gig1 import _brentq, _delta_slope, _is_irreducible, find_alpha
 
 from helpers import (
+    band_corner,
     corner_from_dense,
+    dense,
     dense_closed_classes,
     dense_gth,
     gig1_d2,
     mg1_d2,
+    random_band,
     random_monotone_gig1,
 )
 
@@ -132,12 +139,38 @@ def patterns(draw):
     return np.random.default_rng(draw(seeds)).random((d, d)) < density
 
 
-@given(patterns())
-def test_closure_matches_the_csgraph_classes(pattern):
+@st.composite
+def corners(draw):
+    """A square corner, d = 1..3, 1..40 levels, up to 2 levels below and above the diagonal."""
+    d, levels = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    lower, upper = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(seeds))
+    return band_corner(d, random_band(rng, d, levels, lower, upper, density), lower)
+
+
+def same_classes(got, want):
+    return [c.tolist() for c in got] == [c.tolist() for c in want]
+
+
+@given(patterns(), corners())
+def test_closure_matches_the_csgraph_classes(pattern, P):
     want = dense_closed_classes(pattern)
-    assert [c.tolist() for c in _small_closed_classes(pattern)] == [c.tolist() for c in want]
+    assert same_classes(_closed_classes(pattern[None, None]), want)
     irreducible = len(want) == 1 and len(want[0]) == len(pattern)
     assert _is_irreducible(pattern) == irreducible
+    assert same_classes(closed_classes(P), dense_closed_classes(dense(P) > 0.0))
+
+
+def test_a_long_path_has_one_class_without_recursion():
+    # 0 -> 1 -> ... -> N-1, absorbed at N-1: a search 20 000 states deep
+    states = 20_000
+    band = np.zeros((states, 2, 1, 1))
+    band[:-1, 1] = band[-1, 0] = 1.0
+    P = BlockStochasticMatrix(1, band)
+    start = time.perf_counter()
+    assert same_classes(closed_classes(P), [np.array([states - 1])])
+    assert time.perf_counter() - start < 0.5
 
 
 @given(patterns(), seeds)
@@ -173,8 +206,9 @@ from bmtrunc.cli import main
 
 mg1, gig1, split = sys.argv[1:4]
 report = {}
+cold = ((mg1, "validate"), (gig1, "validate"), (split, "validate"), (mg1, "bound"), (mg1, "couple"))
 with contextlib.redirect_stdout(io.StringIO()):
-    for model, command in ((mg1, "validate"), (gig1, "validate"), (mg1, "bound"), (mg1, "couple")):
+    for model, command in cold:
         report[command + " " + model] = main(["--model", model, "--command", command])
     report["cold"] = scipy_modules()
     report["compare"] = main(["--model", mg1, "--command", "compare", "--n", "10,20"])
@@ -197,7 +231,7 @@ for key, solve in (
         solve()
     except MultipleClosedClassesError as err:
         report[key] = err.classes
-report["slow"] = "scipy.sparse.csgraph" in sys.modules
+report["slow"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
 print(json.dumps(report))
 """
 
@@ -221,9 +255,9 @@ def cold_run(*args: str) -> dict:
 
 
 def test_gig1_cold_path_loads_no_scipy(tmp_path):
+    # validate of a reducible finite corner counts its classes with no scipy.
     # compare and stationary(P) load scipy.linalg for dtbtrs, but no
-    # scipy.sparse: they take the closed class from the sweep's pivots. A
-    # reducible corner still loads csgraph, which names its classes.
+    # scipy.sparse, also when a reducible corner names its classes.
     mg1, gig = str(tmp_path / "mg1_d2.json"), str(tmp_path / "gig1_d2.json")
     split = str(tmp_path / "split.json")
     save_model(mg1_d2(), mg1)
@@ -239,6 +273,22 @@ def test_gig1_cold_path_loads_no_scipy(tmp_path):
     want = dense_closed_classes(np.array(_SPLIT) > 0.0)
     assert len(want) == 2
     assert report.pop("split") == [[[int(s) // 2, int(s) % 2] for s in c] for c in want]
-    assert report.pop("slow") is True
+    assert report.pop("slow") == []
     assert set(report.values()) == {0}
-    assert len(report) == 6
+    assert len(report) == 7
+
+
+def test_scipy_is_imported_only_for_dtbtrs():
+    imports = []
+    for path in sorted(Path(bmtrunc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                imports.append((path.name, ast.unparse(node)))
+    want = "from scipy.linalg.lapack import dtbtrs as banded_triangular_solve"
+    assert imports == [("block_matrix.py", want)]
