@@ -14,18 +14,21 @@ Levels index the unbounded coordinate, phases the finite one; state (k, i)
 maps to flat index k*d + i.
 
 Every CLI command runs in a fresh process, so import time is part of its
-run time. numpy takes about 0.1 s to import, and scipy.linalg.lapack about
-0.2 s more, which is more than the whole `validate` or `bound` work. So the
-one scipy routine, the banded back-substitution (dtbtrs) of every stationary
-solve of a corner, is imported on the first solve. Closed classes come from
-one iterative Tarjan search on a block band (_closed_classes): it serves
-closed_classes, the slow path of stationary, which otherwise reads a
-corner's closed class off its own GTH pivots (_class_top), and the d x d
-kernels of a GI/G/1 model (_kernel_stationary, gig1._is_irreducible).
+run time. numpy takes about 0.1 s to import, and scipy.linalg about 0.2 s
+and 28 MB more, which is more than the whole `validate` or `bound` work. So
+the package needs numpy alone: the back-substitution of every stationary
+solve steps through the maps of its sweep in numpy (_solve_up), and closed
+classes come from one iterative Tarjan search on a block band
+(_closed_classes). That search serves closed_classes, the slow path of
+stationary, which otherwise reads a corner's closed class off its own GTH
+pivots (_class_top), and the d x d kernels of a GI/G/1 model
+(_kernel_stationary, gig1._is_irreducible).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -577,6 +580,7 @@ class _SharedSweep:
         self.keys_left = W.size // max(1, int(self.mask.sum()))
         self.frontiers = []  # bytes of F_p for every level p below self.level
         self.seen = {}  # frontier bytes -> the latest level that had them
+        self.repeat = None  # (j, q, end): levels j..end-1 repeat with period q
 
     def _frontier(self, level: int) -> np.ndarray:
         f = level * self.d
@@ -619,6 +623,10 @@ class _SharedSweep:
     def _tile(self, j: int, k: int, end: int):
         """Fill levels k..end-1 with copies of levels j..k-1 and set the frontier at end."""
         d, q = self.d, k - j
+        if self.repeat is None:
+            self.repeat = (j, q, end)
+        elif self.repeat[1:] == (q, k):
+            self.repeat = (self.repeat[0], q, end)
         repeat = np.arange((end - k) * d) % (q * d)
         self.pivots[k * d:end * d] = self.pivots[j * d:k * d][repeat]
         cols = self.views[1]
@@ -645,66 +653,326 @@ def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndar
     return out
 
 
-# Bottom-up back-substitution multiplies x by up to max(1, column sum / pivot)
-# per state, and pi(0) / pi(top) can leave float range: 1.5^3200 over a
-# 3200-level walk. Each chunk of the solve keeps that bound below 2^1000.
+# The back-substitution multiplies x by up to max(1, column sum / pivot) per
+# state, and pi(0) / pi(top) can leave float range: 1.5^3200 over a
+# 3200-level walk. So no product it forms may grow by more than 2^_CHUNK_BITS
+# over the feed it starts from.
 _CHUNK_BITS = 1000.0
 
-
-def dtbtrs(*args, **kwargs):
-    """scipy.linalg.lapack.dtbtrs, imported on the first solve (see the module docstring)."""
-    from scipy.linalg.lapack import dtbtrs as banded_triangular_solve
-
-    return banded_triangular_solve(*args, **kwargs)
+# Below the repeating range the levels are cut into blocks of at most this
+# many levels, each with a map composed from its base up, so a corner whose
+# sweep never repeats costs linear time, not quadratic.
+_BLOCK_LEVELS = 64
 
 
-def _solve_up(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+def _compose(lower: np.ndarray, upper: np.ndarray, lo: int) -> np.ndarray:
+    """The map of the states of `lower` and then of `upper`, fed from above upper.
+
+    The map of a range of states takes its feed, x of the lo states just above
+    the range, to x of the range's states in increasing order, followed by
+    lo identity rows that give the feed back. So upper[:lo] gives the feed of
+    the range just below upper. Every entry is non-negative.
+
+    A map grows a feed by at most its largest row sum, or 1 if that is
+    smaller; the log2 of that bound is the map's bits. Every row sum of
+    upper[:lo] is within upper's bound, so the bits of the composition are at
+    most the sum of the two.
+    """
+    return np.concatenate((lower[:len(lower) - lo] @ upper[:lo], upper))
+
+
+def _level_maps(cols: np.ndarray, pivots: np.ndarray, d: int, first: int, stop: int):
+    """Maps (see _compose) of the levels first..stop-1, one per level on its own feed, and their bits.
+
+    Each runs the recurrence of its level's d states from the top down on lo
+    unit feeds. The levels do not depend on each other, so each step of the
+    recurrence is one product for all of them.
+    """
+    lo = cols.shape[1]
+    count = stop - first
+    below = cols[first * d:stop * d].reshape(count, d, 1, lo)
+    piv = pivots[first * d:stop * d].reshape(count, d, 1)
+    piv = np.where(piv > 0.0, piv, 1.0)
+    maps = np.zeros((count, d + lo, lo))
+    maps[:, d:] = np.eye(lo)
+    for i in range(d - 1, -1, -1):
+        maps[:, i] = np.matmul(below[:, i], maps[:, i + 1:i + 1 + lo])[:, 0] / piv[:, i]
+    return maps, np.log2(np.maximum(1.0, maps[:, :d].sum(axis=2).max(axis=1, initial=0.0)))
+
+
+def _growth(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Bits by which each state can grow x over its feed: log2 max(1, column sum / pivot)."""
+    return np.log2(np.maximum(1.0, below.sum(axis=-1) / pivots))
+
+
+def _chunk_up(below: np.ndarray, pivots: np.ndarray, feed: np.ndarray) -> np.ndarray:
+    """x of states a..b-1, solved one at a time from the top, followed by the feed.
+
+    below[i] and pivots[i] belong to state a + i, and feed is x(b..b+lo-1).
+    """
+    count, lo = below.shape
+    z = np.empty(count + lo)
+    z[count:] = feed
+    for i in range(count - 1, -1, -1):
+        z[i] = below[i] @ z[i + 1:i + 1 + lo] / pivots[i]
+    return z
+
+
+class _Solution:
+    """x(0..h) of one closed class, solved from its top state h down.
+
+    x(h) = 1. The states b..h solved so far keep a power-of-two exponent
+    each, applied at the end, where what underflows is negligible against the
+    largest x. The feed x(b..b+lo-1) is held at the current exponent with its
+    largest entry in [1/2, 1), so a product grows from it by at most its
+    map's row sums.
+    """
+
+    def __init__(self, h: int, lo: int):
+        self.x = np.zeros(h + 1)
+        self.x[h] = 1.0
+        self.scale = np.zeros(h + 1, dtype=int)
+        self.feed = np.zeros(lo)
+        self.feed[:1] = 1.0
+        self.exponent = 0
+        self.b = h
+
+    def _store(self, z: np.ndarray):
+        """Take z, x of the states just below b followed by the feed, and rescale."""
+        lo = self.feed.size
+        a = self.b - (z.size - lo)
+        self.x[a:self.b] = z[:z.size - lo]
+        self.scale[a:self.b] = self.exponent
+        self.feed = z[:lo]
+        top = float(self.feed.max(initial=0.0))
+        if top > 0.0:
+            shift = math.frexp(top)[1]
+            self.feed = np.ldexp(self.feed, -shift)
+            self.exponent += shift
+        self.b = a
+
+    def apply(self, M: np.ndarray):
+        """Solve the states of the map M (see _compose) below b with one product."""
+        self._store(M @ self.feed)
+
+    def states(self, below: np.ndarray, pivots: np.ndarray):
+        """Solve the states just below b one at a time, in chunks that fit _CHUNK_BITS.
+
+        below and pivots are the rows of those states (see _upward_views). A
+        chunk takes as many states as fit, at least one (see _growth).
+        """
+        count = len(pivots)
+        if count == 0:
+            return
+        below = np.ascontiguousarray(below)
+        pivots = np.where(pivots > 0.0, pivots, 1.0)
+        bits = np.concatenate(([0.0], np.cumsum(_growth(below, pivots)[::-1])))  # bits[k]: top k states
+        k = 0
+        while k < count:
+            stop = max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
+            part = slice(count - stop, count - k)
+            self._store(_chunk_up(below[part], pivots[part], self.feed))
+            k = stop
+
+    def result(self) -> np.ndarray:
+        return np.ldexp(self.x, self.scale - self.scale.max())
+
+
+class _Descent:
+    """The back-substitution of the levels of one bottom-up sweep.
+
+    `cols` and `pivots` are the sweep's (see _upward_views). Once the sweep
+    has passed every level, `start` solves each level's own states from
+    copies of their rows taken while they held that level's reduction, and
+    `finish` the states below its fold, which are shared and final. The maps that
+    `finish` shares between levels are cached here, each built once and
+    always composed in the same order, so their bits depend on P alone:
+
+    - the map of every level swept so far, on its own feed (_level_maps);
+    - the map from the feed at a level boundary down to a base level,
+      composed level by level from the base up (`chain`);
+    - the map of 2^i whole periods of the sweep's repeating range, by
+      doubling (`periods`).
+
+    The bases are the start of the repeating range and the bases of blocks
+    cut from level 0 up: a block ends after _BLOCK_LEVELS levels, or before
+    a level whose map would take it past _CHUNK_BITS (see _compose); a level
+    whose own map does not fit is a block of its own, solved one state at a
+    time.
+    """
+
+    def __init__(self, cols: np.ndarray, pivots: np.ndarray, d: int):
+        self.cols, self.pivots, self.d = cols, pivots, d
+        self.lo = cols.shape[1]
+        self.maps = np.zeros((0, d + self.lo, self.lo))
+        self.bits = []  # bits of each level map
+        self.chains = {}  # base level -> (top level, its map)
+        self.ends = [0]  # the ends of the blocks closed so far, from level 0 up
+        self.single = set()  # the bases of the one-level blocks that do not fit
+        self.period = None  # (c, map of c periods, its bits)
+
+    def _maps_to(self, top: int):
+        if top > len(self.maps):
+            maps, bits = _level_maps(self.cols, self.pivots, self.d, len(self.maps), top)
+            self.maps = np.concatenate((self.maps, maps))
+            self.bits += bits.tolist()
+
+    def chain(self, base: int, top: int) -> np.ndarray:
+        """The map from the feed at level `top` down to level `base`."""
+        level, M = self.chains.get(base, (top + 1, None))
+        if level > top:
+            level, M = base, np.eye(self.lo)
+        self._maps_to(top)
+        for level in range(level, top):
+            M = _compose(M, self.maps[level], self.lo)
+        self.chains[base] = (top, M)
+        return M
+
+    def _close_blocks(self, top: int):
+        """Close every block that ends below level `top`, from the last end up."""
+        self._maps_to(top)
+        while self.ends[-1] < top:
+            base = end = self.ends[-1]
+            bits = 0.0
+            while end < top and end - base < _BLOCK_LEVELS and bits + self.bits[end] <= _CHUNK_BITS:
+                bits += self.bits[end]
+                end += 1
+            if end == top and end - base <= _BLOCK_LEVELS:
+                return  # the open block reaches top
+            if end == base:
+                self.single.add(base)
+                end += 1
+            self.ends.append(end)
+
+    def _down_to_zero(self, x: _Solution):
+        """Solve every state below x's level boundary, one block at a time."""
+        level = x.b // self.d
+        self._close_blocks(level)
+        while level > 0:
+            base = self.ends[bisect_left(self.ends, level) - 1]
+            if base in self.single:
+                part = slice(base * self.d, x.b)
+                x.states(self.cols[part], self.pivots[part])
+            else:
+                x.apply(self.chain(base, level))
+            level = base
+
+    def periods(self, j: int, q: int, count: int) -> tuple[int, np.ndarray]:
+        """(c, K): K maps c whole periods of q levels from base j, by doubling.
+
+        The top c' periods of K are the map of c' periods for every c' <= c,
+        and c is at least the largest power of two up to `count` that fits.
+        One period must fit.
+        """
+        if self.period is None:
+            self.period = (1, self.chain(j, j + q), sum(self.bits[j:j + q]))
+        c, K, bits = self.period
+        while 2 * c <= count and 2 * bits <= _CHUNK_BITS:
+            c, K, bits = 2 * c, _compose(K, K, self.lo), 2 * bits
+        self.period = (c, K, bits)
+        return c, K
+
+    def start(self, parts) -> list[_Solution]:
+        """Solutions of closed classes, each solved down to its level's boundary.
+
+        parts are (h, below, pivots): a class's top state h, and the rows (see
+        _upward_views) of the states from the level's boundary, or from the
+        boundary below h, up to h. Those are the level's own, and they go one
+        at a time. Where they fit _CHUNK_BITS, the parts with as many of them
+        take each step together; the others go in chunks (_Solution.states).
+        """
+        lo = self.lo
+        solutions, groups = [], {}
+        for h, below, pivots in parts:
+            x = _Solution(h, lo)
+            solutions.append(x)
+            pivots = np.where(pivots > 0.0, pivots, 1.0)
+            if _growth(below, pivots).sum() <= _CHUNK_BITS:
+                groups.setdefault(len(pivots), []).append((x, below, pivots))
+            else:
+                x.states(below, pivots)
+        for count, group in groups.items():
+            below = np.array([part for _, part, _ in group])
+            pivots = np.array([part for _, _, part in group])
+            z = np.zeros((len(group), count + max(lo, 1)))
+            z[:, count] = 1.0  # x(h); the feed above it is 0
+            for i in range(count - 1, -1, -1):
+                z[:, i] = (below[:, i] * z[:, i + 1:i + 1 + lo]).sum(axis=1) / pivots[:, i]
+            for (x, _, _), values in zip(group, z):
+                x._store(values[:count + lo])
+        return solutions
+
+    def finish(self, solutions, repeat):
+        """Solve the states below each solution's level boundary, sharing maps between them.
+
+        repeat is the sweep's (j, q, end), or None: levels j..end-1 repeat
+        with period q. A level above j + q goes down through the repeating
+        range first (_through_repeat), then every level goes down through the
+        blocks from level 0 up. The solutions go in increasing order of the
+        level they need each chain to, so no chain is composed twice.
+        """
+        if repeat is not None:
+            self._through_repeat(solutions, *repeat)
+        self._maps_to(max(x.b for x in solutions) // self.d)
+        for x in sorted(solutions, key=lambda x: x.b):
+            self._down_to_zero(x)
+
+    def _through_repeat(self, solutions, j: int, q: int, end: int):
+        """Take each solution above level j + q down to level j.
+
+        The sweep copied such a level before reaching it. It goes down to end
+        one state at a time, to the period boundary below with the map from
+        base j, then in whole periods with one product per chunk of them;
+        unless one period would leave _CHUNK_BITS.
+        """
+        d, cols, pivots = self.d, self.cols, self.pivots
+        periodic = [x for x in solutions if x.b > (j + q) * d]
+        if not periodic:
+            return
+        self._maps_to(j + q)
+        if sum(self.bits[j:j + q]) > _CHUNK_BITS:
+            return
+        for x in periodic:
+            part = slice(min(x.b, end * d), x.b)
+            x.states(cols[part], pivots[part])
+        for x in sorted(periodic, key=lambda x: (x.b // d - j) % q):
+            offset = (x.b // d - j) % q
+            if offset:
+                x.apply(self.chain(j, j + offset))
+        counts = [(x.b // d - j) // q for x in periodic]
+        c, K = self.periods(j, q, max(counts))
+        for x, left in zip(periodic, counts):
+            most = min(c, 1 << (left.bit_length() - 1))
+            while left:
+                step = min(left, most)
+                x.apply(K[(c - step) * q * d:])
+                left -= step
+
+
+def _solve_up(descent: _Descent, h: int, level: int, repeat) -> np.ndarray:
     """Unnormalised stationary vector x(0..h) of a closed class with top state h.
 
-    below[r, s] is the reduced entry (s+1+r, s) and pivots[s] the pivot of
-    state s < h after bottom-up elimination. With x(h) = 1 the class solves
-    pivot(s) x(s) = sum over r of below[r, s] x(s+1+r), a banded triangular
-    system that LAPACK's dtbtrs solves with the entries below the diagonal
-    negated. Each term it subtracts is then non-positive, so the solve stays
-    subtraction-free. No class row has an entry in the column of a state
-    off the class, so such a state gets x = 0; a zero pivot, which only such
-    a state can have, is taken as 1.
+    The states below h are reduced by the bottom-up sweep: descent.cols[s, r]
+    is the entry (s+1+r, s) and descent.pivots[s] the pivot of state s, the
+    states from `level`'s boundary up being the level's own. With x(h) = 1
+    the class solves x(s) = sum over r of cols[s, r] x(s+1+r) / pivot(s), from
+    the top down. Every term is non-negative, so the descent is
+    subtraction-free. No class row has an entry in the column of a state off
+    the class, so such a state gets x = 0; a zero pivot, which only such a
+    state can have, is taken as 1.
 
-    The solve runs in chunks from the top down, each in a power-of-two scale
-    whose exponent carries over to the next chunk, and the scales are applied
-    at the end, where what underflows is negligible against the largest x.
+    The level's own states go one at a time (_Descent.start), and the maps of
+    the sweep solve the rest (_Descent.finish; `repeat` is the sweep's). The
+    maps are anchored at positions fixed by P alone: state 0, the level
+    boundaries, and the start of the sweep's repeating range with its period
+    boundaries. So a level's x does not depend on which other levels are
+    solved. stationary runs the same two steps for all its levels at once,
+    after the sweep, on copies of each level's own rows.
     """
-    lo, h = below.shape
-    ab = np.empty((lo + 1, h), order="F")
-    ab[0] = np.where(pivots > 0.0, pivots, 1.0)
-    ab[1:] = -below
-    growth = np.log2(np.maximum(1.0, -ab[1:].sum(axis=0) / ab[0]))
-    bits = np.concatenate(([0.0], np.cumsum(growth[::-1])))  # bits[k]: top k states
-    x = np.zeros(h + 1)
-    x[h] = 1.0
-    scale = np.zeros(h + 1, dtype=int)
-    feed = np.zeros(lo)  # x(b..b+lo-1), b the lowest state solved so far
-    feed[:1] = 1.0
-    exponent = 0
-    b = h
-    while b > 0:
-        # The chunk a..b-1 takes as many states as fit in _CHUNK_BITS, at
-        # least one; its last lo states are fed by the ones solved above it.
-        k = h - b
-        a = h - max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
-        rhs = np.zeros((b - a, 1))
-        for r in range(min(lo, b - a)):
-            rhs[b - 1 - r - a] = -(ab[1 + r:, b - 1 - r] @ feed[:lo - r])
-        chunk, _ = dtbtrs(ab[:, a:b], rhs, uplo="L", trans="T")
-        x[a:b] = chunk[:, 0]
-        scale[a:b] = exponent
-        feed = np.concatenate((x[a:b], feed))[:lo]
-        if feed.any():
-            shift = int(np.frexp(feed.max())[1])
-            feed = np.ldexp(feed, -shift)
-            exponent += shift
-        b = a
-    return np.ldexp(x, scale - scale.max())
+    own = slice(min(level, h // descent.d) * descent.d, h)
+    (x,) = descent.start([(h, descent.cols[own], descent.pivots[own])])
+    descent.finish([x], repeat)
+    return x.result()
 
 
 def _left_product(rows, lower: int, x: np.ndarray) -> np.ndarray:
@@ -789,21 +1057,15 @@ def _class_top(rows, lower: int, pivots: np.ndarray) -> int:
     return int(cls[-1])
 
 
-def _level_vector(rows, lower: int, pivots, cols, deviation: float) -> BlockVector:
-    """Checked stationary vector of a square corner from its bottom-up reduction.
+def _level_vector(rows, lower: int, x: _Solution, deviation: float) -> BlockVector:
+    """Checked stationary vector of a square corner from its solved closed class x.
 
-    pivots[s] is the pivot and cols[s] the reduced column below the diagonal
-    (see _upward_views) of every state s of the corner, and `rows` are its
-    unreduced band row blocks in level order. The pivots decide the closed
-    class (_class_top); only a zero pivot below the top state sends the
-    corner to the slow path, which reads the classes off the band's graph.
-    The class is solved by _solve_up, and the residual is checked on the
-    unreduced band, whose largest |row sum - 1| is `deviation`.
+    `rows` are the corner's unreduced band row blocks in level order, and the
+    residual is checked on them; their largest |row sum - 1| is `deviation`.
     """
-    h = _class_top(rows, lower, pivots)
-    x = _solve_up(cols[:h].T, pivots[:h])
-    pi = np.zeros(pivots.size)
-    pi[:h + 1] = x / x.sum()
+    pi = np.zeros(sum(len(r) for r in rows) * rows[0].shape[2])
+    values = x.result()
+    pi[:values.size] = values / values.sum()
     return _checked(rows, lower, pi, deviation)
 
 
@@ -818,6 +1080,7 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     pivots = np.zeros(P.levels * d)
     sweep = _SharedSweep(P, W, lo, up, pivots)
     cols = sweep.views[1]
+    descent = _Descent(cols, pivots, d)
     # deviation[k]: the largest |row sum - 1| of P's levels below k
     worst = np.abs(_row_sums(P.band) - 1.0).max(axis=1)
     deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
@@ -843,15 +1106,19 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
         m = states - first
         cols[first:states][np.add.outer(np.arange(m), np.arange(lo)) >= m - 1] = 0.0
         _sweep_up(sweep.views, first, states, pivots)
-        solved[n] = _level_vector(
-            (P.band[:k], folded),
-            P.lower,
-            pivots[:states],
-            cols,
-            max(deviation[k], float(np.max(np.abs(sums - 1.0)))),
-        )
+        rows = (P.band[:k], folded)
+        h = _class_top(rows, P.lower, pivots[:states])
+        own = slice(min(k, h // d) * d, h)
+        dev = max(deviation[k], float(np.max(np.abs(sums - 1.0))))
+        solved[n] = rows, (h, cols[own].copy(), pivots[own].copy()), dev
         W[first:states + lo], pivots[first:states] = saved
-    return [solved[n] for n in levels]
+    solutions = descent.start([part for _, part, _ in solved.values()])
+    descent.finish(solutions, sweep.repeat)
+    checked = {
+        n: _level_vector(rows, P.lower, x, dev)
+        for (n, (rows, _, dev)), x in zip(solved.items(), solutions)
+    }
+    return [checked[n] for n in levels]
 
 
 def stationary(P: BlockStochasticMatrix, levels=None):
@@ -865,15 +1132,22 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     (see _SharedSweep). Each level then folds its last U+1 reduced levels in
     place, eliminates those states and puts them back afterwards: O((U+1) d)
     states of its own, with no corner of its own built. Its pivots decide its
-    closed class (see _class_top), it back-substitutes (see _solve_up), and
-    its residual is checked on the band lcb_truncate(P, n) would build: P's
-    own rows below the fold and a scratch of the folded rows, with no copy
-    of P's band. The results are bit for bit those of eliminating every
-    state. A level may be any of 1..P.levels - 1 (0 on a one-level corner);
-    within U of the top it folds P's folded rows again, as lcb_truncate(P, n)
-    does. The levels are solved from the lowest up, and the first level that
-    fails a check raises its error: with several reducible levels, the
-    lowest one names its classes.
+    closed class (see _class_top), and the reduced rows of its own states
+    are kept. Once the sweep has passed every level, those states are
+    back-substituted one at a time, all levels in one loop, and the states
+    below each level's fold with maps the levels share: whole periods of
+    the range where the sweep copied, and blocks of level maps below it (see
+    _solve_up). Each residual is checked on the
+    band lcb_truncate(P, n) would build: P's own rows below the fold and a
+    scratch of the folded rows, with no copy of P's band. The results are
+    bit for bit those of eliminating every state and back-substituting with
+    the same maps, and a level's vector depends on P and n alone, not on the
+    other levels asked for. A level may be any of 1..P.levels - 1 (0 on a
+    one-level corner); within U of the top it folds P's folded rows again, as
+    lcb_truncate(P, n) does. The closed classes are checked from the lowest
+    level up as the sweep passes them, then the residuals from the lowest
+    level up, and the first level that fails a check raises its error: with
+    several reducible levels, the lowest one names its classes.
 
     Without `levels`: the vector of P itself, stationary(P, [P.levels - 1])[0],
     in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2) memory for a

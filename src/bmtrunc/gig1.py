@@ -340,6 +340,16 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.nda
         raise ValueError("matrix must be non-negative")
     if not _is_irreducible(M > 0):
         raise ValueError("matrix is reducible; no Perron triple with positive eigenvectors")
+    return _perron(M, tol)
+
+
+def _perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.ndarray]:
+    """The eigen part of perron, for a square, non-negative, irreducible float array M.
+
+    The alpha search calls it on a_hat(z), z > 0, whose pattern is the pattern of
+    the A-sum that GIG1Model's constructor checked, so it skips perron's
+    input checks; the residual checks stay.
+    """
     eigvals, right = np.linalg.eig(M)
     idx = int(np.argmax(eigvals.real))
     delta = float(eigvals[idx].real)
@@ -438,7 +448,7 @@ def _brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: flo
 
 def _delta_slope(model: GIG1Model, z: float) -> float:
     """delta'(z) = mu(z) A'(z) v(z), the slope of the Perron eigenvalue at z."""
-    _, mu, v = perron(a_hat(model, z))
+    _, mu, v = _perron(a_hat(model, z))
     transform_slope = sum(
         (j * z ** (j - 1) * blk for j, blk in model.A.items() if j != 0),
         np.zeros((model.d, model.d)),

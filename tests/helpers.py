@@ -10,6 +10,8 @@ solves for the minimizer in closed form. full_sweep and
 full_sweep_stationary eliminate every state of the shared bottom-up sweep,
 where the library copies the range in which the sweep repeats, and
 finish each level on its own whole corner with the csgraph class check;
+lapack_solve_up back-substitutes with LAPACK's banded triangular solve,
+where the library steps through the sweep's maps in numpy;
 full_band_fold folds every level of a corner, where lcb_truncate folds only
 the top ones. axis_row_sums, axis_row_error and einsum_left_product are
 the row check and the band product in numpy's multi-axis reductions and
@@ -22,6 +24,7 @@ import math
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse import csgraph
 
 from bmtrunc import (
@@ -33,6 +36,8 @@ from bmtrunc import (
 )
 from bmtrunc.block_matrix import (
     ROW_SUM_TOLERANCE,
+    _Descent,
+    _SharedSweep,
     _checked,
     _fold_rows,
     _one_class,
@@ -187,6 +192,14 @@ def full_sweep(P: BlockStochasticMatrix):
     return W, lo, pivots
 
 
+def sweep_repeat(P: BlockStochasticMatrix):
+    """(j, q, end) of the range the shared sweep of P copies, or None."""
+    W, lo, up = _state_band(P)
+    sweep = _SharedSweep(P, W, lo, up, np.zeros(P.levels * P.d))
+    sweep.run_to(P.levels)
+    return sweep.repeat
+
+
 def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
     """stationary(P, levels) the long way, with a shared sweep over every state.
 
@@ -194,9 +207,12 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
     builds its whole corner with lcb_truncate, takes its closed class from
     the csgraph check, folds the shared sweep's reduced rows, sweeps them and
     checks the residual on that corner. No state is copied from an earlier
-    level and no class is read off the pivots.
+    level and no class is read off the pivots. Each level back-substitutes
+    with the library's descent on maps of its own, anchored where the
+    library's sweep repeats (sweep_repeat).
     """
     top, d = P.levels - 1, P.d
+    repeat = sweep_repeat(P)
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
     views = _upward_views(W, lo, up)
@@ -216,13 +232,55 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         _sweep_up(level_views, first, states, level_pivots)
         h = int(cls[-1])
         assert np.all(level_pivots[cls[:-1]] > 0.0)
-        below = np.concatenate((views[1][:min(first, h)], level_views[1][min(first, h):h])).T
+        below = np.concatenate((views[1][:min(first, h)], level_views[1][min(first, h):h]))
         pi = np.zeros(states)
-        x = _solve_up(below, level_pivots[:h])
+        x = _solve_up(_Descent(below, level_pivots[:h], d), h, max(0, n - P.upper), repeat)
         pi[:h + 1] = x / x.sum()
         deviation = np.abs(corner.band.sum(axis=(1, 3)) - 1.0).max()
         solved[n] = _checked((corner.band,), corner.lower, pi, deviation)
     return [solved[n] for n in levels]
+
+
+def lapack_solve_up(below: np.ndarray, pivots: np.ndarray, chunk_bits: float = 1000.0) -> np.ndarray:
+    """x(0..h) of a closed class from its bottom-up reduction, by LAPACK's dtbtrs.
+
+    Oracle for the library's descent (_solve_up): below[r, s] is the reduced
+    entry (s+1+r, s) and pivots[s] the pivot of state s < h, a zero pivot
+    taken as 1, and x(h) = 1. dtbtrs solves the banded triangular system
+    with the entries below the diagonal negated, so each term it subtracts is
+    non-positive. It runs in chunks from the top down that grow x by at most
+    2^chunk_bits, each in a power-of-two scale whose exponent carries over to
+    the next chunk; the scales are applied at the end.
+    """
+    lo, h = below.shape
+    ab = np.empty((lo + 1, h), order="F")
+    ab[0] = np.where(pivots > 0.0, pivots, 1.0)
+    ab[1:] = -below
+    growth = np.log2(np.maximum(1.0, -ab[1:].sum(axis=0) / ab[0]))
+    bits = np.concatenate(([0.0], np.cumsum(growth[::-1])))  # bits[k]: top k states
+    x = np.zeros(h + 1)
+    x[h] = 1.0
+    scale = np.zeros(h + 1, dtype=int)
+    feed = np.zeros(lo)  # x(b..b+lo-1), b the lowest state solved so far
+    feed[:1] = 1.0
+    exponent = 0
+    b = h
+    while b > 0:
+        k = h - b
+        a = h - max(int(np.searchsorted(bits, bits[k] + chunk_bits, side="right")) - 1, k + 1)
+        rhs = np.zeros((b - a, 1))
+        for r in range(min(lo, b - a)):
+            rhs[b - 1 - r - a] = -(ab[1 + r:, b - 1 - r] @ feed[:lo - r])
+        chunk, _ = dtbtrs(ab[:, a:b], rhs, uplo="L", trans="T")
+        x[a:b] = chunk[:, 0]
+        scale[a:b] = exponent
+        feed = np.concatenate((x[a:b], feed))[:lo]
+        if feed.any():
+            shift = int(np.frexp(feed.max())[1])
+            feed = np.ldexp(feed, -shift)
+            exponent += shift
+        b = a
+    return np.ldexp(x, scale - scale.max())
 
 
 def full_band_fold(P: BlockStochasticMatrix, n: int) -> BlockStochasticMatrix:

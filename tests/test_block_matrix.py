@@ -332,23 +332,23 @@ class TestStationarySweep:
             assert np.abs(pi.flat - stationary(lcb_truncate(P, n)).flat).max() <= 1e-15
 
     def test_chunks_shorter_than_the_band(self, monkeypatch):
-        # lo = 7 states feed each chunk; with a 2-bit budget most chunks are
-        # shorter, so their feed spans several chunks and scales.
+        # lo = 7 states feed each chunk or map; with a 2-bit budget most of
+        # them are shorter, so their feed spans several of them and scales.
         P = band_corner(2, random_band(np.random.default_rng(5), 2, 40, 3, 2), 3)
         levels = [5, 20, 39]
         want = stationary(P, levels)
-        solves = []
-        solve = block_matrix.dtbtrs
+        pieces = []
+        store = block_matrix._Solution._store
 
-        def counted(ab, *args, **kwargs):
-            solves.append(ab.shape[1])
-            return solve(ab, *args, **kwargs)
+        def counted(solution, z):
+            pieces.append(z.size - solution.feed.size)
+            return store(solution, z)
 
-        monkeypatch.setattr(block_matrix, "dtbtrs", counted)
+        monkeypatch.setattr(block_matrix._Solution, "_store", counted)
         monkeypatch.setattr(block_matrix, "_CHUNK_BITS", 2.0)
         for pi, ref in zip(stationary(P, levels), want):
             assert np.abs(pi.flat - ref.flat).max() <= 1e-14
-        assert sum(size < 7 for size in solves) > 20
+        assert sum(size < 7 for size in pieces) > 20
 
     def test_short_chunks_see_each_level_cut_at_its_top(self, monkeypatch):
         # Short chunks make the back-substitution read the column sums of

@@ -2,11 +2,10 @@
 
 The Brent port must return scipy.optimize.brentq's bits, the Tarjan search
 must give csgraph's classes in csgraph's order, the kernel solve must give
-the dense GTH oracle's bits, and a fresh process that runs `validate`,
-`bound` and `couple` on a GI/G/1 model or `validate` on a finite corner must
-not import scipy. `compare` and `stationary(P)` may then import
-scipy.linalg, but not scipy.sparse, and no other scipy module is imported
-anywhere in the package.
+the dense GTH oracle's bits, and the numpy back-substitution of the shared
+sweep must agree with LAPACK's banded triangular solve (dtbtrs). A fresh
+process that runs any command, or stationary(P), must not import scipy, and
+no module of the package imports it.
 """
 
 import ast
@@ -18,6 +17,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +26,15 @@ from scipy.optimize import brentq
 
 import bmtrunc
 from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, closed_classes, save_model
-from bmtrunc import gig1
-from bmtrunc.block_matrix import _closed_classes, _kernel_stationary
+from bmtrunc import block_matrix, gig1, lcb_truncate
+from bmtrunc.block_matrix import (
+    _Descent,
+    _class_top,
+    _closed_classes,
+    _kernel_stationary,
+    _solve_up,
+    _upward_views,
+)
 from bmtrunc.gig1 import _brentq, _delta_slope, _is_irreducible, find_alpha
 
 from helpers import (
@@ -36,10 +43,13 @@ from helpers import (
     dense,
     dense_closed_classes,
     dense_gth,
+    full_sweep,
     gig1_d2,
+    lapack_solve_up,
     mg1_d2,
     random_band,
     random_monotone_gig1,
+    sweep_repeat,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -192,6 +202,38 @@ def test_kernel_classes_match_the_csgraph_classes(pattern, seed):
     assert np.nonzero(pi)[0].tolist() == cls.tolist()
 
 
+@st.composite
+def swept_corners(draw):
+    """A random band corner, or a truncation of a random GI/G/1 model whose sweep repeats."""
+    seed = draw(seeds)
+    if draw(st.booleans()):
+        return lcb_truncate(random_monotone_gig1(seed), draw(st.integers(10, 160)))
+    d, lower, upper = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    levels = draw(st.integers(2, 40))
+    density = draw(st.sampled_from([1.0, 0.5]))
+    rng = np.random.default_rng(seed)
+    return band_corner(d, random_band(rng, d, levels, lower, upper, density), lower)
+
+
+@pytest.mark.parametrize("bits, block", [(1000.0, 64), (2.0, 64), (1000.0, 3)])
+@given(swept_corners(), st.data())
+def test_descent_matches_lapack_dtbtrs(bits, block, P, data):
+    # The descent from any level boundary, through the repeat's maps where
+    # the sweep copies and blocks of level maps below, against LAPACK's
+    # solve of the same reduced band.
+    W, lo, pivots = full_sweep(P)
+    cols = _upward_views(W, lo, P.upper * P.d + P.d - 1)[1]
+    try:
+        h = _class_top((P.band,), P.lower, pivots)
+    except MultipleClosedClassesError:
+        return
+    level = data.draw(st.integers(0, h // P.d))
+    with mock.patch.multiple(block_matrix, _CHUNK_BITS=bits, _BLOCK_LEVELS=block):
+        got = _solve_up(_Descent(cols, pivots, P.d), h, level, sweep_repeat(P))
+    want = lapack_solve_up(cols[:h].T, pivots[:h], bits)
+    np.testing.assert_allclose(got / got.sum(), want / want.sum(), rtol=1e-12, atol=1e-300)
+
+
 _COLD_RUN = """
 import contextlib, io, json, sys
 
@@ -213,13 +255,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["cold"] = scipy_modules()
     report["compare"] = main(["--model", mg1, "--command", "compare", "--n", "10,20"])
     report["compare " + gig1] = main(["--model", gig1, "--command", "compare"])
-report["warm"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+report["warm"] = scipy_modules()
 
 from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, lcb_truncate, load_model
 from bmtrunc import stationary
 
 report["corner"] = stationary(lcb_truncate(load_model(mg1), 50)).is_probability()
-report["solved"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+report["solved"] = scipy_modules()
 
 # two closed classes: only the slow path can name them
 absorbing = BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (1, 1): [[1.0]]})
@@ -231,7 +273,7 @@ for key, solve in (
         solve()
     except MultipleClosedClassesError as err:
         report[key] = err.classes
-report["slow"] = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+report["slow"] = scipy_modules()
 print(json.dumps(report))
 """
 
@@ -255,9 +297,9 @@ def cold_run(*args: str) -> dict:
 
 
 def test_gig1_cold_path_loads_no_scipy(tmp_path):
-    # validate of a reducible finite corner counts its classes with no scipy.
-    # compare and stationary(P) load scipy.linalg for dtbtrs, but no
-    # scipy.sparse, also when a reducible corner names its classes.
+    # validate of a reducible finite corner counts its classes with no scipy,
+    # and compare and stationary(P) solve with none either, also when a
+    # reducible corner names its classes.
     mg1, gig = str(tmp_path / "mg1_d2.json"), str(tmp_path / "gig1_d2.json")
     split = str(tmp_path / "split.json")
     save_model(mg1_d2(), mg1)
@@ -278,7 +320,7 @@ def test_gig1_cold_path_loads_no_scipy(tmp_path):
     assert len(report) == 7
 
 
-def test_scipy_is_imported_only_for_dtbtrs():
+def test_the_package_imports_no_scipy():
     imports = []
     for path in sorted(Path(bmtrunc.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -290,5 +332,4 @@ def test_scipy_is_imported_only_for_dtbtrs():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 imports.append((path.name, ast.unparse(node)))
-    want = "from scipy.linalg.lapack import dtbtrs as banded_triangular_solve"
-    assert imports == [("block_matrix.py", want)]
+    assert imports == []
