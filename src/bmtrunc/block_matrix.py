@@ -17,7 +17,7 @@ Every CLI command runs in a fresh process, so import time is part of its
 run time. numpy takes about 0.1 s to import, and scipy.linalg about 0.2 s
 and 28 MB more, which is more than the whole `validate` or `bound` work. So
 the package needs numpy alone: the back-substitution of every stationary
-solve steps through the maps of its sweep in numpy (_solve_up), and closed
+solve steps through the maps of its sweep in numpy (_Descent), and closed
 classes come from one iterative Tarjan search on a block band
 (_closed_classes). That search serves closed_classes, the slow path of
 stationary, which otherwise reads a corner's closed class off its own GTH
@@ -28,7 +28,6 @@ pivots (_class_top), and the d x d kernels of a GI/G/1 model
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -659,11 +658,6 @@ def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndar
 # over the feed it starts from.
 _CHUNK_BITS = 1000.0
 
-# Below the repeating range the levels are cut into blocks of at most this
-# many levels, each with a map composed from its base up, so a corner whose
-# sweep never repeats costs linear time, not quadratic.
-_BLOCK_LEVELS = 64
-
 
 def _compose(lower: np.ndarray, upper: np.ndarray, lo: int) -> np.ndarray:
     """The map of the states of `lower` and then of `upper`, fed from above upper.
@@ -676,46 +670,47 @@ def _compose(lower: np.ndarray, upper: np.ndarray, lo: int) -> np.ndarray:
     A map grows a feed by at most its largest row sum, or 1 if that is
     smaller; the log2 of that bound is the map's bits. Every row sum of
     upper[:lo] is within upper's bound, so the bits of the composition are at
-    most the sum of the two.
+    most the sum of the two. Stacks of maps compose pair by pair.
     """
-    return np.concatenate((lower[:len(lower) - lo] @ upper[:lo], upper))
+    below = np.matmul(lower[..., :lower.shape[-2] - lo, :], upper[..., :lo, :])
+    return np.concatenate((below, upper), axis=-2)
 
 
-def _level_maps(cols: np.ndarray, pivots: np.ndarray, d: int, first: int, stop: int):
-    """Maps (see _compose) of the levels first..stop-1, one per level on its own feed, and their bits.
+def _recur(below: np.ndarray, pivots: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Run the descent's recurrence on a batch of feeds, from the top down, in place.
 
-    Each runs the recurrence of its level's d states from the top down on lo
-    unit feeds. The levels do not depend on each other, so each step of the
-    recurrence is one product for all of them.
+    below (batch, count, lo) and pivots (batch, count) are the rows of count
+    states (see _upward_views), a zero pivot taken as 1 already, and
+    z (batch, count + lo, f) holds from row count on f feeds, x of the lo
+    states just above them. Each step solves x(s) = sum over r of
+    below[s, r] x(s+1+r) / pivot(s) for one state of every batch entry. The
+    rows are copied first: numpy's product can round differently on a
+    strided view, and the bits must not depend on where the rows came from.
+    """
+    count, lo = below.shape[1:]
+    rows = np.ascontiguousarray(below)[:, :, None]
+    for i in range(count - 1, -1, -1):
+        z[:, i] = np.matmul(rows[:, i], z[:, i + 1:i + 1 + lo])[:, 0] / pivots[:, i, None]
+    return z
+
+
+def _level_maps(cols: np.ndarray, pivots: np.ndarray, d: int, stop: int):
+    """Maps (see _compose) of the levels 0..stop-1, one per level on its own feed, and their bits.
+
+    Each runs the recurrence of its level's d states on lo unit feeds. The
+    levels do not depend on each other, so each step is one product for all.
     """
     lo = cols.shape[1]
-    count = stop - first
-    below = cols[first * d:stop * d].reshape(count, d, 1, lo)
-    piv = pivots[first * d:stop * d].reshape(count, d, 1)
-    piv = np.where(piv > 0.0, piv, 1.0)
-    maps = np.zeros((count, d + lo, lo))
+    piv = pivots[:stop * d].reshape(stop, d)
+    maps = np.zeros((stop, d + lo, lo))
     maps[:, d:] = np.eye(lo)
-    for i in range(d - 1, -1, -1):
-        maps[:, i] = np.matmul(below[:, i], maps[:, i + 1:i + 1 + lo])[:, 0] / piv[:, i]
+    _recur(cols[:stop * d].reshape(stop, d, lo), np.where(piv > 0.0, piv, 1.0), maps)
     return maps, np.log2(np.maximum(1.0, maps[:, :d].sum(axis=2).max(axis=1, initial=0.0)))
 
 
 def _growth(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """Bits by which each state can grow x over its feed: log2 max(1, column sum / pivot)."""
     return np.log2(np.maximum(1.0, below.sum(axis=-1) / pivots))
-
-
-def _chunk_up(below: np.ndarray, pivots: np.ndarray, feed: np.ndarray) -> np.ndarray:
-    """x of states a..b-1, solved one at a time from the top, followed by the feed.
-
-    below[i] and pivots[i] belong to state a + i, and feed is x(b..b+lo-1).
-    """
-    count, lo = below.shape
-    z = np.empty(count + lo)
-    z[count:] = feed
-    for i in range(count - 1, -1, -1):
-        z[i] = below[i] @ z[i + 1:i + 1 + lo] / pivots[i]
-    return z
 
 
 class _Solution:
@@ -761,111 +756,119 @@ class _Solution:
         below and pivots are the rows of those states (see _upward_views). A
         chunk takes as many states as fit, at least one (see _growth).
         """
-        count = len(pivots)
+        count, lo = len(pivots), self.feed.size
         if count == 0:
             return
-        below = np.ascontiguousarray(below)
         pivots = np.where(pivots > 0.0, pivots, 1.0)
         bits = np.concatenate(([0.0], np.cumsum(_growth(below, pivots)[::-1])))  # bits[k]: top k states
         k = 0
         while k < count:
             stop = max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
             part = slice(count - stop, count - k)
-            self._store(_chunk_up(below[part], pivots[part], self.feed))
+            z = np.zeros((1, stop - k + lo, 1))
+            z[0, stop - k:, 0] = self.feed
+            self._store(_recur(below[None, part], pivots[None, part], z)[0, :, 0])
             k = stop
 
     def result(self) -> np.ndarray:
         return np.ldexp(self.x, self.scale - self.scale.max())
 
 
+def _tree_nodes(base: int, top: int):
+    """(t, end) of the tree nodes (see _Descent) that tile levels base..top-1, from the top down.
+
+    Each is the highest node that ends where the last one began, inside the
+    range: at most two per height.
+    """
+    while top > base:
+        t = min((top & -top).bit_length(), (top - base).bit_length()) - 1
+        yield t, top
+        top -= 1 << t
+
+
 class _Descent:
     """The back-substitution of the levels of one bottom-up sweep.
 
-    `cols` and `pivots` are the sweep's (see _upward_views). Once the sweep
-    has passed every level, `start` solves each level's own states from
-    copies of their rows taken while they held that level's reduction, and
-    `finish` the states below its fold, which are shared and final. The maps that
-    `finish` shares between levels are cached here, each built once and
-    always composed in the same order, so their bits depend on P alone:
+    `cols` and `pivots` are the sweep's (see _upward_views): cols[s, r] is
+    the entry (s+1+r, s) and pivots[s] the pivot of state s. With x(h) = 1 at
+    the top state h of a closed class, the class solves x(s) = sum over r of
+    cols[s, r] x(s+1+r) / pivot(s), from the top down. Every term is
+    non-negative, so the descent is subtraction-free. No class row has an
+    entry in the column of a state off the class, so such a state gets
+    x = 0; a zero pivot, which only such a state can have, is taken as 1.
 
-    - the map of every level swept so far, on its own feed (_level_maps);
-    - the map from the feed at a level boundary down to a base level,
-      composed level by level from the base up (`chain`);
-    - the map of 2^i whole periods of the sweep's repeating range, by
-      doubling (`periods`).
+    Once the sweep has passed every level, `start` solves each level's own
+    states one at a time, from copies of their rows taken while they held
+    that level's reduction, and `finish` solves the states below each level's
+    fold, which are shared and final, with maps (see _compose):
 
-    The bases are the start of the repeating range and the bases of blocks
-    cut from level 0 up: a block ends after _BLOCK_LEVELS levels, or before
-    a level whose map would take it past _CHUNK_BITS (see _compose); a level
-    whose own map does not fit is a block of its own, solved one state at a
-    time.
+    - a tree of level maps: the node of height t ending at level e is the
+      map of the 2^t levels below e, for every multiple e of 2^t. A height
+      is built from the one below by composing pairs, all in one product.
+      A level goes down to level 0 with one product per binary digit of its
+      boundary (_tree_nodes); a node that would leave _CHUNK_BITS goes as
+      its two halves, and a level that would, one state at a time;
+    - where the sweep copied its repeating range, the map of 2^i whole
+      periods, by doubling (`periods`).
+
+    Every map is anchored at positions fixed by P alone: state 0, the level
+    boundaries and their binary digits, and the start of the repeating range
+    with its period boundaries. So a level's x does not depend on which
+    other levels are solved.
     """
 
     def __init__(self, cols: np.ndarray, pivots: np.ndarray, d: int):
         self.cols, self.pivots, self.d = cols, pivots, d
         self.lo = cols.shape[1]
-        self.maps = np.zeros((0, d + self.lo, self.lo))
-        self.bits = []  # bits of each level map
-        self.chains = {}  # base level -> (top level, its map)
-        self.ends = [0]  # the ends of the blocks closed so far, from level 0 up
-        self.single = set()  # the bases of the one-level blocks that do not fit
+        self.tree = [(np.zeros((0, d + self.lo, self.lo)), np.zeros(0))]  # (maps, bits) by height
         self.period = None  # (c, map of c periods, its bits)
 
-    def _maps_to(self, top: int):
-        if top > len(self.maps):
-            maps, bits = _level_maps(self.cols, self.pivots, self.d, len(self.maps), top)
-            self.maps = np.concatenate((self.maps, maps))
-            self.bits += bits.tolist()
+    def _grow(self, top: int):
+        """Build the tree over levels 0..top-1, unless it reaches that far already.
 
-    def chain(self, base: int, top: int) -> np.ndarray:
-        """The map from the feed at level `top` down to level `base`."""
-        level, M = self.chains.get(base, (top + 1, None))
-        if level > top:
-            level, M = base, np.eye(self.lo)
-        self._maps_to(top)
-        for level in range(level, top):
-            M = _compose(M, self.maps[level], self.lo)
-        self.chains[base] = (top, M)
-        return M
+        A node past _CHUNK_BITS may overflow as it is built, and so may its
+        ancestors, which are past it too; none of them is ever applied.
+        """
+        if top <= len(self.tree[0][0]):
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps, bits = _level_maps(self.cols, self.pivots, self.d, top)
+            self.tree = [(maps, bits)]
+            while len(maps) > 1:
+                pairs = len(maps) // 2 * 2
+                maps = _compose(maps[0:pairs:2], maps[1:pairs:2], self.lo)
+                bits = bits[0:pairs:2] + bits[1:pairs:2]
+                self.tree.append((maps, bits))
 
-    def _close_blocks(self, top: int):
-        """Close every block that ends below level `top`, from the last end up."""
-        self._maps_to(top)
-        while self.ends[-1] < top:
-            base = end = self.ends[-1]
-            bits = 0.0
-            while end < top and end - base < _BLOCK_LEVELS and bits + self.bits[end] <= _CHUNK_BITS:
-                bits += self.bits[end]
-                end += 1
-            if end == top and end - base <= _BLOCK_LEVELS:
-                return  # the open block reaches top
-            if end == base:
-                self.single.add(base)
-                end += 1
-            self.ends.append(end)
+    def _node(self, x: _Solution, t: int, end: int):
+        """Solve with the node of height t that ends at level `end`, or with its halves if it does not fit.
 
-    def _down_to_zero(self, x: _Solution):
-        """Solve every state below x's level boundary, one block at a time."""
-        level = x.b // self.d
-        self._close_blocks(level)
-        while level > 0:
-            base = self.ends[bisect_left(self.ends, level) - 1]
-            if base in self.single:
-                part = slice(base * self.d, x.b)
-                x.states(self.cols[part], self.pivots[part])
-            else:
-                x.apply(self.chain(base, level))
-            level = base
+        A level that does not fit goes one state at a time.
+        """
+        maps, bits = self.tree[t]
+        i = (end >> t) - 1
+        if bits[i] <= _CHUNK_BITS:
+            x.apply(maps[i])
+        elif t:
+            self._node(x, t - 1, end)
+            self._node(x, t - 1, end - (1 << (t - 1)))
+        else:
+            part = slice((end - 1) * self.d, end * self.d)
+            x.states(self.cols[part], self.pivots[part])
 
     def periods(self, j: int, q: int, count: int) -> tuple[int, np.ndarray]:
         """(c, K): K maps c whole periods of q levels from base j, by doubling.
 
         The top c' periods of K are the map of c' periods for every c' <= c,
         and c is at least the largest power of two up to `count` that fits.
-        One period must fit.
+        One period must fit, and the tree must reach j + q.
         """
         if self.period is None:
-            self.period = (1, self.chain(j, j + q), sum(self.bits[j:j + q]))
+            K = None
+            for t, end in _tree_nodes(j, j + q):
+                node = self.tree[t][0][(end >> t) - 1]
+                K = node if K is None else _compose(node, K, self.lo)
+            self.period = (1, K, float(self.tree[0][1][j:j + q].sum()))
         c, K, bits = self.period
         while 2 * c <= count and 2 * bits <= _CHUNK_BITS:
             c, K, bits = 2 * c, _compose(K, K, self.lo), 2 * bits
@@ -881,10 +884,9 @@ class _Descent:
         at a time. Where they fit _CHUNK_BITS, the parts with as many of them
         take each step together; the others go in chunks (_Solution.states).
         """
-        lo = self.lo
         solutions, groups = [], {}
         for h, below, pivots in parts:
-            x = _Solution(h, lo)
+            x = _Solution(h, self.lo)
             solutions.append(x)
             pivots = np.where(pivots > 0.0, pivots, 1.0)
             if _growth(below, pivots).sum() <= _CHUNK_BITS:
@@ -892,14 +894,12 @@ class _Descent:
             else:
                 x.states(below, pivots)
         for count, group in groups.items():
-            below = np.array([part for _, part, _ in group])
-            pivots = np.array([part for _, _, part in group])
-            z = np.zeros((len(group), count + max(lo, 1)))
-            z[:, count] = 1.0  # x(h); the feed above it is 0
-            for i in range(count - 1, -1, -1):
-                z[:, i] = (below[:, i] * z[:, i + 1:i + 1 + lo]).sum(axis=1) / pivots[:, i]
-            for (x, _, _), values in zip(group, z):
-                x._store(values[:count + lo])
+            xs, below, pivots = zip(*group)
+            z = np.zeros((len(xs), count + self.lo, 1))
+            z[:, count:, 0] = [x.feed for x in xs]
+            _recur(np.array(below), np.array(pivots), z)
+            for x, values in zip(xs, z[:, :, 0]):
+                x._store(values)
         return solutions
 
     def finish(self, solutions, repeat):
@@ -907,38 +907,36 @@ class _Descent:
 
         repeat is the sweep's (j, q, end), or None: levels j..end-1 repeat
         with period q. A level above j + q goes down through the repeating
-        range first (_through_repeat), then every level goes down through the
-        blocks from level 0 up. The solutions go in increasing order of the
-        level they need each chain to, so no chain is composed twice.
+        range first (_through_repeat); then every level goes down to level 0
+        through the tree.
         """
         if repeat is not None:
             self._through_repeat(solutions, *repeat)
-        self._maps_to(max(x.b for x in solutions) // self.d)
-        for x in sorted(solutions, key=lambda x: x.b):
-            self._down_to_zero(x)
+        self._grow(max((x.b for x in solutions), default=0) // self.d)
+        for x in solutions:
+            for t, end in _tree_nodes(0, x.b // self.d):
+                self._node(x, t, end)
 
     def _through_repeat(self, solutions, j: int, q: int, end: int):
         """Take each solution above level j + q down to level j.
 
         The sweep copied such a level before reaching it. It goes down to end
-        one state at a time, to the period boundary below with the map from
-        base j, then in whole periods with one product per chunk of them;
-        unless one period would leave _CHUNK_BITS.
+        one state at a time, to the period boundary below with the tree's
+        nodes from base j, then in whole periods with one product per chunk
+        of them; unless one period would leave _CHUNK_BITS.
         """
         d, cols, pivots = self.d, self.cols, self.pivots
         periodic = [x for x in solutions if x.b > (j + q) * d]
         if not periodic:
             return
-        self._maps_to(j + q)
-        if sum(self.bits[j:j + q]) > _CHUNK_BITS:
+        self._grow(j + q)
+        if self.tree[0][1][j:j + q].sum() > _CHUNK_BITS:
             return
         for x in periodic:
             part = slice(min(x.b, end * d), x.b)
             x.states(cols[part], pivots[part])
-        for x in sorted(periodic, key=lambda x: (x.b // d - j) % q):
-            offset = (x.b // d - j) % q
-            if offset:
-                x.apply(self.chain(j, j + offset))
+            for t, top in _tree_nodes(j, j + (x.b // d - j) % q):
+                self._node(x, t, top)
         counts = [(x.b // d - j) // q for x in periodic]
         c, K = self.periods(j, q, max(counts))
         for x, left in zip(periodic, counts):
@@ -947,32 +945,6 @@ class _Descent:
                 step = min(left, most)
                 x.apply(K[(c - step) * q * d:])
                 left -= step
-
-
-def _solve_up(descent: _Descent, h: int, level: int, repeat) -> np.ndarray:
-    """Unnormalised stationary vector x(0..h) of a closed class with top state h.
-
-    The states below h are reduced by the bottom-up sweep: descent.cols[s, r]
-    is the entry (s+1+r, s) and descent.pivots[s] the pivot of state s, the
-    states from `level`'s boundary up being the level's own. With x(h) = 1
-    the class solves x(s) = sum over r of cols[s, r] x(s+1+r) / pivot(s), from
-    the top down. Every term is non-negative, so the descent is
-    subtraction-free. No class row has an entry in the column of a state off
-    the class, so such a state gets x = 0; a zero pivot, which only such a
-    state can have, is taken as 1.
-
-    The level's own states go one at a time (_Descent.start), and the maps of
-    the sweep solve the rest (_Descent.finish; `repeat` is the sweep's). The
-    maps are anchored at positions fixed by P alone: state 0, the level
-    boundaries, and the start of the sweep's repeating range with its period
-    boundaries. So a level's x does not depend on which other levels are
-    solved. stationary runs the same two steps for all its levels at once,
-    after the sweep, on copies of each level's own rows.
-    """
-    own = slice(min(level, h // descent.d) * descent.d, h)
-    (x,) = descent.start([(h, descent.cols[own], descent.pivots[own])])
-    descent.finish([x], repeat)
-    return x.result()
 
 
 def _left_product(rows, lower: int, x: np.ndarray) -> np.ndarray:
@@ -1084,7 +1056,7 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     # deviation[k]: the largest |row sum - 1| of P's levels below k
     worst = np.abs(_row_sums(P.band) - 1.0).max(axis=1)
     deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
-    solved = {}
+    solved, failure = {}, None
     for n in sorted(set(levels)):
         # Rows below `first` reach no column level beyond n, so they are P's
         # own rows, checked by P's constructor, in every truncation at n or
@@ -1098,26 +1070,33 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
         k = sweep.level
         first, states = k * d, (n + 1) * d
         saved = W[first:states + lo].copy(), pivots[first:states].copy()
-        folded = _fold_levels(P.band, P.lower, n, k)
-        sums = _checked_row_sums(folded, d, first=k)
-        W[first:states] = _fold_rows(W[first:states], first, n, d, lo)
-        # Their columns have no entries in rows above level n; cols[first + i, r]
-        # is the entry (first + i + 1 + r, first + i).
-        m = states - first
-        cols[first:states][np.add.outer(np.arange(m), np.arange(lo)) >= m - 1] = 0.0
-        _sweep_up(sweep.views, first, states, pivots)
-        rows = (P.band[:k], folded)
-        h = _class_top(rows, P.lower, pivots[:states])
-        own = slice(min(k, h // d) * d, h)
-        dev = max(deviation[k], float(np.max(np.abs(sums - 1.0))))
-        solved[n] = rows, (h, cols[own].copy(), pivots[own].copy()), dev
-        W[first:states + lo], pivots[first:states] = saved
+        try:
+            folded = _fold_levels(P.band, P.lower, n, k)
+            sums = _checked_row_sums(folded, d, first=k)
+            W[first:states] = _fold_rows(W[first:states], first, n, d, lo)
+            # Their columns have no entries in rows above level n; cols[first + i, r]
+            # is the entry (first + i + 1 + r, first + i).
+            m = states - first
+            cols[first:states][np.add.outer(np.arange(m), np.arange(lo)) >= m - 1] = 0.0
+            _sweep_up(sweep.views, first, states, pivots)
+            rows = (P.band[:k], folded)
+            h = _class_top(rows, P.lower, pivots[:states])
+            own = slice(min(k, h // d) * d, h)
+            dev = max(deviation[k], float(np.max(np.abs(sums - 1.0))))
+            solved[n] = rows, (h, cols[own].copy(), pivots[own].copy()), dev
+        except (ValueError, StationarySolveError) as error:
+            failure = error  # raised once the levels below pass their residual checks
+            break
+        finally:
+            W[first:states + lo], pivots[first:states] = saved
     solutions = descent.start([part for _, part, _ in solved.values()])
     descent.finish(solutions, sweep.repeat)
     checked = {
         n: _level_vector(rows, P.lower, x, dev)
         for (n, (rows, _, dev)), x in zip(solved.items(), solutions)
     }
+    if failure is not None:
+        raise failure
     return [checked[n] for n in levels]
 
 
@@ -1136,22 +1115,24 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     are kept. Once the sweep has passed every level, those states are
     back-substituted one at a time, all levels in one loop, and the states
     below each level's fold with maps the levels share: whole periods of
-    the range where the sweep copied, and blocks of level maps below it (see
-    _solve_up). Each residual is checked on the
-    band lcb_truncate(P, n) would build: P's own rows below the fold and a
-    scratch of the folded rows, with no copy of P's band. The results are
-    bit for bit those of eliminating every state and back-substituting with
-    the same maps, and a level's vector depends on P and n alone, not on the
-    other levels asked for. A level may be any of 1..P.levels - 1 (0 on a
-    one-level corner); within U of the top it folds P's folded rows again, as
-    lcb_truncate(P, n) does. The closed classes are checked from the lowest
-    level up as the sweep passes them, then the residuals from the lowest
-    level up, and the first level that fails a check raises its error: with
-    several reducible levels, the lowest one names its classes.
+    the range where the sweep copied, and a tree of level maps below it (see
+    _Descent). Each residual is checked on the band lcb_truncate(P, n) would
+    build: P's own rows below the fold and a scratch of the folded rows,
+    with no copy of P's band. The results are bit for bit those of
+    eliminating every state and back-substituting with the same maps, and a
+    level's vector depends on P and n alone, not on the other levels asked
+    for. A level may be any of 1..P.levels - 1 (0 on a one-level corner);
+    within U of the top it folds P's folded rows again, as lcb_truncate(P, n)
+    does. The levels are checked from the lowest up, each as a whole: its
+    folded rows and closed class as the sweep passes it, its residual once
+    it is solved. So the first level that fails a check raises its error:
+    with several reducible levels, the lowest one names its classes.
 
     Without `levels`: the vector of P itself, stationary(P, [P.levels - 1])[0],
-    in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2) memory for a
-    corner with L block levels below and U above the diagonal.
+    in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2 log(levels))
+    memory for a corner with L block levels below and U above the diagonal;
+    the log factor is the descent's tree, which covers only the levels below
+    the repeat where the sweep repeats.
 
     Args:
         P: square, stochastic BlockStochasticMatrix (truncate first if needed).

@@ -10,6 +10,7 @@ solves for the minimizer in closed form. full_sweep and
 full_sweep_stationary eliminate every state of the shared bottom-up sweep,
 where the library copies the range in which the sweep repeats, and
 finish each level on its own whole corner with the csgraph class check;
+solve_up runs the library's descent for one level alone, and
 lapack_solve_up back-substitutes with LAPACK's banded triangular solve,
 where the library steps through the sweep's maps in numpy;
 full_band_fold folds every level of a corner, where lcb_truncate folds only
@@ -41,7 +42,6 @@ from bmtrunc.block_matrix import (
     _checked,
     _fold_rows,
     _one_class,
-    _solve_up,
     _state_band,
     _sweep_up,
     _upward_views,
@@ -234,17 +234,30 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         assert np.all(level_pivots[cls[:-1]] > 0.0)
         below = np.concatenate((views[1][:min(first, h)], level_views[1][min(first, h):h]))
         pi = np.zeros(states)
-        x = _solve_up(_Descent(below, level_pivots[:h], d), h, max(0, n - P.upper), repeat)
+        x = solve_up(_Descent(below, level_pivots[:h], d), h, max(0, n - P.upper), repeat)
         pi[:h + 1] = x / x.sum()
         deviation = np.abs(corner.band.sum(axis=(1, 3)) - 1.0).max()
         solved[n] = _checked((corner.band,), corner.lower, pi, deviation)
     return [solved[n] for n in levels]
 
 
+def solve_up(descent: _Descent, h: int, level: int, repeat) -> np.ndarray:
+    """x(0..h) of a closed class with top state h, by the library's descent of one level.
+
+    The states from `level`'s boundary up to h are the level's own, and
+    repeat is the sweep's (j, q, end) or None; stationary runs the same two
+    steps for all its levels at once.
+    """
+    own = slice(min(level, h // descent.d) * descent.d, h)
+    (x,) = descent.start([(h, descent.cols[own], descent.pivots[own])])
+    descent.finish([x], repeat)
+    return x.result()
+
+
 def lapack_solve_up(below: np.ndarray, pivots: np.ndarray, chunk_bits: float = 1000.0) -> np.ndarray:
     """x(0..h) of a closed class from its bottom-up reduction, by LAPACK's dtbtrs.
 
-    Oracle for the library's descent (_solve_up): below[r, s] is the reduced
+    Oracle for the library's descent (solve_up): below[r, s] is the reduced
     entry (s+1+r, s) and pivots[s] the pivot of state s < h, a zero pivot
     taken as 1, and x(h) = 1. dtbtrs solves the banded triangular system
     with the entries below the diagonal negated, so each term it subtracts is

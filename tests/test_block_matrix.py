@@ -430,6 +430,20 @@ class TestStationarySweep:
             stationary(P, levels)
         assert err.value.classes == [[(s, 0) for s in cls] for cls in classes]
 
+    def test_a_lower_residual_failure_comes_before_a_higher_class_error(self, monkeypatch):
+        # Each level is checked as a whole, from the lowest up: levels 1 and
+        # 3 of REDUCIBLE_A fail their residual check here, so level 5 never
+        # names its two classes, although its class is checked during the
+        # sweep, before any level is solved.
+        P = BlockStochasticMatrix.from_blocks(
+            1, {(k, l): [[p]] for k, row in self.REDUCIBLE_A.items() for l, p in row.items()}
+        )
+        monkeypatch.setattr(block_matrix, "STATIONARY_RESIDUAL_TOLERANCE", -1.0)
+        with pytest.raises(StationarySolveError, match="stationary residual"):
+            stationary(P, [1, 3, 5])
+        with pytest.raises(MultipleClosedClassesError):
+            stationary(P, [5])
+
     def test_a_zero_pivot_takes_the_slow_path(self, monkeypatch):
         # An underflowed pivot inside the class cannot pass for a class top:
         # the slow path finds the class and rejects the zero pivot.

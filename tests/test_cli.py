@@ -460,9 +460,10 @@ class TestCouple:
         # Both certificate paths (skip-free: mg1_walk, mg1_d2; boundary lift:
         # natural_walk, gig1_d2) feed validate, bound and compare. The compare
         # digests were recorded after the switch to the numpy descent through
-        # the sweep's maps, whose bound1 and measured_error differ from
-        # LAPACK's banded back-substitution in the last bits (at most 9.9e-16
-        # relative and 2.5e-16 absolute here).
+        # the sweep's maps (mg1_d2's again once a tree of level maps replaced
+        # the blocks below the repeat), whose bound1 and measured_error
+        # differ from LAPACK's banded back-substitution in the last bits (at
+        # most 9.9e-16 relative and 2.5e-16 absolute here).
         expected = {
             "natural_walk": (
                 "80581ab28f409751eeee75522ee63fd6eb6b3707959d42062fefd20945c16fc6",
@@ -477,7 +478,7 @@ class TestCouple:
             "mg1_d2": (
                 "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
                 "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
-                "bc53cc28ebc7871e03e4588d5a6b576e27d880d25540bbd299d09d6739b2b0ab",
+                "ae2786709c64434e10923745d6cee2f75cbb5166e2e3d844102ab49b6b4f108f",
             ),
             "gig1_d2": (
                 "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",

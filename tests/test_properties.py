@@ -345,14 +345,14 @@ def test_repeat_shortcut_matches_the_full_sweep_bit_for_bit(seed, top, data):
 @given(seeds, st.integers(min_value=10, max_value=200), st.data())
 def test_a_level_has_the_same_bits_whatever_else_is_solved(seed, top, data):
     # The descent anchors its maps at positions fixed by P, so a level's
-    # vector does not depend on the other levels of the call, also when the
-    # levels below the repeat are cut into many blocks.
+    # vector does not depend on the other levels of the call, also when a
+    # small bit budget splits the tree's nodes below the repeat.
     if data.draw(st.booleans()):
         P = lcb_truncate(random_monotone_gig1(seed), top)
     else:
         P = band_corner(2, random_band(make_rng(seed), 2, top // 4, 2, 1), 2)
     levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=6))
-    with mock.patch.object(block_matrix, "_BLOCK_LEVELS", data.draw(st.sampled_from([64, 3]))):
+    with mock.patch.object(block_matrix, "_CHUNK_BITS", data.draw(st.sampled_from([1000.0, 20.0]))):
         for n, pi in zip(levels, stationary(P, levels)):
             assert np.array_equal(pi.entries, stationary(P, [n])[0].entries)
 
