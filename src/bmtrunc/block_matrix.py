@@ -54,9 +54,9 @@ __all__ = [
     "transient_distribution",
 ]
 
-# Default slack for monotonicity/dominance comparisons: folded tail sums carry
-# rounding, so exact comparisons would reject valid inputs. Strict checks are
-# available by passing tol=0.
+# Slack for monotonicity/dominance comparisons and the phase-sum check: folded
+# tail sums carry rounding, so exact comparisons would reject valid inputs. The
+# ordering predicates take tol=0 for a strict check.
 CHECK_TOLERANCE = 1e-12
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -272,7 +272,8 @@ class BlockVector:
         """S[l, j] = sum over m >= l of entries[m, j]."""
         return np.flip(np.cumsum(np.flip(self.entries, axis=0), axis=0), axis=0)
 
-    def is_probability(self, tol: float = ROW_SUM_TOLERANCE) -> bool:
+    def is_probability(self) -> bool:
+        tol = ROW_SUM_TOLERANCE
         return bool(np.all(self.entries >= -tol) and abs(self.entries.sum() - 1.0) <= tol)
 
 
@@ -315,17 +316,14 @@ def _band_tails(P: BlockStochasticMatrix, levels: int, lower: int, upper: int) -
     return np.flip(np.cumsum(np.flip(frame, axis=1), axis=1), axis=1)
 
 
-def is_block_monotone(S, tol: float = CHECK_TOLERANCE) -> bool:
-    """Check block-monotonicity: block tail sums non-decreasing in the level.
+def is_block_monotone(S: BlockStochasticMatrix, tol: float = CHECK_TOLERANCE) -> bool:
+    """Check block-monotonicity of a stored corner: block tail sums non-decreasing in the level.
 
     True iff for every stored pair of consecutive row levels k, k+1 and every
     (l, i, j): sum over m >= l of s(k,i;m,j) <= the same sum at k+1, within
-    tol. GI/G/1-type model objects answer through their own method, which
-    runs this check on the boundary rows that decide (their repeating rows
-    cannot be enumerated). Stored corners are checked on their band.
+    tol. The check runs on the corner's band. A GIG1Model answers through its
+    own method, which runs it on the boundary rows that decide.
     """
-    if hasattr(S, "is_block_monotone"):
-        return S.is_block_monotone(tol)
     tails = _band_tails(S, S.levels, S.lower, S.upper)
     # column k - lower + e sits at slot e in row k and slot e - 1 in row k+1
     below = np.maximum(np.arange(tails.shape[1]) - 1, 0)
@@ -809,7 +807,7 @@ class _Descent:
       boundary (_tree_nodes); a node that would leave _CHUNK_BITS goes as
       its two halves, and a level that would, one state at a time;
     - where the sweep copied its repeating range, the map of 2^i whole
-      periods, by doubling (`periods`).
+      periods, by doubling (`_through_repeat`).
 
     Every map is anchored at positions fixed by P alone: state 0, the level
     boundaries and their binary digits, and the start of the repeating range
@@ -821,7 +819,6 @@ class _Descent:
         self.cols, self.pivots, self.d = cols, pivots, d
         self.lo = cols.shape[1]
         self.tree = [(np.zeros((0, d + self.lo, self.lo)), np.zeros(0))]  # (maps, bits) by height
-        self.period = None  # (c, map of c periods, its bits)
 
     def _grow(self, top: int):
         """Build the tree over levels 0..top-1, unless it reaches that far already.
@@ -855,25 +852,6 @@ class _Descent:
         else:
             part = slice((end - 1) * self.d, end * self.d)
             x.states(self.cols[part], self.pivots[part])
-
-    def periods(self, j: int, q: int, count: int) -> tuple[int, np.ndarray]:
-        """(c, K): K maps c whole periods of q levels from base j, by doubling.
-
-        The top c' periods of K are the map of c' periods for every c' <= c,
-        and c is at least the largest power of two up to `count` that fits.
-        One period must fit, and the tree must reach j + q.
-        """
-        if self.period is None:
-            K = None
-            for t, end in _tree_nodes(j, j + q):
-                node = self.tree[t][0][(end >> t) - 1]
-                K = node if K is None else _compose(node, K, self.lo)
-            self.period = (1, K, float(self.tree[0][1][j:j + q].sum()))
-        c, K, bits = self.period
-        while 2 * c <= count and 2 * bits <= _CHUNK_BITS:
-            c, K, bits = 2 * c, _compose(K, K, self.lo), 2 * bits
-        self.period = (c, K, bits)
-        return c, K
 
     def start(self, parts) -> list[_Solution]:
         """Solutions of closed classes, each solved down to its level's boundary.
@@ -923,14 +901,18 @@ class _Descent:
         The sweep copied such a level before reaching it. It goes down to end
         one state at a time, to the period boundary below with the tree's
         nodes from base j, then in whole periods with one product per chunk
-        of them; unless one period would leave _CHUNK_BITS.
+        of them; unless one period would leave _CHUNK_BITS. K maps c whole
+        periods, and its top c' periods map c' for every c' <= c: it doubles
+        from one period while it fits and c stays within the most periods
+        any solution crosses.
         """
         d, cols, pivots = self.d, self.cols, self.pivots
         periodic = [x for x in solutions if x.b > (j + q) * d]
         if not periodic:
             return
         self._grow(j + q)
-        if self.tree[0][1][j:j + q].sum() > _CHUNK_BITS:
+        bits = float(self.tree[0][1][j:j + q].sum())
+        if bits > _CHUNK_BITS:
             return
         for x in periodic:
             part = slice(min(x.b, end * d), x.b)
@@ -938,7 +920,12 @@ class _Descent:
             for t, top in _tree_nodes(j, j + (x.b // d - j) % q):
                 self._node(x, t, top)
         counts = [(x.b // d - j) // q for x in periodic]
-        c, K = self.periods(j, q, max(counts))
+        c, K = 1, None
+        for t, top in _tree_nodes(j, j + q):
+            node = self.tree[t][0][(top >> t) - 1]
+            K = node if K is None else _compose(node, K, self.lo)
+        while 2 * c <= max(counts) and 2 * bits <= _CHUNK_BITS:
+            c, K, bits = 2 * c, _compose(K, K, self.lo), 2 * bits
         for x, left in zip(periodic, counts):
             most = min(c, 1 << (left.bit_length() - 1))
             while left:
@@ -1179,22 +1166,22 @@ def v_norm_distance(x: BlockVector, y: BlockVector, v: BlockVector) -> float:
     return float((diff * v.entries[:levels]).sum())
 
 
-def phase_matrix(P, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
-    """Phase-marginal kernel psi(i, j) = sum over l of p(k,i;l,j), any k.
+def phase_matrix(P: BlockStochasticMatrix) -> PhaseMatrix:
+    """Phase-marginal kernel psi(i, j) = sum over l of p(k,i;l,j), any k, of a stored corner.
 
     The row phase sums of a block-monotone chain do not depend on the level;
-    this is verified across all stored levels within tol.
+    this is verified across all stored levels within CHECK_TOLERANCE. A
+    GIG1Model answers through its own method, which runs this on the
+    boundary rows that decide.
 
     Raises:
-        PhaseStructureError: phase sums vary with the level beyond tol.
+        PhaseStructureError: phase sums vary with the level beyond CHECK_TOLERANCE.
     """
-    if hasattr(P, "phase_matrix"):
-        return P.phase_matrix(tol)
     per_level = P.band.sum(axis=1)
     spread = float(np.max(np.abs(per_level - per_level[0]))) if P.levels > 1 else 0.0
-    if spread > tol:
+    if spread > CHECK_TOLERANCE:
         raise PhaseStructureError(
-            f"row phase sums vary across levels by {spread:.3e} (> {tol:g})"
+            f"row phase sums vary across levels by {spread:.3e} (> {CHECK_TOLERANCE:g})"
         )
     return PhaseMatrix(psi=per_level[0])
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block_matrix import (
+    BlockStochasticMatrix,
     BlockVector,
     _right_product,
     is_block_increasing,
@@ -170,20 +171,19 @@ class CertificateCheck:
         return self.ok
 
 
-def verify_certificate(P, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
-    """Row-by-row check of the drift inequality for cert against P.
+def verify_certificate(P: BlockStochasticMatrix, cert: DriftCertificate) -> CertificateCheck:
+    """Row-by-row check of the drift inequality for cert against a stored corner P.
 
-    Every stored row of P is checked; GI/G/1-type model objects are delegated
-    to their own analytic verifier so the repeating tail is covered in closed
-    form. A row (k, i) is violating when (Pv)(k,i) exceeds
-    gamma*v(k,i) + b*[k <= K] by more than tol*max(1, rhs).
+    Every stored row of P is checked. A row (k, i) is violating when
+    (Pv)(k,i) exceeds gamma*v(k,i) + b*[k <= K] by more than
+    VERIFY_TOLERANCE*max(1, rhs). A GIG1Model answers through its own
+    verify_drift, which runs this on its boundary rows and covers the
+    repeating tail in closed form.
 
     Returns:
         CertificateCheck (truthy iff no violations) listing violating rows
         with their slack.
     """
-    if hasattr(P, "verify_drift"):
-        return P.verify_drift(cert, tol)
     d = P.d
     if d != cert.d:
         raise ValueError("block size mismatch between matrix and certificate")
@@ -191,7 +191,7 @@ def verify_certificate(P, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE)
     lhs = _right_product(P, v_cols)
     rhs = cert.gamma * cert.values_up_to(P.levels)
     rhs[: cert.K + 1] += cert.b
-    slack = lhs - rhs - tol * np.maximum(1.0, rhs)
+    slack = lhs - rhs - VERIFY_TOLERANCE * np.maximum(1.0, rhs)
     bad = np.argwhere(slack > 0.0)
     violations = [(int(k), int(i), float(lhs[k, i] - rhs[k, i])) for k, i in bad]
     return CertificateCheck(
@@ -369,25 +369,27 @@ def compare_against_oracle(
     n_list,
     cert: DriftCertificate,
     m_max: int | None = None,
-    reference_level: int | None = None,
+    *,
+    reference_level: int,
     dominating=None,
-    convergence_tol: float = REFERENCE_CONVERGENCE_TOLERANCE,
 ) -> list[BoundReport]:
     """Measure truncation errors against a converged reference and bound them.
 
     One bottom-up sweep over the truncation at twice reference_level solves
     every requested level, the reference level and that top level (see
     stationary). The reference truncation is accepted only if its TV gap to
-    the top level's is below convergence_tol. Then for each n: measures the
-    TV distance to the reference stationary vector, picks m by minimizing
-    the sharper available bound and reports both bounds at that m.
+    the top level's is at most REFERENCE_CONVERGENCE_TOLERANCE. Then for each
+    n: measures the TV distance to the reference stationary vector, picks m
+    by minimizing the sharper available bound and reports both bounds at
+    that m.
 
     Args:
         model: chain under study (GI/G/1-type model or stored corner).
         n_list: truncation levels to evaluate.
         cert: K=0 certificate for the chain, or for a dominating chain.
         m_max: cap on the horizon m (None: certificate default).
-        reference_level: oracle truncation level, must exceed max(n_list).
+        reference_level: oracle truncation level (keyword, required), must
+            exceed max(n_list).
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
@@ -396,20 +398,20 @@ def compare_against_oracle(
 
     Raises:
         ValueError: no levels, or a reference level at or below max(n_list).
-        ReferenceNotConvergedError: oracle gap above convergence_tol.
+        ReferenceNotConvergedError: oracle gap above REFERENCE_CONVERGENCE_TOLERANCE.
         BoundViolationError: a measured error exceeded its bound.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 1:
         raise ValueError("n_list must contain levels >= 1")
-    if reference_level is None or reference_level <= max(n_list):
+    if reference_level <= max(n_list):
         raise ValueError("reference_level must exceed every requested n")
 
     top = 2 * reference_level
     corner = lcb_truncate(model, top)
     *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
     gap = tv_distance(pi_ref, pi_top)
-    if gap > convergence_tol:
+    if gap > REFERENCE_CONVERGENCE_TOLERANCE:
         raise ReferenceNotConvergedError(gap, reference_level)
     if dominating is None:
         masses = solved

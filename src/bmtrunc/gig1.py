@@ -74,6 +74,9 @@ PATH_BOUNDARY_LIFT = "boundary-lift"
 # 35, so a larger alpha would not give a usable certificate anyway.
 _ALPHA_LIMIT = 2.0 ** 30
 
+# Largest Perron eigen-residual accepted, relative to max(1, delta) * max(v).
+PERRON_TOLERANCE = 1e-12
+
 # scipy.optimize.brentq's relative tolerance and iteration limit.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -171,27 +174,27 @@ class GIG1Model:
         """
         return assemble(self, self.k_star + 1)
 
-    def is_block_monotone(self, tol: float = CHECK_TOLERANCE) -> bool:
+    def is_block_monotone(self) -> bool:
         """Block-monotonicity of the infinite chain, decided on boundary_corner."""
-        return is_block_monotone(self.boundary_corner, tol)
+        return is_block_monotone(self.boundary_corner)
 
-    def phase_matrix(self, tol: float = CHECK_TOLERANCE) -> PhaseMatrix:
+    def phase_matrix(self) -> PhaseMatrix:
         """Phase-marginal kernel of the infinite chain, checked on boundary_corner."""
-        return phase_matrix(self.boundary_corner, tol)
+        return phase_matrix(self.boundary_corner)
 
-    def mg1_pattern_mismatches(self, tol: float = 1e-12) -> list[str]:
+    def mg1_pattern_mismatches(self) -> list[str]:
         """Deviations from the skip-free-downward pattern, empty when it matches.
 
         The pattern: B(-1) = A(-1), no deeper column-0 or A-blocks, and
-        B(l) = A(l-1) for every l >= 0.
+        B(l) = A(l-1) for every l >= 0, each within CHECK_TOLERANCE.
         """
         problems = []
         if self.L_A > 1 or self.L_B > 1:
             problems.append("downward jumps deeper than one level")
-        if np.max(np.abs(self.B_block(-1) - self.A_block(-1))) > tol:
+        if np.max(np.abs(self.B_block(-1) - self.A_block(-1))) > CHECK_TOLERANCE:
             problems.append("B(-1) != A(-1)")
         for l in range(0, max(self.U_B, self.U_A + 1) + 1):
-            if np.max(np.abs(self.B_block(l) - self.A_block(l - 1))) > tol:
+            if np.max(np.abs(self.B_block(l) - self.A_block(l - 1))) > CHECK_TOLERANCE:
                 problems.append(f"B({l}) != A({l - 1})")
         return problems
 
@@ -217,7 +220,7 @@ class GIG1Model:
         band[first:] = _fold_levels(band, L, n, first)
         return BlockStochasticMatrix(d=self.d, band=band, lower=L)
 
-    def verify_drift(self, cert: DriftCertificate, tol: float = VERIFY_TOLERANCE) -> CertificateCheck:
+    def verify_drift(self, cert: DriftCertificate) -> CertificateCheck:
         """Drift-inequality check covering all infinitely many rows.
 
         Boundary rows are checked row by row on an assembled corner; the pure
@@ -230,8 +233,8 @@ class GIG1Model:
             )
         k_tail = max(self.k_star, cert.K + 1, cert.tail.start + self.L_A)
         corner = assemble(self, levels=k_tail + 1)
-        dense = verify_certificate(corner, cert, tol)
-        tail_ok, tail_violations, tail_slack = verify_tail_drift(self, cert, k_tail + 1, tol)
+        dense = verify_certificate(corner, cert)
+        tail_ok, tail_violations, tail_slack = verify_tail_drift(self, cert, k_tail + 1)
         return CertificateCheck(
             ok=dense.ok and tail_ok,
             violations=dense.violations + tail_violations,
@@ -242,7 +245,7 @@ class GIG1Model:
 
 
 def verify_tail_drift(
-    model: GIG1Model, cert: DriftCertificate, k_from: int, tol: float = VERIFY_TOLERANCE
+    model: GIG1Model, cert: DriftCertificate, k_from: int
 ) -> tuple[bool, list[tuple[int, int, float]], float]:
     """Closed-form drift check for all pure Toeplitz rows k >= k_from.
 
@@ -252,7 +255,8 @@ def verify_tail_drift(
 
     Each phase's slack is monotone in k (the alpha^k coefficient has a fixed
     sign), so checking the boundary level plus the coefficient sign decides
-    every level at once.
+    every level at once. Rows get the slack VERIFY_TOLERANCE * max(1, rhs),
+    as in verify_certificate.
 
     Returns:
         (ok, violations as (k, i, slack), slack at the first tail level).
@@ -270,14 +274,14 @@ def verify_tail_drift(
     def slack_at(k: int) -> np.ndarray:
         rhs = gamma * (alpha ** k * c + s)
         diff = alpha ** k * h + s * (1.0 - gamma)
-        return diff - tol * np.maximum(1.0, rhs)
+        return diff - VERIFY_TOLERANCE * np.maximum(1.0, rhs)
 
     violations: list[tuple[int, int, float]] = []
     first = alpha ** k_from * h + s * (1.0 - gamma)
     flagged = set(np.nonzero(slack_at(k_from) > 0.0)[0])
     # Phases whose slack grows with k will violate eventually even if the
     # first tail level passes; locate the first failing level for the report.
-    growing = set(np.nonzero(h > tol * gamma * c)[0]) - flagged
+    growing = set(np.nonzero(h > VERIFY_TOLERANCE * gamma * c)[0]) - flagged
     for i in flagged:
         violations.append((k_from, int(i), float(first[i])))
     for i in growing:
@@ -323,7 +327,7 @@ def a_hat(model: GIG1Model, z: float) -> np.ndarray:
     )
 
 
-def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.ndarray]:
+def perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron triple (delta, mu, v) of a non-negative irreducible matrix.
 
     The right eigenvector is scaled to min_i v_i = 1 (so v >= 1 everywhere)
@@ -331,7 +335,7 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.nda
 
     Raises:
         ValueError: negative entries or a reducible nonzero pattern.
-        ArithmeticError: residuals above tol (numerically degenerate input).
+        ArithmeticError: residuals above PERRON_TOLERANCE (numerically degenerate input).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -340,10 +344,10 @@ def perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.nda
         raise ValueError("matrix must be non-negative")
     if not _is_irreducible(M > 0):
         raise ValueError("matrix is reducible; no Perron triple with positive eigenvectors")
-    return _perron(M, tol)
+    return _perron(M)
 
 
-def _perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.ndarray]:
+def _perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """The eigen part of perron, for a square, non-negative, irreducible float array M.
 
     The alpha search calls it on a_hat(z), z > 0, whose pattern is the pattern of
@@ -364,9 +368,9 @@ def _perron(M: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray, np.nd
     v = v / v.min()
     mu = mu / float(mu @ v)
     scale = max(1.0, delta) * float(v.max())
-    if float(np.max(np.abs(M @ v - delta * v))) > tol * scale:
+    if float(np.max(np.abs(M @ v - delta * v))) > PERRON_TOLERANCE * scale:
         raise ArithmeticError("right eigen-residual above tolerance")
-    if float(np.max(np.abs(mu @ M - delta * mu))) > tol * scale:
+    if float(np.max(np.abs(mu @ M - delta * mu))) > PERRON_TOLERANCE * scale:
         raise ArithmeticError("left eigen-residual above tolerance")
     return delta, mu, v
 

@@ -84,6 +84,11 @@ def _expect(condition: bool, message: str):
         raise ModelSchemaError(message)
 
 
+def _json_is(x, kind) -> bool:
+    """isinstance for a parsed JSON value: json reads true and false as bool, a subclass of int."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _unique_keys(pairs: list) -> dict:
     """json object_pairs_hook that rejects a repeated key, where json keeps the last."""
     out = {}
@@ -97,7 +102,7 @@ def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
     _expect(isinstance(raw, list) and len(raw) == d, f"{where}: expected {d} rows")
     for r, row in enumerate(raw):
         _expect(
-            isinstance(row, list) and len(row) == d and all(isinstance(x, (int, float)) for x in row),
+            isinstance(row, list) and len(row) == d and all(_json_is(x, (int, float)) for x in row),
             f"{where}[{r}]: expected {d} numbers",
         )
     return np.asarray(raw, dtype=float)
@@ -136,7 +141,7 @@ def load_model(path: str):
         raise ModelSchemaError(f"not valid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "top level: expected an object")
     d = doc.get("d")
-    _expect(isinstance(d, int) and d >= 1, "d: expected a positive integer")
+    _expect(_json_is(d, int) and d >= 1, "d: expected a positive integer")
     kind = doc.get("kind")
     _expect(kind in ("finite", "gig1"), 'kind: expected "finite" or "gig1"')
     try:
@@ -148,7 +153,7 @@ def load_model(path: str):
                 _expect(isinstance(entry, dict), f"blocks[{idx}]: expected an object")
                 k, l = entry.get("k"), entry.get("l")
                 _expect(
-                    isinstance(k, int) and isinstance(l, int) and k >= 0 and l >= 0,
+                    _json_is(k, int) and _json_is(l, int) and k >= 0 and l >= 0,
                     f"blocks[{idx}]: k and l must be non-negative integers",
                 )
                 _expect(
@@ -202,13 +207,13 @@ def load_vector(path: str) -> BlockVector:
             raise ModelSchemaError(f"not valid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "top level: expected an object")
     d = doc.get("d")
-    _expect(isinstance(d, int) and d >= 1, "d: expected a positive integer")
+    _expect(_json_is(d, int) and d >= 1, "d: expected a positive integer")
     entries = doc.get("entries")
     _expect(isinstance(entries, list) and entries, "entries: expected a non-empty list")
     parsed = []
     for r, row in enumerate(entries):
         _expect(
-            isinstance(row, list) and len(row) == d and all(isinstance(x, (int, float)) for x in row),
+            isinstance(row, list) and len(row) == d and all(_json_is(x, (int, float)) for x in row),
             f"entries[{r}]: expected {d} numbers",
         )
         parsed.append(row)

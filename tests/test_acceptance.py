@@ -22,7 +22,6 @@ from bmtrunc import (
     is_block_monotone,
     lcb_truncate,
     optimize_m,
-    phase_matrix,
     run_coupled_dominance_batch,
     run_coupled_monotone_batch,
     stationary,
@@ -152,7 +151,7 @@ def test_criterion_4_phase_marginal_invariance():
     ]
     worst = 0.0
     for name, model in models:
-        varpi = phase_matrix(model).varpi
+        varpi = model.phase_matrix().varpi
         for n in (5, 20, 50):
             pi_hat = stationary(model.truncate(n))
             gap = float(np.abs(pi_hat.entries.sum(axis=0) - varpi).max())

@@ -561,7 +561,7 @@ class TestPhaseMatrix:
 
     def test_gig1_kernel_is_a_sum(self):
         model = mg1_d2()
-        got = phase_matrix(model)
+        got = model.phase_matrix()
         assert got.psi == pytest.approx(model.a_sum())
         assert got.varpi == pytest.approx([5 / 8, 3 / 8])
 

@@ -593,6 +593,21 @@ class TestExitCodes:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert "key '1' appears twice in one object" in err
 
+    def test_json_booleans_are_validation(self, capsys, tmp_path):
+        # true is an int to Python; as d it used to crash validate with a TypeError
+        path = tmp_path / "bool.json"
+        for doc, message in (
+            ({"d": True, "kind": "gig1", "gig1": {"A": {"-1": [[0.6]], "1": [[0.4]]},
+                                                "B": {"0": [[0.6]], "1": [[0.4]]}}},
+             "d: expected a positive integer"),
+            ({"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": False, "values": [[True]]}]},
+             "blocks[0]: k and l must be non-negative integers"),
+        ):
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "--model", str(path), "--command", "validate")
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert message in err
+
     def test_positive_drift_bound_is_validation(self, capsys, tmp_path):
         path = str(tmp_path / "flat.json")
         save_model(symmetric_walk(), path)

@@ -311,9 +311,9 @@ class TestBandKernel:
             assert cli.main(["--model", finite_path, "--command", command, "--n", "20"]) == 0
         _, _, cert = certificate_for_model(mg1_d2())
         assert verify_certificate(assemble(mg1_d2(), 40), cert).ok
-        assert verify_certificate(gig1_d2(), certificate_for_model(gig1_d2())[2]).ok
+        assert gig1_d2().verify_drift(certificate_for_model(gig1_d2())[2]).ok
         phase_matrix(deep)
-        phase_matrix(gig1_d2())
+        gig1_d2().phase_matrix()
         capsys.readouterr()
         assert reads == []
         shallow.values  # the hook itself counts

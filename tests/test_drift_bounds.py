@@ -18,7 +18,7 @@ from bmtrunc import (
     optimize_m,
     verify_certificate,
 )
-from bmtrunc.drift_bounds import VERIFY_TOLERANCE
+from bmtrunc.drift_bounds import REFERENCE_CONVERGENCE_TOLERANCE, VERIFY_TOLERANCE
 from bmtrunc.gig1 import assemble, certificate_for_model
 
 from helpers import (
@@ -106,14 +106,14 @@ class TestVerifyCertificate:
         assert check.violations == []
 
     def test_walk_certificate_passes_with_analytic_tail(self):
-        check = verify_certificate(natural_walk(), walk_certificate(0.98, 0.23))
+        check = natural_walk().verify_drift(walk_certificate(0.98, 0.23))
         assert check.ok
         assert check.tail_analytic
         assert check.max_slack <= 0.0
 
     def test_walk_certificate_fails_everywhere_above_boundary(self):
         # drift factor 0.9798 exceeds 0.97, so every non-boundary level slips
-        check = verify_certificate(natural_walk(), walk_certificate(0.97, 0.23))
+        check = natural_walk().verify_drift(walk_certificate(0.97, 0.23))
         assert not check.ok
         levels = {k for k, _, _ in check.violations}
         assert 0 not in levels
@@ -351,11 +351,9 @@ class TestCompareAgainstOracle:
     def test_unconverged_reference_is_reported(self):
         cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)
         with pytest.raises(ReferenceNotConvergedError) as exc:
-            compare_against_oracle(
-                natural_walk(), [5], cert, reference_level=60, convergence_tol=1e-15
-            )
-        assert exc.value.level == 60
-        assert exc.value.gap > 1e-15
+            compare_against_oracle(natural_walk(), [5], cert, reference_level=40)
+        assert exc.value.level == 40
+        assert exc.value.gap > REFERENCE_CONVERGENCE_TOLERANCE
 
     def test_bogus_certificate_trips_the_soundness_guard(self):
         bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6, 0)

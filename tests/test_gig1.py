@@ -13,7 +13,6 @@ from bmtrunc import (
     is_block_monotone,
     save_model,
     stationary,
-    verify_certificate,
 )
 from bmtrunc import gig1
 from bmtrunc.cli import EXIT_VALIDATION, main
@@ -364,7 +363,7 @@ class TestCertificates:
         for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(),
                       random_monotone_gig1()):
             _, _, cert = certificate_for_model(model)
-            check = verify_certificate(model, cert)
+            check = model.verify_drift(cert)
             assert check.ok, check.violations
             assert check.tail_analytic
 
@@ -382,7 +381,7 @@ class TestCertificates:
             BlockVector(1, [[1.0], [2.0]]), gamma=0.98, b=0.3
         )
         with pytest.raises(ValueError, match="tail"):
-            verify_certificate(natural_walk(), tailless)
+            natural_walk().verify_drift(tailless)
 
 
 class TestTruncationPipeline:

@@ -162,6 +162,23 @@ class TestModelSchemaErrors:
                 '"values": [[1.0]]}]}',
                 "key 'values' appears twice",
             ),
+            # json reads true and false as bool, a subclass of int
+            (
+                '{"d": true, "kind": "gig1", "gig1": {"A": {"-1": [[0.6]], "1": [[0.4]]}, '
+                '"B": {"0": [[0.6]], "1": [[0.4]]}}}',
+                "d: expected",
+            ),
+            (
+                '{"d": 1, "kind": "gig1", "gig1": {"A": {"-1": [[true]], "1": [[0.4]]}, '
+                '"B": {"0": [[0.6]], "1": [[0.4]]}}}',
+                "gig1.A\\[-1\\]\\[0\\]: expected 1 numbers",
+            ),
+            ('{"d": 1, "kind": "finite", "blocks": [{"k": false, "l": 0, "values": [[1.0]]}]}',
+             "blocks\\[0\\]: k and l"),
+            ('{"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": false, "values": [[1.0]]}]}',
+             "blocks\\[0\\]: k and l"),
+            ('{"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": 0, "values": [[true]]}]}',
+             "blocks\\[0\\].values\\[0\\]: expected 1 numbers"),
         ]
         for text, fragment in cases:
             with pytest.raises(ModelSchemaError, match=fragment):
@@ -201,6 +218,12 @@ class TestVectorRoundTrip:
             load_vector(str(path))
         path.write_text('{"d": 1, "entries": [[0.5]], "entries": [[1.0]]}')
         with pytest.raises(ModelSchemaError, match="key 'entries' appears twice"):
+            load_vector(str(path))
+        path.write_text('{"d": true, "entries": [[1.0]]}')
+        with pytest.raises(ModelSchemaError, match="d: expected"):
+            load_vector(str(path))
+        path.write_text('{"d": 1, "entries": [[true]]}')
+        with pytest.raises(ModelSchemaError, match="entries\\[0\\]: expected 1 numbers"):
             load_vector(str(path))
 
 
