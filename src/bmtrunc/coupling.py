@@ -22,7 +22,6 @@ the full-row CDF picks. No sampler builds the dense N x N view of a corner.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +63,9 @@ class CoupledEnsemble:
 
     Arrays are (paths, steps+1). levels_low/levels_high hold the two chains'
     levels; for the dominance coupling "low" is the dominated chain. hit_top
-    flags that some step touched the top stored level, where a truncated
-    corner distorts the infinite chain it stands in for.
+    flags that some step touched a chain's top stored level, where a
+    truncated corner distorts the infinite chain it stands in for; it is the
+    only report of that contact, and nothing is warned.
     """
 
     kind: str
@@ -195,15 +195,7 @@ def _run_pair(
     if bad.size:
         t, p = map(int, bad[0])
         raise OrderingViolationError(t, p, int(lev_low[t, p]), int(lev_high[t, p]))
-    top = max(low.levels, high.levels) - 1
     hit_top = bool(np.any(lev_low == low.levels - 1) or np.any(lev_high == high.levels - 1))
-    if hit_top:
-        warnings.warn(
-            f"a coupled path reached the top stored level {top}; the finite corner "
-            "distorts the infinite chain there",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     return CoupledEnsemble(
         kind=kind,
         seed=seed,

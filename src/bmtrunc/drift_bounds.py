@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -429,14 +429,5 @@ def compare_against_oracle(
                 f"n={n}: measured error {measured:.6e} exceeds "
                 f"certified bound {report.bound1:.6e}"
             )
-        reports.append(
-            BoundReport(
-                n=n,
-                m=m_star,
-                bound2=report.bound2,
-                bound1=report.bound1,
-                measured_error=measured,
-                reference_level=reference_level,
-            )
-        )
+        reports.append(replace(report, measured_error=measured, reference_level=reference_level))
     return reports

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bmtrunc import (
     BlockVector,
@@ -179,7 +178,6 @@ def test_criterion_5_certificate_round_trips():
                 "both construction paths verify on 200-level corners, zero violating rows")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_6_coupling_suite():
     corner = mg1_d2().truncate(30)
     mono = run_coupled_monotone_batch(corner, 0, 30, j0=0, T=1000, seed=101, paths=1000)

@@ -20,7 +20,6 @@ from bmtrunc.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
-    RunConfig,
     main,
     parse_n_spec,
 )
@@ -78,20 +77,14 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_n_spec("abc")
 
-    def test_run_config_validation(self):
-        config = RunConfig(model_path="m.json", command="bound")
-        assert config.n_values == [10, 20, 50]
-        assert config.resolved_reference_level == 400
-        with pytest.raises(ValueError, match="reference level"):
-            RunConfig(model_path="m", command="bound", n_values=[50], reference_level=50)
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(model_path="m", command="bound", format="xml")
-        with pytest.raises(ValueError, match=">= 1"):
-            RunConfig(model_path="m", command="bound", n_values=[])
-
     def test_missing_required_flags_exit_via_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["--command", "validate"])
+        for argv in (
+            ["--command", "validate"],
+            ["--model", "m.json", "--command", "bound", "--format", "xml"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestValidate:
@@ -316,10 +309,12 @@ class TestCompare:
         assert code == EXIT_OK and second == first
 
     def test_reference_level_must_clear_n(self, capsys, mg1_path):
-        code, _, err = run(capsys, "--model", mg1_path, "--command", "compare",
-                           "--n", "10,50", "--reference-level", "30")
-        assert code == EXIT_VALIDATION
-        assert "reference level" in err
+        # main checks the flag for every command, bound included.
+        for command, n in (("compare", "10,50"), ("bound", "50")):
+            code, out, err = run(capsys, "--model", mg1_path, "--command", command,
+                                 "--n", n, "--reference-level", "30")
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert "reference level" in err
 
     def test_reference_level_inside_the_top_fold_is_solved(self, capsys, tmp_path):
         # Level-0 rows reach 3 levels up, so at reference level 2 the top
@@ -418,7 +413,6 @@ class TestCompare:
 
 
 class TestCouple:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_summary_and_dumps(self, capsys, tmp_path):
         path = str(tmp_path / "mg1d2.json")
         save_model(mg1_d2(), path)
@@ -439,7 +433,6 @@ class TestCouple:
             assert lines[0] == "step,phase,level_low,level_high"
             assert len(lines) == cli.COUPLE_STEPS + 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_output_bytes_are_pinned(self, capsys, tmp_path):
         # Any change to the sampler's draws changes these digests.
         path = str(tmp_path / "mg1d2.json")
@@ -498,16 +491,20 @@ class TestCouple:
                 got.append(hashlib.sha256(out.encode()).hexdigest())
             assert tuple(got) == digests, name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_summary_only_without_out(self, capsys, tmp_path):
         path = str(tmp_path / "walk.json")
         save_model(natural_walk(), path)
-        code, out, _ = run(capsys, "--model", path, "--command", "couple", "--n", "6")
+        code, out, err = run(capsys, "--model", path, "--command", "couple", "--n", "6")
         assert code == EXIT_OK
         summary = json.loads(out)
         # the high path starts at the stored top, so contact is certain
         assert summary["monotone"]["hit_top"] is True
+        assert summary["dominance"]["hit_top"] is True
         assert not list(tmp_path.glob("*.csv"))
+        # one line per coupling with hit_top set, naming no source path
+        line = ("warning: a coupled path reached the top stored level 6; "
+                "the finite corner distorts the infinite chain there\n")
+        assert err == 2 * line
 
     def test_non_monotone_model_is_rejected(self, capsys, tmp_path):
         P, _ = dominance_pair(levels=13)
@@ -525,7 +522,6 @@ class TestCouple:
         assert cli._dominance_dump_path(".hidden") == ".hidden_dominance"
         assert cli._dominance_dump_path("run.v2/.hidden") == "run.v2/.hidden_dominance"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dumps_into_a_dotted_directory(self, capsys, tmp_path):
         path = str(tmp_path / "mg1d2.json")
         save_model(mg1_d2(), path)
@@ -634,7 +630,7 @@ class TestExitCodes:
             return path, data, dataclasses.replace(cert, gamma=cert.gamma / 2.0)
 
         monkeypatch.setattr(cli, "certificate_for_model", halved)
-        for command in ("bound", "compare"):
+        for command in ("validate", "bound", "compare"):
             code, out, err = run(capsys, "--model", mg1_path, "--command", command,
                                  "--n", "5")
             assert code == EXIT_VALIDATION
