@@ -1,14 +1,14 @@
 """Geometric drift certificates and certified truncation error bounds.
 
-A drift certificate (v, gamma, b, K) witnesses the row-wise inequality
+A drift certificate (v, gamma, b) witnesses the row-wise inequality
 
-    (P v)(k, i) <= gamma * v(k, i) + b * [k <= K]
+    (P v)(k, i) <= gamma * v(k, i) + b * [k = 0]
 
-with gamma < 1, b > 0 and a block-increasing weight vector v >= 1. For K = 0
-the certificate yields two computable upper bounds on the total-variation
-error of the level-n LCB truncation, one using the truncation's own top-level
-mass and one using 1/v(n, .) only. Certificates with K > 0 are reduced to
-K = 0 via lift_certificate before the bounds apply.
+with gamma < 1, b > 0 and a block-increasing weight vector v >= 1. It yields
+two computable upper bounds on the total-variation error of the level-n LCB
+truncation, one using the truncation's own top-level mass and one using
+1/v(n, .) only. A drift inequality whose constant covers levels 0..K is
+reduced to this form by lift_certificate.
 """
 
 from __future__ import annotations
@@ -95,26 +95,24 @@ class GeometricTail:
 
 @dataclass(frozen=True, eq=False)
 class DriftCertificate:
-    """Witness (v, gamma, b, K) of the geometric drift inequality.
+    """Witness (v, gamma, b) of the geometric drift inequality, b on level 0.
 
     v stores finitely many levels; an optional GeometricTail extends it in
     closed form so certificates remain checkable against repeating-tail
-    chains of any depth.
+    chains of any depth. tail is keyword-only, so a stray positional
+    number is refused rather than taken for a tail.
     """
 
     v: BlockVector
     gamma: float
     b: float
-    K: int = 0
-    tail: GeometricTail | None = field(default=None)
+    tail: GeometricTail | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma={self.gamma} outside (0, 1)")
         if not self.b > 0.0:
             raise ValueError("b must be positive")
-        if self.K < 0:
-            raise ValueError("K must be non-negative")
         if np.any(self.v.entries < 1.0 - 1e-12):
             raise ValueError("weight vector must satisfy v >= 1 everywhere")
         if not is_block_increasing(self.v, tol=1e-9):
@@ -161,11 +159,12 @@ class DriftCertificate:
 class CertificateCheck:
     """Outcome of a row-wise certificate verification."""
 
-    ok: bool
     violations: list[tuple[int, int, float]]
-    checked_levels: int
-    tail_analytic: bool = False
-    max_slack: float = 0.0
+    max_slack: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.ok
@@ -175,7 +174,7 @@ def verify_certificate(P: BlockStochasticMatrix, cert: DriftCertificate) -> Cert
     """Row-by-row check of the drift inequality for cert against a stored corner P.
 
     Every stored row of P is checked. A row (k, i) is violating when
-    (Pv)(k,i) exceeds gamma*v(k,i) + b*[k <= K] by more than
+    (Pv)(k,i) exceeds gamma*v(k,i) + b*[k = 0] by more than
     VERIFY_TOLERANCE*max(1, rhs). A GIG1Model answers through its own
     verify_drift, which runs this on its boundary rows and covers the
     repeating tail in closed form.
@@ -190,16 +189,11 @@ def verify_certificate(P: BlockStochasticMatrix, cert: DriftCertificate) -> Cert
     v_cols = cert.values_up_to(P.col_levels)
     lhs = _right_product(P, v_cols)
     rhs = cert.gamma * cert.values_up_to(P.levels)
-    rhs[: cert.K + 1] += cert.b
+    rhs[0] += cert.b
     slack = lhs - rhs - VERIFY_TOLERANCE * np.maximum(1.0, rhs)
     bad = np.argwhere(slack > 0.0)
     violations = [(int(k), int(i), float(lhs[k, i] - rhs[k, i])) for k, i in bad]
-    return CertificateCheck(
-        ok=not violations,
-        violations=violations,
-        checked_levels=P.levels,
-        max_slack=float(np.max(lhs - rhs)),
-    )
+    return CertificateCheck(violations, float(np.max(lhs - rhs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +209,6 @@ class BoundReport:
 
 
 def _bound_terms(cert: DriftCertificate, n: int):
-    if cert.K != 0:
-        raise ValueError("bounds need a K=0 certificate; apply lift_certificate first")
     # Once alpha^n passes float range, v(n) reads inf. Every phase weight is
     # then above the largest double, so summing 1/min(v, DBL_MAX) still bounds
     # sum 1/v(n) from above, where 1/inf = 0 would let bound2 read 0.
@@ -232,7 +224,7 @@ def bound_theorem31(
     """Both certified TV bounds for the level-n truncation at parameter m.
 
     Args:
-        cert: K=0 drift certificate for the (block-monotone) chain.
+        cert: drift certificate for the (block-monotone) chain.
         m: free coupling-horizon parameter, >= 1.
         n: truncation level.
         top_mass: optional length-d array of the truncation's stationary mass
@@ -306,11 +298,10 @@ def lift_certificate(
     vprime: BlockVector,
     gamma_prime: float,
     b_prime: float,
-    K: int,
     boundary_block: np.ndarray,
     tail: GeometricTail | None = None,
 ) -> DriftCertificate:
-    """Reduce a level-K drift certificate to an equivalent K=0 certificate.
+    """Lift a drift inequality whose constant b' covers levels 0..K to a certificate.
 
     Needs every phase of the level-K rows to reach level 0 in one step:
     boundary_block (the chain's (K; 0) block) must have positive row sums.
@@ -321,22 +312,19 @@ def lift_certificate(
         v(0) = v'(0),  v(k) = v'(k) + B for k >= 1.
 
     Args:
-        vprime: weight vector of the level-K certificate.
+        vprime: weight vector of the level-K inequality.
         gamma_prime, b_prime: its drift rate and boundary constant.
-        K: level set of the original indicator (>= 0).
         boundary_block: d x d block mapping level K to level 0.
         tail: optional closed form of vprime beyond its stored levels; the
             lifted closed form (shifted by B) is attached to the result.
 
     Returns:
-        K=0 DriftCertificate.
+        DriftCertificate with its constant on level 0.
     """
     if not 0.0 < gamma_prime < 1.0:
         raise ValueError(f"gamma_prime={gamma_prime} outside (0, 1)")
     if not b_prime > 0.0:
         raise ValueError("b_prime must be positive")
-    if K < 0:
-        raise ValueError("K must be non-negative")
     boundary_block = np.asarray(boundary_block, dtype=float)
     if boundary_block.shape != (vprime.d, vprime.d):
         raise ValueError("boundary_block must be d x d")
@@ -360,7 +348,7 @@ def lift_certificate(
             start=max(tail.start, 1),
         )
     return DriftCertificate(
-        v=BlockVector(vprime.d, entries), gamma=gamma, b=b, K=0, tail=lifted_tail
+        v=BlockVector(vprime.d, entries), gamma=gamma, b=b, tail=lifted_tail
     )
 
 
@@ -386,7 +374,7 @@ def compare_against_oracle(
     Args:
         model: chain under study (GI/G/1-type model or stored corner).
         n_list: truncation levels to evaluate.
-        cert: K=0 certificate for the chain, or for a dominating chain.
+        cert: certificate for the chain, or for a dominating chain.
         m_max: cap on the horizon m (None: certificate default).
         reference_level: oracle truncation level (keyword, required), must
             exceed max(n_list).

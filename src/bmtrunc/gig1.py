@@ -9,7 +9,7 @@ The transform of the Toeplitz part, ahat(z) = sum_k z^k A(k), has a Perron
 eigenvalue delta(z) that dips below 1 for some z = alpha > 1 exactly when the
 mean level drift is negative. The weight vector alpha^k * v(alpha) then
 satisfies a geometric drift inequality up to finitely many boundary rows,
-which a boundary lift turns into a full K=0 certificate.
+which a boundary lift turns into a certificate for every row.
 
 The module needs numpy only. The root of the delta slope comes from a port
 of scipy's brentq (_brentq below), because importing scipy.optimize costs
@@ -57,7 +57,6 @@ __all__ = [
     "find_alpha",
     "certificate_for_model",
     "assemble",
-    "verify_tail_drift",
 ]
 
 # Floor for the boundary constant so it stays strictly positive even when the
@@ -223,30 +222,25 @@ class GIG1Model:
     def verify_drift(self, cert: DriftCertificate) -> CertificateCheck:
         """Drift-inequality check covering all infinitely many rows.
 
-        Boundary rows are checked row by row on an assembled corner; the pure
-        Toeplitz tail admits a closed form (see verify_tail_drift), so the
-        check is exact for every level despite the finite corner.
+        Rows 0..k_tail are checked row by row on an assembled corner, where
+        k_tail is the first pure Toeplitz row whose weights all come from the
+        closed form; the rows above it are checked in closed form (see
+        _verify_tail_drift), so the check is exact for every level despite
+        the finite corner.
         """
         if cert.tail is None:
             raise ValueError(
                 "certificate lacks a closed-form tail; cannot cover the repeating rows"
             )
-        k_tail = max(self.k_star, cert.K + 1, cert.tail.start + self.L_A)
-        corner = assemble(self, levels=k_tail + 1)
-        dense = verify_certificate(corner, cert)
-        tail_ok, tail_violations, tail_slack = verify_tail_drift(self, cert, k_tail + 1)
+        k_tail = max(self.k_star, cert.tail.start + self.L_A)
+        dense = verify_certificate(assemble(self, levels=k_tail + 1), cert)
+        tail = _verify_tail_drift(self, cert, k_tail + 1)
         return CertificateCheck(
-            ok=dense.ok and tail_ok,
-            violations=dense.violations + tail_violations,
-            checked_levels=dense.checked_levels,
-            tail_analytic=True,
-            max_slack=max(dense.max_slack, tail_slack),
+            dense.violations + tail.violations, max(dense.max_slack, tail.max_slack)
         )
 
 
-def verify_tail_drift(
-    model: GIG1Model, cert: DriftCertificate, k_from: int
-) -> tuple[bool, list[tuple[int, int, float]], float]:
+def _verify_tail_drift(model: GIG1Model, cert: DriftCertificate, k_from: int) -> CertificateCheck:
     """Closed-form drift check for all pure Toeplitz rows k >= k_from.
 
     With v(l) = alpha^l * c + s for l >= k_from - L_A, a Toeplitz row gives
@@ -258,15 +252,12 @@ def verify_tail_drift(
     every level at once. Rows get the slack VERIFY_TOLERANCE * max(1, rhs),
     as in verify_certificate.
 
+    k_from must be at least k_star, with v in closed form from k_from - L_A on.
+
     Returns:
-        (ok, violations as (k, i, slack), slack at the first tail level).
+        CertificateCheck with violations as (k, i, slack) and the largest
+        slack at the first tail level.
     """
-    if cert.tail is None:
-        raise ValueError("analytic tail check needs a closed-form certificate vector")
-    if k_from - model.L_A < cert.tail.start:
-        raise ValueError("tail start too late for the requested first level")
-    if k_from <= max(model.k_star - 1, cert.K):
-        raise ValueError(f"rows below level {max(model.k_star, cert.K + 1)} are not pure Toeplitz")
     alpha, c, s = cert.tail.alpha, cert.tail.coeff, cert.tail.shift
     gamma = cert.gamma
     h = a_hat(model, alpha) @ c - gamma * c
@@ -290,7 +281,7 @@ def verify_tail_drift(
             k += 1
         diff = alpha ** k * h[i] + s * (1.0 - gamma)
         violations.append((int(k), int(i), float(diff)))
-    return not violations, sorted(violations), float(first.max())
+    return CertificateCheck(sorted(violations), float(first.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,10 +513,11 @@ def _row_image(model: GIG1Model, spectral: SpectralPoint, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GIG1DriftData:
-    """Spectral point at alpha and the level-K certificate's (K, gamma', b').
+    """Spectral point at alpha and the level-K inequality's (K, gamma', b').
 
-    Only the boundary lift builds a level-K certificate, with gamma' =
-    delta(alpha); on the skip-free shortcut K = 0 and gamma', b' are None.
+    Only the boundary lift builds a drift inequality whose constant covers
+    levels 0..K, with gamma' = delta(alpha); on the skip-free shortcut K = 0
+    and gamma', b' are None.
     """
 
     spectral: SpectralPoint
@@ -537,9 +529,10 @@ class GIG1DriftData:
 def certificate_for_model(
     model: GIG1Model,
 ) -> tuple[str, GIG1DriftData, DriftCertificate]:
-    """K=0 certificate via the tightest applicable path.
+    """Verified certificate via the tightest applicable path.
 
-    Returns (path label, drift data, certificate). alpha minimizes delta(z)
+    Returns (path label, drift data, certificate), the certificate only once
+    model.verify_drift has accepted every row. alpha minimizes delta(z)
     and is searched once; the geometric weights alpha^k v(alpha) satisfy the
     drift inequality with rate delta(alpha) exactly from level k_star on.
 
@@ -547,13 +540,14 @@ def certificate_for_model(
       satisfy the inequality everywhere with boundary constant
       (alpha - 1) * max_i v(alpha, i) at level 0 only.
     - Boundary lift otherwise: boundary levels 0..K (K = k_star - 1) are
-      absorbed into a constant b', and the level-K certificate is lifted to
-      K=0 through the B(-K) block, which must have positive row sums.
+      absorbed into a constant b', and that inequality is lifted to one
+      with its constant on level 0 through the B(-K) block, which must have
+      positive row sums.
 
     Raises:
         ValueError: off the skip-free pattern and not block-monotone,
-            non-negative drift, or no admissible K (some phase at level K
-            cannot reach level 0).
+            non-negative drift, no admissible K (some phase at level K
+            cannot reach level 0), or a certificate that fails verification.
     """
     skip_free = not model.mg1_pattern_mismatches()
     if not skip_free and not model.is_block_monotone():
@@ -564,22 +558,30 @@ def certificate_for_model(
     tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
     if skip_free:
         b = (alpha - 1.0) * float(point.v.max())
-        cert = DriftCertificate(v=weights, gamma=point.delta, b=b, K=0, tail=tail)
-        return PATH_SKIP_FREE, GIG1DriftData(point), cert
-    K = model.k_star - 1
-    boundary = model.B_block(-K) if K >= 1 else model.B_block(0)
-    row_reach = boundary.sum(axis=1)
-    if np.any(row_reach <= 0.0):
+        cert = DriftCertificate(v=weights, gamma=point.delta, b=b, tail=tail)
+        path, data = PATH_SKIP_FREE, GIG1DriftData(point)
+    else:
+        K = model.k_star - 1
+        boundary = model.B_block(-K) if K >= 1 else model.B_block(0)
+        row_reach = boundary.sum(axis=1)
+        if np.any(row_reach <= 0.0):
+            raise ValueError(
+                f"no admissible K: boundary block at level {K} has row sums {row_reach}, "
+                "every phase must reach level 0 directly"
+            )
+        gaps = [
+            _row_image(model, point, k) - point.delta * alpha ** k * point.v for k in range(K + 1)
+        ]
+        b_prime = max(float(np.max(np.stack(gaps))), B_PRIME_FLOOR)
+        cert = lift_certificate(weights, point.delta, b_prime, boundary, tail=tail)
+        path, data = PATH_BOUNDARY_LIFT, GIG1DriftData(point, K, point.delta, b_prime)
+    check = model.verify_drift(cert)
+    if not check:
         raise ValueError(
-            f"no admissible K: boundary block at level {K} has row sums {row_reach}, "
-            "every phase must reach level 0 directly"
+            f"certificate verification failed with {len(check.violations)} violating rows; "
+            "refusing to use an unverified certificate"
         )
-    gaps = [
-        _row_image(model, point, k) - point.delta * alpha ** k * point.v for k in range(K + 1)
-    ]
-    b_prime = max(float(np.max(np.stack(gaps))), B_PRIME_FLOOR)
-    cert = lift_certificate(weights, point.delta, b_prime, K, boundary, tail=tail)
-    return PATH_BOUNDARY_LIFT, GIG1DriftData(point, K, point.delta, b_prime), cert
+    return path, data, cert
 
 
 def assemble(model: GIG1Model, levels: int) -> BlockStochasticMatrix:

@@ -17,10 +17,13 @@ full_band_fold folds every level of a corner, where lcb_truncate folds only
 the top ones. axis_row_sums, axis_row_error and einsum_left_product are
 the row check and the band product in numpy's multi-axis reductions and
 einsum, where the library loops over the band's offset slots.
+halve_searched_delta makes the alpha search report half of delta(alpha), so
+a skip-free certificate built on it fails verification.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -618,3 +621,20 @@ def band_corner(d: int, band: np.ndarray, lower: int) -> BlockStochasticMatrix:
 def random_block_increasing(rng, d: int, levels: int) -> BlockVector:
     steps = rng.uniform(0.0, 2.0, size=(levels, d))
     return BlockVector(d, np.cumsum(steps, axis=0))
+
+
+def halve_searched_delta(monkeypatch):
+    """Patch gig1.find_alpha to return its point with delta halved.
+
+    The skip-free certificate takes delta as its gamma, and the rows above
+    level 0 hold with equality at the true delta, so every one of them fails.
+    """
+    from bmtrunc import gig1
+
+    search = gig1.find_alpha
+
+    def halved(model):
+        alpha, point = search(model)
+        return alpha, dataclasses.replace(point, delta=point.delta / 2.0)
+
+    monkeypatch.setattr(gig1, "find_alpha", halved)

@@ -1,6 +1,5 @@
 """End-to-end tests of the command line front end."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -28,6 +27,7 @@ from helpers import (
     broken_walk,
     dominance_pair,
     gig1_d2,
+    halve_searched_delta,
     mg1_d2,
     mg1_walk,
     natural_walk,
@@ -501,10 +501,29 @@ class TestCouple:
         assert summary["monotone"]["hit_top"] is True
         assert summary["dominance"]["hit_top"] is True
         assert not list(tmp_path.glob("*.csv"))
-        # one line per coupling with hit_top set, naming no source path
-        line = ("warning: a coupled path reached the top stored level 6; "
-                "the finite corner distorts the infinite chain there\n")
-        assert err == 2 * line
+        # one line per chain that touched its own top, naming no source path
+        tail = "; the finite corner distorts the infinite chain there\n"
+        assert err == (
+            "warning: monotone coupling: a path reached the top stored level 6" + tail
+            + "warning: dominance coupling, dominated chain: a path reached the top "
+            "stored level 3" + tail
+            + "warning: dominance coupling, dominating chain: a path reached the top "
+            "stored level 6" + tail
+        )
+
+    def test_warnings_name_the_chain_that_touched_its_top(self, capsys, tmp_path):
+        # the dominated chain touches its top 4, the dominating one never reaches 8
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        code, out, err = run(capsys, "--model", path, "--command", "couple", "--n", "8")
+        assert code == EXIT_OK
+        assert json.loads(out)["dominance"]["hit_top"] is True
+        tail = "; the finite corner distorts the infinite chain there\n"
+        assert err == (
+            "warning: monotone coupling: a path reached the top stored level 8" + tail
+            + "warning: dominance coupling, dominated chain: a path reached the top "
+            "stored level 4" + tail
+        )
 
     def test_non_monotone_model_is_rejected(self, capsys, tmp_path):
         P, _ = dominance_pair(levels=13)
@@ -623,13 +642,7 @@ class TestExitCodes:
             assert out == ""
 
     def test_unverified_certificate_is_validation(self, capsys, mg1_path, monkeypatch):
-        certify = cli.certificate_for_model
-
-        def halved(model):
-            path, data, cert = certify(model)
-            return path, data, dataclasses.replace(cert, gamma=cert.gamma / 2.0)
-
-        monkeypatch.setattr(cli, "certificate_for_model", halved)
+        halve_searched_delta(monkeypatch)
         for command in ("validate", "bound", "compare"):
             code, out, err = run(capsys, "--model", mg1_path, "--command", command,
                                  "--n", "5")

@@ -41,7 +41,7 @@ WALK_B = ALPHA - 1.0
 def walk_certificate(gamma: float, b: float, levels: int = 60) -> DriftCertificate:
     v = BlockVector(1, (ALPHA ** np.arange(levels))[:, None])
     tail = GeometricTail(alpha=ALPHA, coeff=[1.0])
-    return DriftCertificate(v=v, gamma=gamma, b=b, K=0, tail=tail)
+    return DriftCertificate(v=v, gamma=gamma, b=b, tail=tail)
 
 
 class TestGeometricTail:
@@ -68,8 +68,8 @@ class TestDriftCertificate:
             DriftCertificate(v, gamma=1.0, b=1.0)
         with pytest.raises(ValueError, match="b must be positive"):
             DriftCertificate(v, gamma=0.5, b=0.0)
-        with pytest.raises(ValueError, match="K"):
-            DriftCertificate(v, gamma=0.5, b=1.0, K=-1)
+        with pytest.raises(TypeError):
+            DriftCertificate(v, 0.5, 1.0, 0)  # the tail is keyword-only
 
     def test_weight_vector_constraints(self):
         with pytest.raises(ValueError, match="v >= 1"):
@@ -108,16 +108,17 @@ class TestVerifyCertificate:
     def test_walk_certificate_passes_with_analytic_tail(self):
         check = natural_walk().verify_drift(walk_certificate(0.98, 0.23))
         assert check.ok
-        assert check.tail_analytic
-        assert check.max_slack <= 0.0
+        # the tightest row is level 1, alpha (WALK_GAMMA - 0.98) below its ceiling
+        assert check.max_slack == pytest.approx(ALPHA * (WALK_GAMMA - 0.98), rel=1e-9)
 
     def test_walk_certificate_fails_everywhere_above_boundary(self):
         # drift factor 0.9798 exceeds 0.97, so every non-boundary level slips
-        check = natural_walk().verify_drift(walk_certificate(0.97, 0.23))
+        model = natural_walk()
+        check = model.verify_drift(walk_certificate(0.97, 0.23))
         assert not check.ok
         levels = {k for k, _, _ in check.violations}
-        assert 0 not in levels
-        assert levels == set(range(1, check.checked_levels + 1))
+        # rows 1..k_star on the corner, then the first closed-form level
+        assert levels == set(range(1, model.k_star + 2))
         assert all(slack > 0 for _, _, slack in check.violations)
 
     def test_dense_corner_path(self):
@@ -136,9 +137,9 @@ class TestVerifyCertificate:
             P = assemble(model, 60)
             lhs = (dense(P) @ cert.values_up_to(P.col_levels).reshape(-1)).reshape(60, P.d)
             for scale in (1.0, 0.97, 0.5):
-                low = DriftCertificate(cert.v, cert.gamma * scale, cert.b, cert.K, cert.tail)
+                low = DriftCertificate(cert.v, cert.gamma * scale, cert.b, tail=cert.tail)
                 rhs = low.gamma * low.values_up_to(60)
-                rhs[: low.K + 1] += low.b
+                rhs[0] += low.b
                 bad = np.argwhere(lhs - rhs - VERIFY_TOLERANCE * np.maximum(1.0, rhs) > 0.0)
                 check = verify_certificate(P, low)
                 assert check.ok == (bad.size == 0)
@@ -193,9 +194,6 @@ class TestBoundTheorem31:
             bound_theorem31(cert, m=0, n=1)
         with pytest.raises(ValueError, match="top_mass"):
             bound_theorem31(cert, m=1, n=1, top_mass=[-0.1])
-        lifted_needed = DriftCertificate(BlockVector(1, [[1.0], [2.0]]), 0.5, 0.5, K=1)
-        with pytest.raises(ValueError, match="K=0"):
-            bound_theorem31(lifted_needed, m=1, n=1)
 
 
 class TestOptimizeM:
@@ -266,9 +264,8 @@ class TestLiftCertificate:
     def test_pinned_arithmetic(self):
         lifted = lift_certificate(
             BlockVector(1, [[1.0], [1.0]]), gamma_prime=0.5, b_prime=1.0,
-            K=1, boundary_block=[[0.25]],
+            boundary_block=[[0.25]],
         )
-        assert lifted.K == 0
         assert lifted.gamma == pytest.approx(0.9, rel=1e-15)
         assert lifted.b == pytest.approx(5.0, rel=1e-15)
         np.testing.assert_allclose(lifted.v.entries, [[1.0], [5.0]])
@@ -276,7 +273,7 @@ class TestLiftCertificate:
     def test_sure_jump_halves_the_gap(self):
         lifted = lift_certificate(
             BlockVector(1, [[1.0]]), gamma_prime=0.6, b_prime=1.0,
-            K=0, boundary_block=[[1.0]],
+            boundary_block=[[1.0]],
         )
         assert lifted.gamma == pytest.approx(0.8, rel=1e-15)  # (gamma' + 1) / 2
         assert lifted.b == pytest.approx(2.0, rel=1e-15)
@@ -284,7 +281,7 @@ class TestLiftCertificate:
     def test_vanishing_b_prime_is_continuous(self):
         lifted = lift_certificate(
             BlockVector(1, [[1.0], [1.0]]), gamma_prime=0.5, b_prime=1e-12,
-            K=1, boundary_block=[[0.25]],
+            boundary_block=[[0.25]],
         )
         assert abs(lifted.gamma - 0.5) < 5e-12
         assert lifted.b < 1e-11
@@ -294,7 +291,7 @@ class TestLiftCertificate:
         tail = GeometricTail(alpha=2.0, coeff=[1.0], start=0)
         lifted = lift_certificate(
             BlockVector(1, [[1.0], [2.0]]), gamma_prime=0.5, b_prime=1.0,
-            K=0, boundary_block=[[0.5]], tail=tail,
+            boundary_block=[[0.5]], tail=tail,
         )
         assert lifted.tail.shift == pytest.approx(2.0)  # B = 1 / 0.5
         assert lifted.tail.start == 1
@@ -304,18 +301,18 @@ class TestLiftCertificate:
     def test_unreachable_boundary_is_rejected(self):
         with pytest.raises(ValueError, match="zero row sum"):
             lift_certificate(
-                BlockVector(2, [[1.0, 1.0]]), 0.5, 1.0, 0,
+                BlockVector(2, [[1.0, 1.0]]), 0.5, 1.0,
                 boundary_block=[[0.5, 0.5], [0.0, 0.0]],
             )
 
     def test_rejects_bad_arguments(self):
         v = BlockVector(1, [[1.0]])
         with pytest.raises(ValueError, match="gamma_prime"):
-            lift_certificate(v, 1.5, 1.0, 0, [[1.0]])
+            lift_certificate(v, 1.5, 1.0, [[1.0]])
         with pytest.raises(ValueError, match="b_prime"):
-            lift_certificate(v, 0.5, 0.0, 0, [[1.0]])
+            lift_certificate(v, 0.5, 0.0, [[1.0]])
         with pytest.raises(ValueError, match="d x d"):
-            lift_certificate(v, 0.5, 1.0, 0, [[1.0, 0.0]])
+            lift_certificate(v, 0.5, 1.0, [[1.0, 0.0]])
 
 
 class TestCompareAgainstOracle:
@@ -356,7 +353,7 @@ class TestCompareAgainstOracle:
         assert exc.value.gap > REFERENCE_CONVERGENCE_TOLERANCE
 
     def test_bogus_certificate_trips_the_soundness_guard(self):
-        bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6, 0)
+        bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6)
         with pytest.raises(BoundViolationError, match="exceeds"):
             compare_against_oracle(natural_walk(), [5], bogus, reference_level=60)
 

@@ -16,6 +16,7 @@ from bmtrunc import (
 )
 from bmtrunc import gig1
 from bmtrunc.cli import EXIT_VALIDATION, main
+from bmtrunc.drift_bounds import VERIFY_TOLERANCE
 from bmtrunc.gig1 import (
     PATH_BOUNDARY_LIFT,
     PATH_SKIP_FREE,
@@ -36,6 +37,7 @@ from helpers import (
     dense,
     full_band_fold,
     gig1_d2,
+    halve_searched_delta,
     mg1_d2,
     mg1_walk,
     natural_walk,
@@ -310,7 +312,6 @@ class TestCertificates:
         # row-0 slack 0.6 (1 - 1/alpha) is the only positive gap
         assert data.b_prime == pytest.approx(0.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
         assert _row_image(model, data.spectral, 1)[0] == pytest.approx(1.2, rel=1e-12)
-        assert cert.K == 0
         assert cert.gamma == pytest.approx(0.9829285639896449, abs=1e-9)
         assert cert.b == pytest.approx(0.29360547051563834, abs=1e-9)
         assert cert.b == pytest.approx(1.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
@@ -319,7 +320,6 @@ class TestCertificates:
         path, data, cert = certificate_for_model(mg1_walk())
         assert path == PATH_SKIP_FREE
         assert (data.K, data.gamma_prime, data.b_prime) == (0, None, None)
-        assert cert.K == 0
         assert cert.gamma == pytest.approx(WALK_DELTA, abs=1e-12)
         assert cert.b == pytest.approx(ALPHA - 1.0, abs=1e-9)
         assert cert.tail is not None
@@ -352,11 +352,11 @@ class TestCertificates:
     def test_path_selection(self):
         path, data, cert = certificate_for_model(natural_walk())
         assert path == PATH_BOUNDARY_LIFT
-        assert isinstance(data, GIG1DriftData) and cert.K == 0
+        assert isinstance(data, GIG1DriftData)
         assert data.spectral.z == cert.tail.alpha and data.gamma_prime == data.spectral.delta
         path, data, cert = certificate_for_model(mg1_walk())
         assert path == PATH_SKIP_FREE
-        assert isinstance(data, GIG1DriftData) and cert.K == 0
+        assert isinstance(data, GIG1DriftData)
         assert data.spectral.z == cert.tail.alpha and data.spectral.delta == cert.gamma
 
     def test_every_emitted_certificate_verifies(self):
@@ -365,7 +365,13 @@ class TestCertificates:
             _, _, cert = certificate_for_model(model)
             check = model.verify_drift(cert)
             assert check.ok, check.violations
-            assert check.tail_analytic
+            # skip-free rows above level 0 hold with equality, up to rounding
+            assert check.max_slack <= VERIFY_TOLERANCE
+
+    def test_unverified_certificate_is_refused(self, monkeypatch):
+        halve_searched_delta(monkeypatch)
+        with pytest.raises(ValueError, match="unverified certificate"):
+            certificate_for_model(mg1_walk())
 
     def test_certificate_weights_dominate_their_images(self):
         # w(k) <= gamma' alpha^k v + b' row-wise, the inequality the data encodes

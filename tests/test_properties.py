@@ -587,7 +587,7 @@ def test_band_level_inverse_matches_dense_inverse(seed, d, levels, lower, upper,
 
 @st.composite
 def horizon_problems(draw):
-    """A K=0 certificate with a geometric tail, a level n, m_max and top mass."""
+    """A certificate with a geometric tail, a level n, m_max and top mass."""
     d = draw(dims)
     floats = st.floats
     tail = GeometricTail(
