@@ -52,13 +52,11 @@ from .drift_bounds import (
 from .gig1 import (
     GIG1DriftData,
     GIG1Model,
-    SpectralPoint,
     assemble,
     certificate_for_model,
     find_alpha,
     mean_drift,
     perron,
-    spectral_point,
 )
 from .model_io import (
     ModelSchemaError,
@@ -91,7 +89,6 @@ __all__ = [
     "PhaseMatrix",
     "PhaseStructureError",
     "ReferenceNotConvergedError",
-    "SpectralPoint",
     "StationarySolveError",
     "assemble",
     "block_dominates",
@@ -120,7 +117,6 @@ __all__ = [
     "run_coupled_monotone_batch",
     "save_model",
     "save_vector",
-    "spectral_point",
     "stationary",
     "transient_distribution",
     "tv_distance",

@@ -95,12 +95,11 @@ def _emit(text: str, out: str | None):
 
 
 def _gig1_drift_section(model: GIG1Model, data: GIG1DriftData) -> dict:
-    point = data.spectral
     return {
-        "alpha": point.z,
-        "delta": point.delta,
-        "mu": point.mu,
-        "v": point.v,
+        "alpha": data.alpha,
+        "delta": data.delta,
+        "mu": data.mu,
+        "v": data.v,
         "k_star": model.k_star,
         "gamma_prime": data.gamma_prime,
         "b_prime": data.b_prime,

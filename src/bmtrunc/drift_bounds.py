@@ -166,9 +166,6 @@ class CertificateCheck:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_certificate(P: BlockStochasticMatrix, cert: DriftCertificate) -> CertificateCheck:
     """Row-by-row check of the drift inequality for cert against a stored corner P.

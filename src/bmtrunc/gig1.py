@@ -48,11 +48,9 @@ from .drift_bounds import (
 
 __all__ = [
     "GIG1Model",
-    "SpectralPoint",
     "GIG1DriftData",
     "a_hat",
     "perron",
-    "spectral_point",
     "mean_drift",
     "find_alpha",
     "certificate_for_model",
@@ -284,31 +282,6 @@ def _verify_tail_drift(model: GIG1Model, cert: DriftCertificate, k_from: int) ->
     return CertificateCheck(sorted(violations), float(first.max()))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralPoint:
-    """Perron data (delta, mu, v) of the A-transform at a point z > 0.
-
-    v is scaled so min_i v_i = 1 and mu so that mu . v = 1.
-    """
-
-    z: float
-    delta: float
-    mu: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "v", v)
-        if self.z <= 0 or self.delta <= 0:
-            raise ValueError("z and delta must be positive")
-        if np.any(v < 1.0 - 1e-9) or abs(v.min() - 1.0) > 1e-9:
-            raise ValueError("right eigenvector must be normalized to min 1")
-        if abs(float(mu @ v) - 1.0) > 1e-9:
-            raise ValueError("left eigenvector must satisfy mu . v = 1")
-
-
 def a_hat(model: GIG1Model, z: float) -> np.ndarray:
     """The A-transform sum_k z^k A(k) (entrywise non-negative for z > 0)."""
     if z <= 0:
@@ -364,12 +337,6 @@ def _perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     if float(np.max(np.abs(mu @ M - delta * mu))) > PERRON_TOLERANCE * scale:
         raise ArithmeticError("left eigen-residual above tolerance")
     return delta, mu, v
-
-
-def spectral_point(model: GIG1Model, z: float) -> SpectralPoint:
-    """Perron data of the A-transform at z, packaged with the point itself."""
-    delta, mu, v = perron(a_hat(model, z))
-    return SpectralPoint(z=float(z), delta=delta, mu=mu, v=v)
 
 
 def mean_drift(model: GIG1Model) -> float:
@@ -451,8 +418,10 @@ def _delta_slope(model: GIG1Model, z: float) -> float:
     return float(mu @ transform_slope @ v)
 
 
-def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
+def find_alpha(model: GIG1Model) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Growth rate alpha > 1 minimizing the Perron eigenvalue delta(z).
+
+    Returns (alpha, delta, mu, v) with the Perron triple of perron(a_hat(alpha)).
 
     log delta(e^t) is convex in t (Kingman 1961), and the slope
     delta'(z) = mu(z) A'(z) v(z) (first-order perturbation of a simple
@@ -482,14 +451,14 @@ def find_alpha(model: GIG1Model) -> tuple[float, SpectralPoint]:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
         f_hi = delta_slope(hi)
     alpha = _brentq(delta_slope, lo, hi, xtol=1e-15, fa=f_lo, fb=f_hi)
-    point = spectral_point(model, alpha)
-    if point.delta >= 1.0:
-        raise ValueError(f"refined delta({alpha:.9g}) = {point.delta:.9g} is not below 1")
-    return alpha, point
+    delta, mu, v = perron(a_hat(model, alpha))
+    if delta >= 1.0:
+        raise ValueError(f"refined delta({alpha:.9g}) = {delta:.9g} is not below 1")
+    return alpha, delta, mu, v
 
 
-def _row_image(model: GIG1Model, spectral: SpectralPoint, k: int) -> np.ndarray:
-    """Row-k image of the geometric weight vector alpha^l v(alpha), alpha = spectral.z.
+def _row_image(model: GIG1Model, alpha: float, v: np.ndarray, k: int) -> np.ndarray:
+    """Row-k image of the geometric weight vector alpha^l v.
 
     w(0) = sum_l alpha^l B(l) v;  for k >= 1,
     w(k) = B(-k) v + alpha^k * sum_{j >= 1-k} alpha^j A(j) v.
@@ -498,7 +467,6 @@ def _row_image(model: GIG1Model, spectral: SpectralPoint, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("level k must be non-negative")
-    alpha, v = spectral.z, spectral.v
     if k == 0:
         return sum(
             (alpha ** l * (blk @ v) for l, blk in model.B.items() if l >= 0),
@@ -513,17 +481,23 @@ def _row_image(model: GIG1Model, spectral: SpectralPoint, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GIG1DriftData:
-    """Spectral point at alpha and the level-K inequality's (K, gamma', b').
+    """find_alpha's (alpha, delta, mu, v) and the level-K inequality's (K, b').
 
     Only the boundary lift builds a drift inequality whose constant covers
-    levels 0..K, with gamma' = delta(alpha); on the skip-free shortcut K = 0
+    levels 0..K, with rate gamma' = delta; on the skip-free shortcut K = 0
     and gamma', b' are None.
     """
 
-    spectral: SpectralPoint
+    alpha: float
+    delta: float
+    mu: np.ndarray
+    v: np.ndarray
     K: int = 0
-    gamma_prime: float | None = None
     b_prime: float | None = None
+
+    @property
+    def gamma_prime(self) -> float | None:
+        return None if self.b_prime is None else self.delta
 
 
 def certificate_for_model(
@@ -552,31 +526,29 @@ def certificate_for_model(
     skip_free = not model.mg1_pattern_mismatches()
     if not skip_free and not model.is_block_monotone():
         raise ValueError("certificate construction needs a block-monotone model")
-    alpha, point = find_alpha(model)
-    ks = np.arange(model.k_star + 1)
-    weights = BlockVector(model.d, np.power(alpha, ks)[:, None] * point.v)
-    tail = GeometricTail(alpha=alpha, coeff=point.v, shift=0.0, start=0)
+    alpha, delta, mu, v = find_alpha(model)
+    tail = GeometricTail(alpha=alpha, coeff=v, shift=0.0, start=0)
+    weights = BlockVector(model.d, tail.values(np.arange(model.k_star + 1)))
     if skip_free:
-        b = (alpha - 1.0) * float(point.v.max())
-        cert = DriftCertificate(v=weights, gamma=point.delta, b=b, tail=tail)
-        path, data = PATH_SKIP_FREE, GIG1DriftData(point)
+        b = (alpha - 1.0) * float(v.max())
+        cert = DriftCertificate(v=weights, gamma=delta, b=b, tail=tail)
+        path, data = PATH_SKIP_FREE, GIG1DriftData(alpha, delta, mu, v)
     else:
+        # K >= 1: find_alpha has refused any model without a downward A-block
         K = model.k_star - 1
-        boundary = model.B_block(-K) if K >= 1 else model.B_block(0)
+        boundary = model.B_block(-K)
         row_reach = boundary.sum(axis=1)
         if np.any(row_reach <= 0.0):
             raise ValueError(
                 f"no admissible K: boundary block at level {K} has row sums {row_reach}, "
                 "every phase must reach level 0 directly"
             )
-        gaps = [
-            _row_image(model, point, k) - point.delta * alpha ** k * point.v for k in range(K + 1)
-        ]
+        gaps = [_row_image(model, alpha, v, k) - delta * alpha ** k * v for k in range(K + 1)]
         b_prime = max(float(np.max(np.stack(gaps))), B_PRIME_FLOOR)
-        cert = lift_certificate(weights, point.delta, b_prime, boundary, tail=tail)
-        path, data = PATH_BOUNDARY_LIFT, GIG1DriftData(point, K, point.delta, b_prime)
+        cert = lift_certificate(weights, delta, b_prime, boundary, tail=tail)
+        path, data = PATH_BOUNDARY_LIFT, GIG1DriftData(alpha, delta, mu, v, K, b_prime)
     check = model.verify_drift(cert)
-    if not check:
+    if not check.ok:
         raise ValueError(
             f"certificate verification failed with {len(check.violations)} violating rows; "
             "refusing to use an unverified certificate"

@@ -23,7 +23,6 @@ a skip-free certificate built on it fails verification.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -624,7 +623,7 @@ def random_block_increasing(rng, d: int, levels: int) -> BlockVector:
 
 
 def halve_searched_delta(monkeypatch):
-    """Patch gig1.find_alpha to return its point with delta halved.
+    """Patch gig1.find_alpha to return its Perron triple with delta halved.
 
     The skip-free certificate takes delta as its gamma, and the rows above
     level 0 hold with equality at the true delta, so every one of them fails.
@@ -634,7 +633,7 @@ def halve_searched_delta(monkeypatch):
     search = gig1.find_alpha
 
     def halved(model):
-        alpha, point = search(model)
-        return alpha, dataclasses.replace(point, delta=point.delta / 2.0)
+        alpha, delta, mu, v = search(model)
+        return alpha, delta / 2.0, mu, v
 
     monkeypatch.setattr(gig1, "find_alpha", halved)

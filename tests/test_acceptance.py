@@ -77,9 +77,9 @@ def test_criterion_1_soundness_sweep():
 
 def test_criterion_2_worked_example_certificate():
     model = mg1_walk()
-    alpha, point = find_alpha(model)
+    alpha, delta, _, _ = find_alpha(model)
     assert abs(alpha - math.sqrt(1.5)) <= 1e-9
-    assert abs(point.delta - 0.979796) <= 1e-6
+    assert abs(delta - 0.979796) <= 1e-6
     path, _, cert = certificate_for_model(model)
     assert path == PATH_SKIP_FREE
     assert abs(cert.gamma - 0.979796) <= 1e-6
@@ -87,7 +87,7 @@ def test_criterion_2_worked_example_certificate():
     reports = compare_against_oracle(model, [50], cert, m_max=2000, reference_level=400)
     assert reports[0].measured_error <= 1e-6
     report_line(True, "criterion 2 worked example",
-                f"alpha={alpha:.12f}, delta={point.delta:.6f}, "
+                f"alpha={alpha:.12f}, delta={delta:.6f}, "
                 f"(gamma, b)=({cert.gamma:.6f}, {cert.b:.6f}), "
                 f"measured@n=50 {reports[0].measured_error:.2e}")
 

@@ -148,8 +148,7 @@ class TestValidate:
         code, out, _ = run(capsys, "--model", mg1_path, "--command", "validate")
         assert code == EXIT_OK
         assert len(calls) == 1
-        _, point = search(mg1_walk())
-        assert json.loads(out)["drift"]["alpha"] == point.z
+        assert json.loads(out)["drift"]["alpha"] == search(mg1_walk())[0]
 
     def test_zero_drift_has_no_certificate(self, capsys, tmp_path):
         path = str(tmp_path / "flat.json")

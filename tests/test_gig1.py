@@ -28,7 +28,6 @@ from bmtrunc.gig1 import (
     find_alpha,
     mean_drift,
     perron,
-    spectral_point,
 )
 
 from helpers import (
@@ -191,19 +190,19 @@ class TestSpectral:
     def test_spectral_residuals_tiny(self):
         for model in (mg1_d2(), gig1_d2(), random_monotone_gig1()):
             for z in (1.1, 1.4):
-                point = spectral_point(model, z)
                 M = a_hat(model, z)
-                scale = max(1.0, point.delta) * point.v.max()
-                assert np.max(np.abs(M @ point.v - point.delta * point.v)) <= 1e-12 * scale
-                assert np.max(np.abs(point.mu @ M - point.delta * point.mu)) <= 1e-12 * scale
+                delta, mu, v = perron(M)
+                scale = max(1.0, delta) * v.max()
+                assert np.max(np.abs(M @ v - delta * v)) <= 1e-12 * scale
+                assert np.max(np.abs(mu @ M - delta * mu)) <= 1e-12 * scale
 
     def test_unit_argument_recovers_phase_structure(self):
         # at z=1 the transform is the phase kernel: delta=1, v=e, mu=varpi
         for model in (mg1_d2(), gig1_d2()):
-            point = spectral_point(model, 1.0)
-            assert point.delta == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(point.v, np.ones(2), atol=1e-10)
-            np.testing.assert_allclose(point.mu, model.phase_matrix().varpi, atol=1e-10)
+            delta, mu, v = perron(a_hat(model, 1.0))
+            assert delta == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(v, np.ones(2), atol=1e-10)
+            np.testing.assert_allclose(mu, model.phase_matrix().varpi, atol=1e-10)
 
     def test_mean_drift_pinned(self):
         assert mean_drift(natural_walk()) == pytest.approx(-0.2, rel=1e-12)
@@ -221,10 +220,10 @@ class TestSpectral:
 class TestFindAlpha:
     def test_walk_minimizer_pinned(self):
         for model in (natural_walk(), mg1_walk()):
-            alpha, point = find_alpha(model)
+            alpha, delta, _, _ = find_alpha(model)
             assert alpha == pytest.approx(ALPHA, abs=1e-9)
-            assert point.delta == pytest.approx(WALK_DELTA, abs=1e-12)
-            assert point.delta < 1.0
+            assert delta == pytest.approx(WALK_DELTA, abs=1e-12)
+            assert delta < 1.0
 
     def test_zero_drift_is_rejected(self):
         with pytest.raises(ValueError, match="not negative"):
@@ -238,9 +237,9 @@ class TestFindAlpha:
             A={-1: [[1.0 - up]], 1: [[up]]},
             B={-1: [[1.0 - up]], 0: [[1.0 - up]], 2: [[up]]},
         )
-        alpha, point = find_alpha(model)
+        alpha, delta, _, _ = find_alpha(model)
         assert alpha == pytest.approx(math.sqrt(999.0), rel=1e-9)
-        assert point.delta == pytest.approx(2.0 * math.sqrt(0.999 * 0.001), abs=1e-12)
+        assert delta == pytest.approx(2.0 * math.sqrt(0.999 * 0.001), abs=1e-12)
 
     @pytest.mark.parametrize("model", [falling_phase_pair(), no_upward_walk()])
     def test_no_finite_minimiser_is_rejected(self, model, tmp_path, capsys):
@@ -253,13 +252,15 @@ class TestFindAlpha:
         assert "no finite minimiser" in capsys.readouterr().err
 
     def test_search_uses_few_perron_calls(self, monkeypatch):
+        # the eigen part runs once per slope evaluation and once more under perron at alpha
         calls = []
+        eigen = gig1._perron
 
-        def counted(M, *args, **kwargs):
+        def counted(M):
             calls.append(1)
-            return perron(M, *args, **kwargs)
+            return eigen(M)
 
-        monkeypatch.setattr(gig1, "perron", counted)
+        monkeypatch.setattr(gig1, "_perron", counted)
         for model in (mg1_d2(), gig1_d2(), random_monotone_gig1()):
             calls.clear()
             find_alpha(model)
@@ -267,39 +268,39 @@ class TestFindAlpha:
 
     def test_minimum_beats_neighbours(self):
         model = gig1_d2()
-        alpha, point = find_alpha(model)
+        alpha, delta, _, _ = find_alpha(model)
         for z in (alpha * 0.99, alpha * 1.01):
-            assert point.delta <= perron(a_hat(model, z))[0]
+            assert delta <= perron(a_hat(model, z))[0]
 
 
 class TestWVector:
     def test_skip_free_boundary_row_pinned(self):
         model = mg1_walk()
-        _, point = find_alpha(model)
+        alpha, _, _, v = find_alpha(model)
         # row 0 image: 0.6 + 0.4 alpha^2 = 1.2 = alpha * delta exactly
-        assert _row_image(model, point, 0)[0] == pytest.approx(1.2, rel=1e-15)
+        assert _row_image(model, alpha, v, 0)[0] == pytest.approx(1.2, rel=1e-15)
 
     def test_collapses_to_the_eigen_identity_past_the_boundary(self):
         for model in (natural_walk(), mg1_d2(), gig1_d2()):
-            alpha, point = find_alpha(model)
+            alpha, delta, _, v = find_alpha(model)
             for k in range(model.k_star, model.k_star + 4):
-                expected = alpha ** k * point.delta * point.v
+                expected = alpha ** k * delta * v
                 np.testing.assert_allclose(
-                    _row_image(model, point, k), expected, rtol=1e-12
+                    _row_image(model, alpha, v, k), expected, rtol=1e-12
                 )
 
     def test_monotone_in_the_level(self):
         for model in (natural_walk(), mg1_d2(), gig1_d2()):
-            _, point = find_alpha(model)
-            rows = [_row_image(model, point, k) for k in range(11)]
+            alpha, _, _, v = find_alpha(model)
+            rows = [_row_image(model, alpha, v, k) for k in range(11)]
             for lo, hi in zip(rows, rows[1:]):
                 assert np.all(lo <= hi + 1e-12)
 
     def test_rejects_bad_arguments(self):
         model = natural_walk()
-        _, point = find_alpha(model)
+        alpha, _, _, v = find_alpha(model)
         with pytest.raises(ValueError, match="non-negative"):
-            _row_image(model, point, -1)
+            _row_image(model, alpha, v, -1)
 
 
 class TestCertificates:
@@ -311,7 +312,7 @@ class TestCertificates:
         assert data.gamma_prime == pytest.approx(WALK_DELTA, abs=1e-12)
         # row-0 slack 0.6 (1 - 1/alpha) is the only positive gap
         assert data.b_prime == pytest.approx(0.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
-        assert _row_image(model, data.spectral, 1)[0] == pytest.approx(1.2, rel=1e-12)
+        assert _row_image(model, data.alpha, data.v, 1)[0] == pytest.approx(1.2, rel=1e-12)
         assert cert.gamma == pytest.approx(0.9829285639896449, abs=1e-9)
         assert cert.b == pytest.approx(0.29360547051563834, abs=1e-9)
         assert cert.b == pytest.approx(1.6 * (1.0 - 1.0 / ALPHA), abs=1e-12)
@@ -350,14 +351,16 @@ class TestCertificates:
             certificate_for_model(model)
 
     def test_path_selection(self):
-        path, data, cert = certificate_for_model(natural_walk())
-        assert path == PATH_BOUNDARY_LIFT
-        assert isinstance(data, GIG1DriftData)
-        assert data.spectral.z == cert.tail.alpha and data.gamma_prime == data.spectral.delta
-        path, data, cert = certificate_for_model(mg1_walk())
-        assert path == PATH_SKIP_FREE
-        assert isinstance(data, GIG1DriftData)
-        assert data.spectral.z == cert.tail.alpha and data.spectral.delta == cert.gamma
+        for model, want in ((natural_walk(), PATH_BOUNDARY_LIFT), (mg1_walk(), PATH_SKIP_FREE)):
+            path, data, cert = certificate_for_model(model)
+            assert path == want
+            assert isinstance(data, GIG1DriftData)
+            assert data.gamma_prime == (data.delta if path == PATH_BOUNDARY_LIFT else None)
+            # the record, the tail and the stored weights agree to the bit
+            assert data.alpha == cert.tail.alpha and np.array_equal(data.v, cert.tail.coeff)
+            stored = np.arange(cert.tail.start, cert.v.levels)
+            assert np.array_equal(cert.v.entries[cert.tail.start:], cert.tail.values(stored))
+        assert data.delta == cert.gamma  # the shortcut's rate is delta itself
 
     def test_every_emitted_certificate_verifies(self):
         for model in (natural_walk(), mg1_walk(), mg1_d2(), gig1_d2(),
@@ -377,10 +380,9 @@ class TestCertificates:
         # w(k) <= gamma' alpha^k v + b' row-wise, the inequality the data encodes
         model = gig1_d2()
         _, data, _ = certificate_for_model(model)
-        point = data.spectral
         for k in range(data.K + 1):
-            ceiling = data.gamma_prime * point.z ** k * point.v + data.b_prime
-            assert np.all(_row_image(model, point, k) <= ceiling + 1e-12)
+            ceiling = data.gamma_prime * data.alpha ** k * data.v + data.b_prime
+            assert np.all(_row_image(model, data.alpha, data.v, k) <= ceiling + 1e-12)
 
     def test_verify_needs_a_closed_form_tail(self):
         tailless = DriftCertificate(

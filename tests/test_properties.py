@@ -499,14 +499,14 @@ def test_model_monotone_check_matches_transform_oracle(seed, l, share):
 @given(seeds)
 def test_find_alpha_matches_brute_force_minimum(seed):
     model = random_monotone_gig1(seed)
-    alpha, point = find_alpha(model)
+    alpha, delta, mu, v = find_alpha(model)
     # oracle: largest eigenvalue modulus of the transform on a log grid
     zs = np.geomspace(1.0, 4.0 * alpha, 401)[1:]
     transforms = sum(zs[:, None, None] ** j * blk for j, blk in model.A.items())
     deltas = np.abs(np.linalg.eigvals(transforms)).max(axis=1)
-    assert point.delta <= deltas.min() + 1e-12
+    assert delta <= deltas.min() + 1e-12
     slope = sum(j * alpha ** (j - 1) * blk for j, blk in model.A.items())
-    assert abs(point.mu @ slope @ point.v) <= 1e-9 * np.abs(slope).max()
+    assert abs(mu @ slope @ v) <= 1e-9 * np.abs(slope).max()
 
 
 @given(seeds, dims, level_counts, band_widths, band_widths)
