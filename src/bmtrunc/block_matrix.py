@@ -561,8 +561,9 @@ class _SharedSweep:
     always eliminated for real. The rows of the copied states right of the
     diagonal, and the diagonal, keep stale values: nothing reads them again.
 
-    The stored frontiers hold no more entries than the band itself; past
-    that budget the sweep stops looking for repeats.
+    Every level eliminated for real keeps its frontier's key, so the repeat
+    found, and with it every solved vector, does not depend on how far above
+    the requested levels the corner reaches.
     """
 
     def __init__(self, P: BlockStochasticMatrix, W: np.ndarray, lo: int, up: int, pivots):
@@ -574,7 +575,6 @@ class _SharedSweep:
         r = np.arange(lo)[:, None]
         slot = np.arange(lo + up + 1)
         self.mask = (slot >= lo - r) & (slot != lo)  # frontier row f + r, column >= f
-        self.keys_left = W.size // max(1, int(self.mask.sum()))
         self.frontiers = []  # bytes of F_p for every level p below self.level
         self.seen = {}  # frontier bytes -> the latest level that had them
         self.repeat = None  # (j, q, end): levels j..end-1 repeat with period q
@@ -588,10 +588,6 @@ class _SharedSweep:
         d = self.d
         while self.level < stop:
             k = self.level
-            if self.keys_left == 0:
-                _sweep_up(self.views, k * d, stop * d, self.pivots)
-                self.level = stop
-                return
             key = self._frontier(k)[self.mask].tobytes()
             j = self.seen.get(key)
             if j is not None:
@@ -601,7 +597,6 @@ class _SharedSweep:
                     continue
             self.seen[key] = k
             self.frontiers.append(key)
-            self.keys_left -= 1
             _sweep_up(self.views, k * d, (k + 1) * d, self.pivots)
             self.level = k + 1
 
@@ -970,7 +965,7 @@ def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked(rows, lower: int, pi: np.ndarray, deviation: float) -> BlockVector:
+def _checked(rows, lower: int, pi: np.ndarray, deviation: float, levels=None) -> BlockVector:
     """pi (flat) as a BlockVector, once its residual on a square corner's band passes.
 
     The band is `rows`, band row blocks in level order (see _left_product).
@@ -978,11 +973,14 @@ def _checked(rows, lower: int, pi: np.ndarray, deviation: float) -> BlockVector:
     so on rows that sum to 1 - e the exact solution has a residual of up to
     e. The bound is STATIONARY_RESIDUAL_TOLERANCE plus `deviation`, the
     band's largest |row sum - 1|, which is 1e-10 on exactly stochastic rows.
+    With `levels`, only the residual of the first `levels` levels is
+    checked: rows of an infinite chain, whose columns near the last row
+    miss the rows above it.
     """
     d = rows[0].shape[2]
     pi = pi.reshape(-1, d)
     bound = STATIONARY_RESIDUAL_TOLERANCE + float(deviation)
-    residual = float(np.max(np.abs(_left_product(rows, lower, pi) - pi)))
+    residual = float(np.max(np.abs(_left_product(rows, lower, pi)[:levels] - pi[:levels])))
     if not residual <= bound:
         raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {bound:g}")
     return BlockVector(d, pi)

@@ -29,7 +29,6 @@ from .coupling import (
 from .drift_bounds import (
     BoundReport,
     BoundViolationError,
-    ReferenceNotConvergedError,
     compare_against_oracle,
     optimize_m,
 )
@@ -58,14 +57,22 @@ EXIT_IO = 4
 COUPLE_PATHS = 32
 COUPLE_STEPS = 500
 
+# The most truncation levels one --n may ask for.
+MAX_N_VALUES = 100_000
+
 PATH_MONOTONE_TRUNCATION = "monotone-truncation"
 PATH_DOMINANCE_REQUIRED = "dominance-required"
 PATH_NONE = "none"
 
 
 def parse_n_spec(spec: str) -> list[int]:
-    """Truncation levels from "10,20,50" or "10:50:20" (inclusive ranges)."""
-    values: list[int] = []
+    """Truncation levels from "10,20,50" or "10:50:20" (inclusive ranges).
+
+    The levels are counted range by range before the list is built, and a
+    spec with more than MAX_N_VALUES of them is refused.
+    """
+    ranges: list[range] = []
+    count = 0
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -78,9 +85,15 @@ def parse_n_spec(spec: str) -> list[int]:
             step = int(parts[2]) if len(parts) == 3 else 1
             if step < 1 or stop < start:
                 raise ValueError(f"range {token!r} is empty or has step < 1")
-            values.extend(range(start, stop + 1, step))
+            levels = range(start, stop + 1, step)
         else:
-            values.append(int(token))
+            n = int(token)
+            levels = range(n, n + 1)
+        count += len(levels)
+        if count > MAX_N_VALUES:
+            raise ValueError(f"--n asks for more than {MAX_N_VALUES} levels (MAX_N_VALUES)")
+        ranges.append(levels)
+    values = [n for levels in ranges for n in levels]
     if not values or min(values) < 1:
         raise ValueError("--n values must be >= 1")
     return values
@@ -286,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Certified truncation error bounds for block-monotone Markov chains: "
             "validate a model, build its drift certificate, bound the stationary "
-            "truncation error, compare against a converged reference, or run "
-            "coupled ordering simulations."
+            "truncation error, compare against the infinite chain's stationary law, "
+            "or run coupled ordering simulations."
         ),
     )
     parser.add_argument("--model", required=True, help="model JSON file")
@@ -304,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference-level",
         type=int,
         default=None,
-        help="oracle truncation level (default: 8 * max n)",
+        help="level through which the infinite chain's stationary law is formed "
+        "and checked (default: 8 * max n)",
     )
     parser.add_argument("--seed", type=int, default=0, help="coupling seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -329,7 +343,6 @@ def main(argv=None) -> int:
         ModelSchemaError,
         MultipleClosedClassesError,
         PhaseStructureError,
-        ReferenceNotConvergedError,
         StationarySolveError,
         ValueError,
     ) as exc:

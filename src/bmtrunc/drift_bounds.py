@@ -51,6 +51,9 @@ VERIFY_TOLERANCE = 1e-10
 
 REFERENCE_CONVERGENCE_TOLERANCE = 1e-10
 BOUND_CHECK_SLACK = 1e-9
+# Relative slack of the gate on the error's lower bound 2 pi(levels > n): the
+# mass is a sum of non-negative terms, so only its rounding needs room.
+LOWER_BOUND_RELATIVE_SLACK = 1e-9
 
 
 class BoundViolationError(RuntimeError):
@@ -358,23 +361,35 @@ def compare_against_oracle(
     reference_level: int,
     dominating=None,
 ) -> list[BoundReport]:
-    """Measure truncation errors against a converged reference and bound them.
+    """Measure truncation errors against the chain's stationary law and bound them.
 
-    One bottom-up sweep over the truncation at twice reference_level solves
-    every requested level, the reference level and that top level (see
-    stationary). The reference truncation is accepted only if its TV gap to
-    the top level's is at most REFERENCE_CONVERGENCE_TOLERANCE. Then for each
-    n: measures the TV distance to the reference stationary vector, picks m
-    by minimizing the sharper available bound and reports both bounds at
-    that m.
+    A GI/G/1-type model is measured against the stationary law pi of its
+    infinite chain (GIG1Model.stationary_law), formed and residual-checked
+    through reference_level. One sweep over the truncation at max(n_list)
+    plus the model's widest block offset solves every requested level (see
+    stationary). The error of level n is the sum over k <= n of
+    |pi_n(k) - pi(k)| plus pi's mass above n, which is a sum of
+    non-negative terms: pi's entries through reference_level and a
+    closed-form tail beyond it. pi_n puts no mass above n, so twice that
+    mass is a lower bound on the error, and a bound1 below it is a
+    BoundViolationError.
+
+    A stored corner, a chain known by a finite corner only, is measured
+    against its truncation at reference_level, which one sweep over the
+    truncation at twice that level solves with the requested levels. It is
+    accepted only if its TV gap to the top level's is at most
+    REFERENCE_CONVERGENCE_TOLERANCE.
+
+    For each n, m minimizes the sharper available bound, and both bounds are
+    reported at that m.
 
     Args:
         model: chain under study (GI/G/1-type model or stored corner).
         n_list: truncation levels to evaluate.
         cert: certificate for the chain, or for a dominating chain.
         m_max: cap on the horizon m (None: certificate default).
-        reference_level: oracle truncation level (keyword, required), must
-            exceed max(n_list).
+        reference_level: level through which the oracle is formed (keyword,
+            required), must exceed max(n_list).
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
@@ -382,9 +397,14 @@ def compare_against_oracle(
             truncation at max(n_list) solves all of them.
 
     Raises:
-        ValueError: no levels, or a reference level at or below max(n_list).
-        ReferenceNotConvergedError: oracle gap above REFERENCE_CONVERGENCE_TOLERANCE.
-        BoundViolationError: a measured error exceeded its bound.
+        ValueError: no levels, a reference level at or below max(n_list), or
+            an array above the model's byte limit.
+        ReferenceNotConvergedError: a stored corner's oracle gap above
+            REFERENCE_CONVERGENCE_TOLERANCE.
+        StationarySolveError: the stationary law or a truncation fails its
+            solve or residual check.
+        BoundViolationError: a measured error, or twice the mass above n,
+            exceeded its bound.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or min(n_list) < 1:
@@ -392,20 +412,36 @@ def compare_against_oracle(
     if reference_level <= max(n_list):
         raise ValueError("reference_level must exceed every requested n")
 
-    top = 2 * reference_level
-    corner = lcb_truncate(model, top)
-    *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
-    gap = tv_distance(pi_ref, pi_top)
-    if gap > REFERENCE_CONVERGENCE_TOLERANCE:
-        raise ReferenceNotConvergedError(gap, reference_level)
+    if isinstance(model, BlockStochasticMatrix):
+        top = 2 * reference_level
+        corner = lcb_truncate(model, top)
+        *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
+        gap = tv_distance(pi_ref, pi_top)
+        if gap > REFERENCE_CONVERGENCE_TOLERANCE:
+            raise ReferenceNotConvergedError(gap, reference_level)
+        # (measured, lower bound): a truncation oracle gives no lower bound
+        errors = [(tv_distance(pi_n, pi_ref), 0.0) for pi_n in solved]
+    else:
+        pi, beyond = model.stationary_law(reference_level)
+        # On this corner every band row the sweep reads for a requested
+        # level is unfolded, so each level has the bits it has on any
+        # taller corner.
+        reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
+        solved = stationary(lcb_truncate(model, max(n_list) + reach), n_list)
+        # above[k]: pi's mass at levels >= k, summed from the top
+        above = np.cumsum(np.append(pi.entries.sum(axis=1), beyond)[::-1])[::-1]
+        errors = [
+            (float(np.abs(pi_n.entries - pi.entries[:n + 1]).sum()) + above[n + 1],
+             2.0 * above[n + 1])
+            for n, pi_n in zip(n_list, solved)
+        ]
     if dominating is None:
         masses = solved
     else:
         masses = stationary(lcb_truncate(dominating, max(n_list)), n_list)
 
     reports = []
-    for n, pi_n, mass_n in zip(n_list, solved, masses):
-        measured = tv_distance(pi_n, pi_ref)
+    for n, (measured, lower), mass_n in zip(n_list, errors, masses):
         top_mass = mass_n.entries[n]
         m_star, _ = optimize_m(cert, n, m_max, top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
@@ -413,6 +449,11 @@ def compare_against_oracle(
             raise BoundViolationError(
                 f"n={n}: measured error {measured:.6e} exceeds "
                 f"certified bound {report.bound1:.6e}"
+            )
+        if lower > report.bound1 * (1.0 + LOWER_BOUND_RELATIVE_SLACK):
+            raise BoundViolationError(
+                f"n={n}: twice the stationary mass above n, {lower:.6e}, a lower bound "
+                f"on the error, exceeds certified bound {report.bound1:.6e}"
             )
         reports.append(replace(report, measured_error=measured, reference_level=reference_level))
     return reports

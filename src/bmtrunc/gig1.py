@@ -31,9 +31,12 @@ from .block_matrix import (
     BlockStochasticMatrix,
     BlockVector,
     PhaseMatrix,
+    StationarySolveError,
+    _checked,
     _closed_classes,
     _fold_levels,
     _kernel_stationary,
+    _row_sums,
     is_block_monotone,
     phase_matrix,
 )
@@ -78,6 +81,23 @@ PERRON_TOLERANCE = 1e-12
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 
+# The largest array a model builds, in bytes: the band of its complete rows,
+# from which its corners and the residual check of its stationary law are
+# built. Larger input is refused before anything is allocated.
+MAX_ARRAY_BYTES = 2 ** 27
+
+# Steps of the logarithmic reduction and of the doubling of R's powers. Step
+# t covers 2^t groups of levels, so 64 steps reach past any level there is.
+_DOUBLING_STEPS = 64
+
+# The reduction stops once the mass that has not returned a group down is
+# below this in every row.
+_UNRETURNED = np.finfo(float).eps ** 2
+
+# The doubling of R's powers stops at a power whose row sums are at most
+# this: the powers after it add at most its square, relatively, to the sums.
+_NEGLIGIBLE = 2.0 ** -30
+
 
 def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
     out = {}
@@ -90,6 +110,30 @@ def _as_block_map(raw: dict, d: int, name: str) -> dict[int, np.ndarray]:
         if np.any(arr > 0):
             out[int(offset)] = arr
     return out
+
+
+def _completed(N: np.ndarray, leaving: np.ndarray) -> np.ndarray:
+    """I - N with its diagonal completed as GTH completes a row.
+
+    The diagonal entry of row i is leaving[i] plus the row's other entries
+    of N, so the rows of the result sum to `leaving`, the mass that leaves,
+    and no diagonal entry is a difference. N's own diagonal is not read.
+    """
+    M = -N
+    np.fill_diagonal(M, 0.0)
+    np.fill_diagonal(M, leaving - M.sum(axis=1))
+    return M
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs for a completed M (an M-matrix) and rhs >= 0.
+
+    The exact solution is non-negative; a rounding below 0 is set to 0.
+    """
+    try:
+        return np.maximum(np.linalg.solve(M, rhs), 0.0)
+    except np.linalg.LinAlgError as error:
+        raise StationarySolveError(f"the structured solve of the stationary law failed: {error}")
 
 
 def _is_irreducible(pattern: np.ndarray) -> bool:
@@ -196,9 +240,20 @@ class GIG1Model:
         return problems
 
     def _band(self, levels: int) -> tuple[np.ndarray, int]:
-        """Band and lower width of the complete rows 0..levels-1."""
+        """Band and lower width of the complete rows 0..levels-1.
+
+        Raises:
+            ValueError: the band would take more than MAX_ARRAY_BYTES.
+        """
         L = max(self.L_A, self.L_B)
-        band = np.zeros((levels, L + max(self.U_A, self.U_B) + 1, self.d, self.d))
+        shape = (levels, L + max(self.U_A, self.U_B) + 1, self.d, self.d)
+        size = 8 * levels * shape[1] * self.d * self.d
+        if size > MAX_ARRAY_BYTES:
+            raise ValueError(
+                f"the band of {levels} levels needs {size} bytes, above the limit of "
+                f"{MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)"
+            )
+        band = np.zeros(shape)
         for l, blk in self.B.items():
             if l >= 0:
                 band[0, L + l] = blk
@@ -216,6 +271,107 @@ class GIG1Model:
         first = max(0, n - max(self.U_A, self.U_B))
         band[first:] = _fold_levels(band, L, n, first)
         return BlockStochasticMatrix(d=self.d, band=band, lower=L)
+
+    def _group_blocks(self):
+        """The chain in groups of g levels: (g, B0, B1, down, level, up), each g d x g d.
+
+        Group i holds levels i g..i g + g - 1. With g at least k_star, U_A and
+        (U_B + 1) / 2, every row moves at most one group, and the rows of the
+        groups from 1 on are pure Toeplitz: a level-independent
+        quasi-birth-death chain with the boundary blocks B0 (group 0 to 0)
+        and B1 (0 to 1), and down, level and up from every other group.
+        """
+        d, L = self.d, max(self.L_A, self.L_B)
+        g = max(self.k_star, self.U_A, self.U_B // 2 + 1)
+        band, _ = self._band(2 * g)
+        rows = np.zeros((2 * g, d, 3 * g, d))
+        k = np.arange(2 * g)
+        for o in range(band.shape[1]):
+            cols = k - L + o
+            keep = (cols >= 0) & (cols < 3 * g)
+            rows[k[keep], :, cols[keep], :] = band[k[keep], o]
+        m = g * d
+        rows = rows.reshape(2 * m, 3 * m)
+        return g, rows[:m, :m], rows[:m, m:2 * m], rows[m:, :m], rows[m:, m:2 * m], rows[m:, 2 * m:]
+
+    def stationary_law(self, through: int) -> tuple[BlockVector, float]:
+        """pi(0..through) of the infinite chain, and its mass above level `through`.
+
+        In groups of levels the chain is a quasi-birth-death chain
+        (_group_blocks). Its G, the first-passage matrix from a group to the
+        one below, comes from logarithmic reduction (Latouche & Ramaswami,
+        J. Appl. Probab. 30, 1993), and its rate matrix is R = up (I - U)^-1
+        with U = level + up G. Group 0 is solved on its censored chain
+        B0 + B1 G by _kernel_stationary's subtraction-free GTH, and the
+        groups above it by the matrix-geometric form pi_1 = pi_0 B1 (I - U)^-1,
+        pi_(i+1) = pi_i R (Bini, Latouche & Meini, Numerical Methods for
+        Structured Markov Chains, 2005). Each I - X in these solves has its
+        diagonal completed as GTH completes a row (_completed), so rows
+        short of 1 are solved as the chain whose diagonal completes them.
+        The groups are formed by doubling, with R^(2t) = R^t R^t, and
+        the mass of the groups beyond the last one formed is
+        pi_i sum_k R^k 1, with sum_k R^k 1 = prod_t (I + R^(2^t)) 1. So every
+        mass is a sum of non-negative terms, and nothing is taken as 1 minus
+        a sum.
+
+        The levels through `through` + L (L = max(L_A, L_B)) are formed, and
+        the residual of levels 0..through is checked on the model's complete
+        rows as stationary checks a corner's. The band of those rows is the
+        largest array built, and _band refuses it above MAX_ARRAY_BYTES
+        before anything is allocated.
+
+        Raises:
+            ValueError: a negative level, or a band above MAX_ARRAY_BYTES.
+            StationarySolveError: a reduction or a doubling that does not
+                converge within _DOUBLING_STEPS steps, or a residual above
+                the bound.
+        """
+        if through < 0:
+            raise ValueError("the stationary law is formed through a level >= 0")
+        d, L = self.d, max(self.L_A, self.L_B)
+        g, B0, B1, down, level, up = self._group_blocks()
+        groups = -(-(through + L + 1) // g)
+        band, _ = self._band(groups * g)
+        m = g * d
+
+        halves = _solve(_completed(level, (down + up).sum(axis=1)), np.hstack((down, up)))
+        H0, H1 = halves[:, :m], halves[:, m:]
+        G, T = H0, H1  # T 1 = 1 - G 1, the mass that has not returned a group down
+        for _ in range(_DOUBLING_STEPS):
+            if T.sum(axis=1).max() <= _UNRETURNED:
+                break
+            D0, D1 = H0 @ H0, H1 @ H1
+            leaving = D0.sum(axis=1) + D1.sum(axis=1)
+            halves = _solve(_completed(H0 @ H1 + H1 @ H0, leaving), np.hstack((D0, D1)))
+            H0, H1 = halves[:, :m], halves[:, m:]
+            G, T = G + T @ H0, T @ H1
+        else:
+            raise StationarySolveError("logarithmic reduction did not converge")
+        # the rows of I - U sum to down 1 + up T 1; R and B1 (I - U)^-1 in one solve
+        I_U = _completed(level + up @ G, down.sum(axis=1) + up @ T.sum(axis=1))
+        rates = _solve(I_U.T, np.vstack((up, B1)).T).T
+        R, R0 = rates[:m], rates[m:]
+        pi0 = _kernel_stationary(B0 + B1 @ G)
+
+        above = (pi0 @ R0)[None]  # rows pi_1, pi_2, ...
+        sums = np.ones(m)  # sum_k R^k 1, one doubling at a time
+        power = R
+        for _ in range(_DOUBLING_STEPS):
+            if len(above) < groups:
+                above = np.concatenate((above, above @ power))
+            sums = sums + power @ sums
+            if len(above) >= groups and power.sum(axis=1).max() <= _NEGLIGIBLE:
+                break
+            power = power @ power
+        else:
+            raise StationarySolveError("the powers of the rate matrix R do not vanish")
+        total = pi0.sum() + above[0] @ sums
+        pi = np.concatenate((pi0[None], above[:groups - 1])).reshape(-1, d) / total
+        beyond = float(above[groups - 1] @ sums) / total
+        # rows 0..k_star hold every row sum: the rows above repeat row k_star's
+        deviation = np.abs(_row_sums(self.boundary_corner.band) - 1.0).max()
+        pi = _checked((band,), L, pi, deviation, levels=through + 1).entries
+        return BlockVector(d, pi[:through + 1]), float(pi[through + 1:].sum() + beyond)
 
     def verify_drift(self, cert: DriftCertificate) -> CertificateCheck:
         """Drift-inequality check covering all infinitely many rows.

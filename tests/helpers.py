@@ -505,6 +505,60 @@ def random_monotone_gig1(seed: int = RANDOM_MODEL_SEED) -> GIG1Model:
     return GIG1Model(d=d, A=A, B=B)
 
 
+def random_shaped_gig1(seed: int, d: int, L_A: int, U_A: int, U_B: int) -> GIG1Model:
+    """Random block-monotone model with A-support -L_A..U_A and row 0 up to level U_B.
+
+    In the style of random_monotone_gig1: downward offsets get weights that
+    make the expected mean drift negative for every shape, a draw is kept
+    once its mean drift is below -0.05, and row 0 starts as row
+    1 (with A's mass from offset U_B - 1 up folded into B(U_B)) before random
+    mass moves down to level 0. Block monotonicity fixes the rest: the
+    column-0 blocks are the A-mass at or below -k, so L_B = L_A, and row 0
+    reaches at most one level above A, so U_B <= U_A + 1.
+    """
+    from bmtrunc import mean_drift
+
+    if not 1 <= U_B <= U_A + 1:
+        raise ValueError("a block-monotone row 0 reaches levels 1..U_A + 1")
+    rng = np.random.default_rng(seed)
+    down = 1.5 * U_A * (U_A + 1) / (L_A * (L_A + 1)) + 0.5
+    while True:
+        raw = {j: (down if j < 0 else 1.0) * rng.uniform(0.05, 1.0, size=(d, d))
+               for j in range(-L_A, U_A + 1)}
+        total = sum(raw.values()).sum(axis=1)
+        A = {j: blk / total[:, None] for j, blk in raw.items()}
+        B = {-k: sum(A[j] for j in range(-L_A, 1 - k)) for k in range(1, L_A + 1)}
+        B[0] = B[-1].copy()
+        for l in range(1, U_B + 1):
+            B[l] = A[l - 1].copy() if l < U_B else sum(A[j] for j in range(l - 1, U_A + 1))
+        if mean_drift(GIG1Model(d=d, A=A, B=B)) < -0.05:
+            break
+    for l in range(1, U_B + 1):
+        movable = rng.uniform(0.0, 0.5, size=(d, d)) * B[l]
+        B[l] = B[l] - movable
+        B[0] = B[0] + movable
+    return GIG1Model(d=d, A=A, B=B)
+
+
+def random_skip_free_d8(seed: int) -> GIG1Model:
+    """Random d=8 skip-free-downward model: B(-1) = B(0) = A(-1), B(l) = A(l-1).
+
+    The benchmark's rand_d8 draw, kept once its mean drift is below -0.05.
+    """
+    from bmtrunc import mean_drift
+
+    rng = np.random.default_rng(seed)
+    d = 8
+    while True:
+        raw = {j: w * rng.uniform(0.05, 1.0, size=(d, d))
+               for j, w in zip(range(-1, 2), (2.0, 1.0, 1.0))}
+        total = sum(raw.values()).sum(axis=1)
+        A = {j: blk / total[:, None] for j, blk in raw.items()}
+        model = GIG1Model(d=d, A=A, B={-1: A[-1], 0: A[-1], 1: A[0], 2: A[1]})
+        if mean_drift(model) < -0.05:
+            return model
+
+
 def acceptance_models():
     """The five-model soundness suite: (name, model, dominating or None)."""
     edited, tilde = dominance_pair()

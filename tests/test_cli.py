@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ class TestParsing:
         assert parse_n_spec("2:6") == [2, 3, 4, 5, 6]
         assert parse_n_spec("10:50:20") == [10, 30, 50]
         assert parse_n_spec("1,4:6") == [1, 4, 5, 6]
+
+    def test_n_spec_counts_its_levels_before_listing_them(self):
+        assert len(parse_n_spec(f"1:{cli.MAX_N_VALUES}")) == cli.MAX_N_VALUES
+        for spec in (f"1:{cli.MAX_N_VALUES},1", "1:1000000000000", "1:10,5:1000000000000:2"):
+            with pytest.raises(ValueError, match="MAX_N_VALUES"):
+                parse_n_spec(spec)
 
     def test_n_spec_rejects_garbage(self):
         for bad in ("", "0", "5:1", "1:10:0", "2:4:6:8"):
@@ -292,12 +299,6 @@ class TestCompare:
         assert code == EXIT_OK
         assert int(out.splitlines()[1].split(",")[5]) == 400  # 8 * max n
 
-    def test_unconverged_reference_is_validation(self, capsys, mg1_path):
-        code, _, err = run(capsys, "--model", mg1_path, "--command", "compare",
-                           "--n", "5", "--reference-level", "40")
-        assert code == EXIT_VALIDATION
-        assert "reference" in err
-
     def test_reruns_are_byte_identical(self, capsys, mg1_path, monkeypatch):
         argv = ("--model", mg1_path, "--command", "compare",
                 "--n", "5,10,15", "--reference-level", "80", "--format", "json")
@@ -316,15 +317,19 @@ class TestCompare:
             assert "reference level" in err
 
     def test_reference_level_inside_the_top_fold_is_solved(self, capsys, tmp_path):
-        # Level-0 rows reach 3 levels up, so at reference level 2 the top
-        # level 4 folds the reference level's rows; both are solved.
+        # Level-0 rows reach 3 levels up, so the truncation at n = 1 folds
+        # rows that reach past reference level 2 or 3. The stationary law
+        # is formed through the reference level whatever the truncation
+        # folds, so both levels give sound rows.
         path = str(tmp_path / "random.json")
         save_model(random_monotone_gig1(), path)
         for level in (2, 3):
-            code, _, err = run(capsys, "--model", path, "--command", "compare",
-                               "--n", "1", "--reference-level", str(level))
-            assert code == EXIT_VALIDATION
-            assert f"reference truncation at level {level} not converged" in err
+            code, out, err = run(capsys, "--model", path, "--command", "compare",
+                                 "--n", "1", "--reference-level", str(level))
+            assert code == EXIT_OK, err
+            (row,) = [line.split(",") for line in out.splitlines()[1:]]
+            assert int(row[0]) == 1 and int(row[5]) == level
+            assert float(row[4]) <= float(row[2]) <= float(row[3])
 
     def test_one_stationary_call_per_compare(self, capsys, mg1_path, monkeypatch):
         # perfbench/tracing.py wraps drift_bounds.stationary and reads the
@@ -342,7 +347,7 @@ class TestCompare:
         assert code == EXIT_OK
         assert len(calls) == 1
         assert isinstance(calls[0], BlockStochasticMatrix)
-        assert calls[0].levels == 161
+        assert calls[0].levels == 15 + 2 + 1  # max n plus the widest offset, U_B = 2
 
     @pytest.mark.parametrize("build, argv", [
         (mg1_d2, ["--n", "10,20,50"]),
@@ -353,7 +358,8 @@ class TestCompare:
     ):
         # Every level of these models finishes from the sweep's pivots: no
         # class graph and no corner built inside the solve, and one
-        # residual check per requested n plus the reference and top levels.
+        # residual check per requested n. The largest corner is the
+        # truncation at max n plus the widest block offset.
         path = str(tmp_path / "model.json")
         save_model(build(), path)
         counts = {"graph": 0, "residual": 0}
@@ -389,9 +395,60 @@ class TestCompare:
         code, out, _ = run(capsys, "--model", path, "--command", "compare", *argv)
         assert code == EXIT_OK
         rows = len(out.splitlines()) - 1
-        assert counts == {"graph": 0, "residual": rows + 2}
+        assert counts == {"graph": 0, "residual": rows}
         assert not any(inside for _, inside in built)
-        assert (2 * 8 * 50 + 1, False) in built  # the reference corner, at 16 max n
+        model = build()
+        reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
+        assert max(levels for levels, _ in built) == 50 + reach + 1
+
+    def test_bound_columns_are_pinned(self, capsys, tmp_path):
+        # The digests of compare's stdout without the measured_error column,
+        # recorded while the oracle was the truncation at 8 max n checked
+        # against 16 max n: every solved level keeps its bits on the corner
+        # at max n plus the widest offset. On random_monotone_gig1(20) the
+        # sweep first repeats at level 95 of a 124-level corner; a repeat
+        # search that gave up after 0.6 keys per level would miss it and
+        # move the bits of both levels, which bound1 shows under a large m
+        # cap.
+        cases = {
+            "walk": (natural_walk(), ["--n", "10:200:10"],
+                     "bff8ba216449a91ec97e2b1b2c8a941016cca7d52d8b9cd98706f84d641c0219"),
+            "mg1_d2": (mg1_d2(), ["--n", "10:150:10"],
+                       "1be528b26e3caa570de3719e8e5bee3f28b1fb36ea9d9b70944364eb6c3a1f37"),
+            "gig1_d2": (gig1_d2(), ["--n", "10,20,50,100"],
+                        "48ee025cbb5eab0889c4619237397ce6b5720b4108b2c01b66c43fbac6605def"),
+            "late_repeat": (random_monotone_gig1(20), ["--n", "100,120", "--m-max", "10000000"],
+                            "e5c3e6f90b75a4053e3f26de53a1cedd1c4aa3a90f419e4275cbb95c369098eb"),
+        }
+        for name, (model, argv, digest) in cases.items():
+            path = str(tmp_path / f"{name}.json")
+            save_model(model, path)
+            code, out, _ = run(capsys, "--model", path, "--command", "compare", *argv)
+            assert code == EXIT_OK
+            kept = "".join(
+                ",".join(cell for i, cell in enumerate(line.split(",")) if i != 4) + "\n"
+                for line in out.splitlines()
+            )
+            assert hashlib.sha256(kept.encode()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "compare", "--n", "10000000"],
+        ["--command", "couple", "--n", "1000000000"],
+        ["--command", "bound", "--n", "1:1000000000000"],
+        ["--command", "compare", "--n", "10", "--reference-level", "1000000000000"],
+    ])
+    def test_too_large_input_is_refused_before_allocation(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "--model", path, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "MAX_N_VALUES" in err or f"{gig1.MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)" in err
+        assert peak < 2**20
 
     def test_rows_short_within_the_row_tolerance(self, capsys, tmp_path):
         # Rows 9e-10 short of 1 pass the 1e-9 row check. GTH solves the chain
@@ -450,32 +507,30 @@ class TestCouple:
 
     def test_certificate_output_bytes_are_pinned(self, capsys, tmp_path):
         # Both certificate paths (skip-free: mg1_walk, mg1_d2; boundary lift:
-        # natural_walk, gig1_d2) feed validate, bound and compare. The compare
-        # digests were recorded after the switch to the numpy descent through
-        # the sweep's maps (mg1_d2's again once a tree of level maps replaced
-        # the blocks below the repeat), whose bound1 and measured_error
-        # differ from LAPACK's banded back-substitution in the last bits (at
-        # most 9.9e-16 relative and 2.5e-16 absolute here).
+        # natural_walk, gig1_d2) feed validate, bound and compare. compare's
+        # measured_error is taken against the infinite chain's stationary
+        # law; its other columns are also pinned, apart from measured_error,
+        # by TestCompare.test_bound_columns_are_pinned.
         expected = {
             "natural_walk": (
                 "80581ab28f409751eeee75522ee63fd6eb6b3707959d42062fefd20945c16fc6",
                 "2b07b9141bb3c22617aec1d9cba15137d0fca2256ac19b359fbef23b616b5379",
-                "a3e567b1555bb61881402e8dcb4e2a14235ab3216bc9cd188d2d0e72a822271e",
+                "eb58d017d05b0ae40a53445d29327a72b5f11f1f4f4ee5af2d228329f108df13",
             ),
             "mg1_walk": (
                 "609da06f3abcb4ef721d1ec287a25f6d8f8cfbadfcc5335c15700626a62510ce",
                 "8fbf161b2f6a91d53bfc9853d01f73e83e8c59b5654884f324d7b38806a1f4f9",
-                "590f734040481b2d5bfea428f6204f225bd3d261368153eb63739b79fa88513d",
+                "7d3273719092b198dfcee76e17ad4096cc0eb741a081fe8759c95cf0d2db315b",
             ),
             "mg1_d2": (
                 "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
                 "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
-                "ae2786709c64434e10923745d6cee2f75cbb5166e2e3d844102ab49b6b4f108f",
+                "9fb61067aa4583cb8a54768f242ea9cea0d15b9529623286831eac6a67abfc05",
             ),
             "gig1_d2": (
                 "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",
                 "b4cff6a80d385851afee96eaf5ae1469e98fbedcac699e35c41509aad6545c5c",
-                "4a0ddd0887ebf06f9d880e2ee672f87001b25f0002db68170d4c5f6e61717dc5",
+                "e32ab021022a9d1873dc501323b6236208ff8e034269e1f6b49303db038a6f21",
             ),
         }
         builders = {"natural_walk": natural_walk, "mg1_walk": mg1_walk,

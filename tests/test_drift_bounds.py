@@ -18,7 +18,11 @@ from bmtrunc import (
     optimize_m,
     verify_certificate,
 )
-from bmtrunc.drift_bounds import REFERENCE_CONVERGENCE_TOLERANCE, VERIFY_TOLERANCE
+from bmtrunc.drift_bounds import (
+    BOUND_CHECK_SLACK,
+    REFERENCE_CONVERGENCE_TOLERANCE,
+    VERIFY_TOLERANCE,
+)
 from bmtrunc.gig1 import assemble, certificate_for_model
 
 from helpers import (
@@ -346,11 +350,29 @@ class TestCompareAgainstOracle:
             compare_against_oracle(natural_walk(), [10, 50], cert, reference_level=50)
 
     def test_unconverged_reference_is_reported(self):
+        # A chain known by a finite corner only is measured against its own
+        # truncation at the reference level, which must have converged.
         cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)
         with pytest.raises(ReferenceNotConvergedError) as exc:
-            compare_against_oracle(natural_walk(), [5], cert, reference_level=40)
+            compare_against_oracle(assemble(natural_walk(), 81), [5], cert, reference_level=40)
         assert exc.value.level == 40
         assert exc.value.gap > REFERENCE_CONVERGENCE_TOLERANCE
+
+    def test_bound1_below_the_error_lower_bound_trips_the_gate(self):
+        # At n = 54 the walk's error is 2 (2/3)^55 = 4.3e-10, which is also
+        # twice pi's mass above n. A certificate with a tiny b gives bound1
+        # = 2 pi_n(n) + 4e-12 = 2.2e-10 at m = 1: the measured error is
+        # within BOUND_CHECK_SLACK of it, but the lower bound is not.
+        bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-12)
+        n = 54
+        lower = 2.0 * (2.0 / 3.0) ** (n + 1)
+        with pytest.raises(BoundViolationError, match="lower bound"):
+            compare_against_oracle(natural_walk(), [n], bogus, reference_level=400)
+        (report,) = compare_against_oracle(
+            assemble(natural_walk(), 801), [n], bogus, reference_level=400
+        )
+        assert report.bound1 < lower / 1.5
+        assert report.measured_error <= report.bound1 + BOUND_CHECK_SLACK
 
     def test_bogus_certificate_trips_the_soundness_guard(self):
         bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6)

@@ -406,3 +406,63 @@ class TestTruncationPipeline:
 
         gap = tv_distance(stationary(model.truncate(60)), stationary(model.truncate(120)))
         assert gap <= 1e-10
+
+
+class TestStationaryLaw:
+    def test_walk_tail_is_the_closed_form(self):
+        # pi(k) = (1/3)(2/3)^k, so pi's mass above n is (2/3)^(n+1); every
+        # mass is a sum of non-negative terms, down to (2/3)^201 ~ 5e-36.
+        pi, beyond = natural_walk().stationary_law(200)
+        masses = np.concatenate((pi.entries[:, 0], [beyond]))
+        above = np.cumsum(masses[::-1])[::-1]  # above[k]: levels >= k
+        for n in range(201):
+            assert abs(above[n + 1] / (2.0 / 3.0) ** (n + 1) - 1.0) <= 1e-12
+        np.testing.assert_allclose(pi.entries[:, 0], (2.0 / 3.0) ** np.arange(201) / 3.0,
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("build", [mg1_d2, gig1_d2, random_monotone_gig1])
+    def test_masses_sum_to_one_and_match_the_phase_law(self, build):
+        model = build()
+        pi, beyond = model.stationary_law(50)
+        assert pi.levels == 51 and beyond > 0.0
+        assert abs(pi.entries.sum() + beyond - 1.0) <= 1e-14
+        np.testing.assert_allclose(pi.entries.sum(axis=0), model.phase_matrix().varpi,
+                                   atol=1e-12)
+
+    def test_rows_short_of_one_solve_the_completed_chain(self):
+        # Rows 9e-10 short of 1: pi is the law of the chain whose diagonal
+        # completes them, the walk itself, while the residual on the given
+        # rows is up to the defect.
+        q = 0.5999999991
+        model = GIG1Model(d=1, A={-1: [[q]], 1: [[0.4]]}, B={-1: [[q]], 0: [[q]], 1: [[0.4]]})
+        pi, _ = model.stationary_law(40)
+        rho = 0.4 / q
+        np.testing.assert_allclose(pi.entries[:, 0], (1 - rho) * rho ** np.arange(41),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_a_reduction_that_does_not_converge_is_a_solve_error(self, monkeypatch):
+        from bmtrunc import StationarySolveError
+
+        monkeypatch.setattr(gig1, "_DOUBLING_STEPS", 1)
+        with pytest.raises(StationarySolveError, match="logarithmic reduction"):
+            mg1_d2().stationary_law(20)
+
+    def test_a_failed_residual_is_a_solve_error(self, monkeypatch, tmp_path, capsys):
+        from bmtrunc import StationarySolveError
+
+        solve = gig1._kernel_stationary
+        # a boundary vector 1e-6 off its censored chain's law
+        monkeypatch.setattr(gig1, "_kernel_stationary",
+                            lambda K: solve(K) * np.linspace(1.0 - 1e-6, 1.0 + 1e-6, len(K)))
+        with pytest.raises(StationarySolveError, match="stationary residual"):
+            mg1_d2().stationary_law(20)
+        path = str(tmp_path / "model.json")
+        save_model(mg1_d2(), path)
+        assert main(["--model", path, "--command", "compare", "--n", "10"]) == EXIT_VALIDATION
+        assert "stationary residual" in capsys.readouterr().err
+
+    def test_out_of_range_levels_are_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="MAX_ARRAY_BYTES"):
+            natural_walk().stationary_law(10 ** 12)
+        with pytest.raises(ValueError, match="level >= 0"):
+            natural_walk().stationary_law(-1)

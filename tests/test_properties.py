@@ -1,5 +1,8 @@
 """Property tests for the ordering calculus on random block matrices.
 
+The stationary law of random GI/G/1 models is checked against the
+truncation reference of a stored corner.
+
 Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
 and the dense stationary oracle from helpers are materialized only here.
@@ -16,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bmtrunc import block_matrix
 from bmtrunc.block_matrix import (
@@ -38,6 +41,7 @@ from bmtrunc import (
     MultipleClosedClassesError,
     assemble,
     block_dominates,
+    certificate_for_model,
     closed_classes,
     find_alpha,
     is_block_increasing,
@@ -77,6 +81,8 @@ from helpers import (
     random_dominated_vectors,
     random_band,
     random_monotone_gig1,
+    random_shaped_gig1,
+    random_skip_free_d8,
     scan_optimize_m,
 )
 
@@ -626,3 +632,47 @@ def test_closed_form_horizon_matches_the_full_scan(problem):
         assert "smallest normal double" in str(exc)
     else:
         assert value >= value_scan
+
+
+@st.composite
+def law_models(draw):
+    """Block-monotone GI/G/1 models of every shape with d <= 3, or d = 8 skip-free ones."""
+    seed = draw(seeds)
+    if draw(st.booleans()):
+        return random_skip_free_d8(seed)
+    L_A, U_A = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return random_shaped_gig1(seed, draw(dims), L_A, U_A, draw(st.integers(1, min(3, U_A + 1))))
+
+
+@settings(max_examples=50)
+@given(law_models())
+def test_stationary_law_matches_the_truncation_reference(model):
+    # The certificate bounds pi's mass at levels >= R by b / ((1 - gamma)
+    # min v(R)). At 1e-40 the truncation at R is pi to far below the checked
+    # digits, on the levels and on every tail mass of at least 1e-20.
+    _, _, cert = certificate_for_model(model)
+    R = 1
+    while cert.b / ((1.0 - cert.gamma) * cert.value_at(R).min()) > 1e-40:
+        R += 1
+    reference = stationary(lcb_truncate(assemble(model, R + 1), R)).entries
+    pi, beyond = model.stationary_law(R)
+    assert np.abs(pi.entries - reference).max() <= 1e-13
+    law_above = np.cumsum(pi.entries.sum(axis=1)[::-1])[::-1][1:] + beyond  # levels > n
+    ref_above = np.cumsum(reference.sum(axis=1)[::-1])[::-1][1:]
+    kept = ref_above >= 1e-20
+    assert kept[:10].all()
+    np.testing.assert_allclose(law_above[kept], ref_above[kept], rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=50)
+@given(law_models(), st.data())
+def test_a_level_keeps_its_bits_on_the_smallest_corner(model, data):
+    # compare solves its levels on the truncation at max n plus the widest
+    # block offset, down or up; each level has the bits it has on a corner
+    # 16 times taller.
+    levels = sorted(set(data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))))
+    reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
+    small = stationary(lcb_truncate(model, levels[-1] + reach), levels)
+    tall = stationary(lcb_truncate(model, 16 * levels[-1]), levels)
+    for got, want in zip(small, tall):
+        assert np.array_equal(got.entries, want.entries)
