@@ -42,7 +42,6 @@ from .drift_bounds import (
     CertificateCheck,
     DriftCertificate,
     GeometricTail,
-    ReferenceNotConvergedError,
     bound_theorem31,
     compare_against_oracle,
     lift_certificate,
@@ -88,7 +87,6 @@ __all__ = [
     "OrderingViolationError",
     "PhaseMatrix",
     "PhaseStructureError",
-    "ReferenceNotConvergedError",
     "StationarySolveError",
     "assemble",
     "block_dominates",

@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .block_matrix import (
     BlockStochasticMatrix,
     MultipleClosedClassesError,
@@ -253,15 +255,21 @@ def cmd_couple(args: argparse.Namespace, n_values: list[int]) -> int:
     dominance = run_coupled_dominance_batch(
         small, corner, 0, 0, j0=0, T=COUPLE_STEPS, seed=args.seed + 1, paths=COUPLE_PATHS
     )
-    # One line per chain whose paths touched its top stored level; a plain
-    # line keeps stderr free of install paths.
+    # One line per chain whose paths touched its top stored level, where its
+    # corner folded mass; a plain line keeps stderr free of install paths. A
+    # GI/G/1 corner always folds, and a stored one that folded nothing (a
+    # square corner at its own top level) is the chain itself.
+    folded = {
+        n: isinstance(model, GIG1Model) or not np.array_equal(c.band, model.band[:n + 1])
+        for n, c in ((n_small, small), (n_top, corner))
+    }
     chains = (
         ("monotone coupling", n_top, monotone.levels_low, monotone.levels_high),
         ("dominance coupling, dominated chain", n_small, dominance.levels_low),
         ("dominance coupling, dominating chain", n_top, dominance.levels_high),
     )
     for name, top, *levels in chains:
-        if any((lev == top).any() for lev in levels):
+        if folded[top] and any((lev == top).any() for lev in levels):
             print(
                 f"warning: {name}: a path reached the top stored level {top}; "
                 "the finite corner distorts the infinite chain there",

@@ -35,7 +35,6 @@ __all__ = [
     "CertificateCheck",
     "BoundReport",
     "BoundViolationError",
-    "ReferenceNotConvergedError",
     "verify_certificate",
     "bound_theorem31",
     "optimize_m",
@@ -49,7 +48,6 @@ __all__ = [
 # astronomically large.
 VERIFY_TOLERANCE = 1e-10
 
-REFERENCE_CONVERGENCE_TOLERANCE = 1e-10
 BOUND_CHECK_SLACK = 1e-9
 # Relative slack of the gate on the error's lower bound 2 pi(levels > n): the
 # mass is a sum of non-negative terms, so only its rounding needs room.
@@ -58,18 +56,6 @@ LOWER_BOUND_RELATIVE_SLACK = 1e-9
 
 class BoundViolationError(RuntimeError):
     """A measured error exceeded its certified bound (soundness alarm)."""
-
-
-class ReferenceNotConvergedError(RuntimeError):
-    """The reference truncation has not converged to the requested accuracy."""
-
-    def __init__(self, gap: float, level: int):
-        self.gap = gap
-        self.level = level
-        super().__init__(
-            f"reference truncation at level {level} not converged: "
-            f"TV gap to level {2 * level} is {gap:.3e}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,33 +349,35 @@ def compare_against_oracle(
 ) -> list[BoundReport]:
     """Measure truncation errors against the chain's stationary law and bound them.
 
-    A GI/G/1-type model is measured against the stationary law pi of its
-    infinite chain (GIG1Model.stationary_law), formed and residual-checked
-    through reference_level. One sweep over the truncation at max(n_list)
-    plus the model's widest block offset solves every requested level (see
-    stationary). The error of level n is the sum over k <= n of
-    |pi_n(k) - pi(k)| plus pi's mass above n, which is a sum of
-    non-negative terms: pi's entries through reference_level and a
-    closed-form tail beyond it. pi_n puts no mass above n, so twice that
-    mass is a lower bound on the error, and a bound1 below it is a
-    BoundViolationError.
+    The oracle is the exact stationary law pi of the chain under study,
+    split at reference_level into pi(0..reference_level) and its mass above.
+    A GI/G/1-type model is its infinite chain, whose law comes from
+    GIG1Model.stationary_law (formed and residual-checked through
+    reference_level, with a closed-form tail beyond it); one sweep over the
+    truncation at max(n_list) plus the model's widest block offset solves
+    every requested level. A stored corner P is the finite chain
+    lcb_truncate(P, top), top = P.levels - 1: a square corner is that chain
+    already, and a corner of complete rows is closed by folding its columns
+    beyond the top. One sweep over it solves every requested level and the
+    chain's own law. For a corner of an infinite chain, its errors differ
+    from the infinite chain's by at most the TV distance between the two
+    laws.
 
-    A stored corner, a chain known by a finite corner only, is measured
-    against its truncation at reference_level, which one sweep over the
-    truncation at twice that level solves with the requested levels. It is
-    accepted only if its TV gap to the top level's is at most
-    REFERENCE_CONVERGENCE_TOLERANCE.
-
-    For each n, m minimizes the sharper available bound, and both bounds are
-    reported at that m.
+    The error of level n is tv_distance(pi_n, pi(0..n)) plus pi's mass
+    above n, a sum of non-negative terms. pi_n puts no mass above n, so
+    twice that mass is a lower bound on the error, and a bound1 below it is
+    a BoundViolationError. For each n, m minimizes the sharper available
+    bound, and both bounds are reported at that m.
 
     Args:
         model: chain under study (GI/G/1-type model or stored corner).
         n_list: truncation levels to evaluate.
-        cert: certificate for the chain, or for a dominating chain.
+        cert: certificate for the chain, or for a dominating chain. It is
+            used as given: certificate_for_model is what verifies one.
         m_max: cap on the horizon m (None: certificate default).
-        reference_level: level through which the oracle is formed (keyword,
-            required), must exceed max(n_list).
+        reference_level: level at which the law is split (keyword,
+            required); it must exceed max(n_list) and, for a stored corner,
+            not exceed its top level.
         dominating: optional block-monotone chain dominating `model`; its
             truncations then supply the level-n mass for the first bound
             (the first bound is not available from `model`'s own truncation
@@ -397,10 +385,9 @@ def compare_against_oracle(
             truncation at max(n_list) solves all of them.
 
     Raises:
-        ValueError: no levels, a reference level at or below max(n_list), or
-            an array above the model's byte limit.
-        ReferenceNotConvergedError: a stored corner's oracle gap above
-            REFERENCE_CONVERGENCE_TOLERANCE.
+        ValueError: no levels, a reference level at or below max(n_list) or
+            above a stored corner's top level, or an array above the
+            model's byte limit.
         StationarySolveError: the stationary law or a truncation fails its
             solve or residual check.
         BoundViolationError: a measured error, or twice the mass above n,
@@ -413,14 +400,12 @@ def compare_against_oracle(
         raise ValueError("reference_level must exceed every requested n")
 
     if isinstance(model, BlockStochasticMatrix):
-        top = 2 * reference_level
-        corner = lcb_truncate(model, top)
-        *solved, pi_ref, pi_top = stationary(corner, n_list + [reference_level, top])
-        gap = tv_distance(pi_ref, pi_top)
-        if gap > REFERENCE_CONVERGENCE_TOLERANCE:
-            raise ReferenceNotConvergedError(gap, reference_level)
-        # (measured, lower bound): a truncation oracle gives no lower bound
-        errors = [(tv_distance(pi_n, pi_ref), 0.0) for pi_n in solved]
+        top = model.levels - 1
+        if reference_level > top:
+            raise ValueError(f"reference_level must not exceed the corner's top level {top}")
+        *solved, law = stationary(lcb_truncate(model, top), n_list + [top])
+        pi = BlockVector(model.d, law.entries[:reference_level + 1])
+        beyond = float(law.entries[reference_level + 1:].sum())
     else:
         pi, beyond = model.stationary_law(reference_level)
         # On this corner every band row the sweep reads for a requested
@@ -428,20 +413,17 @@ def compare_against_oracle(
         # taller corner.
         reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
         solved = stationary(lcb_truncate(model, max(n_list) + reach), n_list)
-        # above[k]: pi's mass at levels >= k, summed from the top
-        above = np.cumsum(np.append(pi.entries.sum(axis=1), beyond)[::-1])[::-1]
-        errors = [
-            (float(np.abs(pi_n.entries - pi.entries[:n + 1]).sum()) + above[n + 1],
-             2.0 * above[n + 1])
-            for n, pi_n in zip(n_list, solved)
-        ]
+    # above[k]: pi's mass at levels >= k, summed from the top
+    above = np.cumsum(np.append(pi.entries.sum(axis=1), beyond)[::-1])[::-1]
     if dominating is None:
         masses = solved
     else:
         masses = stationary(lcb_truncate(dominating, max(n_list)), n_list)
 
     reports = []
-    for n, (measured, lower), mass_n in zip(n_list, errors, masses):
+    for n, pi_n, mass_n in zip(n_list, solved, masses):
+        measured = tv_distance(pi_n, BlockVector(pi.d, pi.entries[:n + 1])) + above[n + 1]
+        lower = 2.0 * above[n + 1]
         top_mass = mass_n.entries[n]
         m_star, _ = optimize_m(cert, n, m_max, top_mass=top_mass)
         report = bound_theorem31(cert, m_star, n, top_mass=top_mass)

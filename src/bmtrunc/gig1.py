@@ -676,8 +676,9 @@ def certificate_for_model(
 
     Raises:
         ValueError: off the skip-free pattern and not block-monotone,
-            non-negative drift, no admissible K (some phase at level K
-            cannot reach level 0), or a certificate that fails verification.
+            non-negative drift, a B(-K) block with a zero row sum (some
+            phase at level K cannot reach level 0: lift_certificate refuses
+            it), or a certificate that fails verification.
     """
     skip_free = not model.mg1_pattern_mismatches()
     if not skip_free and not model.is_block_monotone():
@@ -693,12 +694,6 @@ def certificate_for_model(
         # K >= 1: find_alpha has refused any model without a downward A-block
         K = model.k_star - 1
         boundary = model.B_block(-K)
-        row_reach = boundary.sum(axis=1)
-        if np.any(row_reach <= 0.0):
-            raise ValueError(
-                f"no admissible K: boundary block at level {K} has row sums {row_reach}, "
-                "every phase must reach level 0 directly"
-            )
         gaps = [_row_image(model, alpha, v, k) - delta * alpha ** k * v for k in range(K + 1)]
         b_prime = max(float(np.max(np.stack(gaps))), B_PRIME_FLOOR)
         cert = lift_certificate(weights, delta, b_prime, boundary, tail=tail)

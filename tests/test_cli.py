@@ -579,6 +579,25 @@ class TestCouple:
             "stored level 4" + tail
         )
 
+    def test_no_warning_where_the_corner_folded_nothing(self, capsys, tmp_path):
+        # A square corner coupled at its own top level is the chain itself, so
+        # the monotone coupling and the dominating chain warn nothing; the
+        # dominated chain, a fold at 4, still warns. The chain at 8 is mg1_d2's
+        # truncation there, so the summary matches mg1_d2's own.
+        model_path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), model_path)
+        _, model_out, _ = run(capsys, "--model", model_path, "--command", "couple", "--n", "8")
+        path = str(tmp_path / "corner.json")
+        save_model(mg1_d2().truncate(8), path)
+        code, out, err = run(capsys, "--model", path, "--command", "couple", "--n", "8")
+        assert code == EXIT_OK
+        assert out == model_out
+        assert json.loads(out)["monotone"]["hit_top"] is True
+        assert err == (
+            "warning: dominance coupling, dominated chain: a path reached the top "
+            "stored level 4; the finite corner distorts the infinite chain there\n"
+        )
+
     def test_non_monotone_model_is_rejected(self, capsys, tmp_path):
         P, _ = dominance_pair(levels=13)
         path = str(tmp_path / "edited.json")

@@ -11,18 +11,14 @@ from bmtrunc import (
     BoundViolationError,
     DriftCertificate,
     GeometricTail,
-    ReferenceNotConvergedError,
     bound_theorem31,
     compare_against_oracle,
+    lcb_truncate,
     lift_certificate,
     optimize_m,
     verify_certificate,
 )
-from bmtrunc.drift_bounds import (
-    BOUND_CHECK_SLACK,
-    REFERENCE_CONVERGENCE_TOLERANCE,
-    VERIFY_TOLERANCE,
-)
+from bmtrunc.drift_bounds import VERIFY_TOLERANCE
 from bmtrunc.gig1 import assemble, certificate_for_model
 
 from helpers import (
@@ -344,35 +340,59 @@ class TestCompareAgainstOracle:
         for r in reports:
             assert abs(r.measured_error - 2.0 * (2.0 / 3.0) ** (r.n + 1)) <= 1e-12
 
+    @pytest.mark.parametrize("closing", ["square", "complete-rows"])
+    def test_finite_walk_errors_match_the_closed_form(self, closing):
+        # The walk closed at level 80 has the law (2/3)^k renormalised on
+        # 0..80, and its level-n truncation renormalises it on 0..n, so the
+        # TV error is twice the law's mass above n. A corner of 81 complete
+        # rows closes to the same chain.
+        walk = natural_walk()
+        corner = lcb_truncate(walk, 80) if closing == "square" else assemble(walk, 81)
+        _, _, cert = certificate_for_model(walk)
+        ns = list(range(5, 76))
+        reports = compare_against_oracle(corner, ns, cert, reference_level=79)
+        assert [r.n for r in reports] == ns
+        q = 2.0 / 3.0
+        for r in reports:
+            exact = 2.0 * (q ** (r.n + 1) - q ** 81) / (1.0 - q ** 81)
+            assert abs(r.measured_error - exact) <= 1e-12
+            assert r.measured_error <= r.bound1 <= r.bound2
+
+    def test_finite_chain_is_measured_at_every_reference_level(self):
+        # mg1_d2 closed at level 30, with mg1_d2's certificate, which the
+        # closed chain also satisfies. The law is exact, so the reference
+        # level only splits it, and the errors agree across the splits.
+        model = mg1_d2()
+        _, _, cert = certificate_for_model(model)
+        finite = lcb_truncate(model, 30)
+        errors = []
+        for ref in (15, 20, 30):
+            reports = compare_against_oracle(finite, [5, 10, 14], cert, reference_level=ref)
+            for r in reports:
+                assert r.measured_error <= r.bound1 <= r.bound2
+            errors.append([r.measured_error for r in reports])
+        for other in errors[1:]:
+            np.testing.assert_allclose(other, errors[0], rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="top level 30"):
+            compare_against_oracle(finite, [5], cert, reference_level=31)
+
     def test_reference_must_exceed_requested_levels(self):
         cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)
         with pytest.raises(ValueError, match="reference_level"):
             compare_against_oracle(natural_walk(), [10, 50], cert, reference_level=50)
 
-    def test_unconverged_reference_is_reported(self):
-        # A chain known by a finite corner only is measured against its own
-        # truncation at the reference level, which must have converged.
-        cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)
-        with pytest.raises(ReferenceNotConvergedError) as exc:
-            compare_against_oracle(assemble(natural_walk(), 81), [5], cert, reference_level=40)
-        assert exc.value.level == 40
-        assert exc.value.gap > REFERENCE_CONVERGENCE_TOLERANCE
-
     def test_bound1_below_the_error_lower_bound_trips_the_gate(self):
         # At n = 54 the walk's error is 2 (2/3)^55 = 4.3e-10, which is also
         # twice pi's mass above n. A certificate with a tiny b gives bound1
         # = 2 pi_n(n) + 4e-12 = 2.2e-10 at m = 1: the measured error is
-        # within BOUND_CHECK_SLACK of it, but the lower bound is not.
+        # within BOUND_CHECK_SLACK of it, but the lower bound is not. The
+        # stored corner is the chain closed at level 800, whose mass above
+        # n is the infinite walk's to within (2/3)^801, so it trips too.
         bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-12)
         n = 54
-        lower = 2.0 * (2.0 / 3.0) ** (n + 1)
-        with pytest.raises(BoundViolationError, match="lower bound"):
-            compare_against_oracle(natural_walk(), [n], bogus, reference_level=400)
-        (report,) = compare_against_oracle(
-            assemble(natural_walk(), 801), [n], bogus, reference_level=400
-        )
-        assert report.bound1 < lower / 1.5
-        assert report.measured_error <= report.bound1 + BOUND_CHECK_SLACK
+        for model in (natural_walk(), assemble(natural_walk(), 801)):
+            with pytest.raises(BoundViolationError, match="lower bound"):
+                compare_against_oracle(model, [n], bogus, reference_level=400)
 
     def test_bogus_certificate_trips_the_soundness_guard(self):
         bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6)

@@ -1,7 +1,8 @@
 """Property tests for the ordering calculus on random block matrices.
 
 The stationary law of random GI/G/1 models is checked against the
-truncation reference of a stored corner.
+truncation reference of a stored corner, and compare_against_oracle's
+measured error on a stored corner against the TV distance to its own law.
 
 Each property runs on 200 random instances (hypothesis profile) with
 d in {1,2,3} and at most 8 levels. The explicit transform-product oracles
@@ -43,6 +44,7 @@ from bmtrunc import (
     block_dominates,
     certificate_for_model,
     closed_classes,
+    compare_against_oracle,
     find_alpha,
     is_block_increasing,
     is_block_monotone,
@@ -205,6 +207,23 @@ def test_truncation_error_shrinks_with_n(seed, d, levels):
     errors = [tv_distance(stationary(lcb_truncate(P, n)), pi) for n in range(1, levels)]
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-9
+
+
+@given(seeds, dims, st.integers(min_value=4, max_value=11), st.data())
+def test_stored_corner_is_measured_against_its_own_law(seed, d, levels, data):
+    # A stored corner is the finite chain it closes to, so its oracle is its
+    # own law, split at the reference level. A b of 1e6 with m_max = 1 puts
+    # bound1 above 4e6, so no gate fires, whatever the corner.
+    P = random_bm_corner(make_rng(seed), d, levels)
+    cert = DriftCertificate(BlockVector(d, np.ones((levels, d))), 0.5, 1e6)
+    reference = data.draw(st.integers(min_value=2, max_value=levels - 1))
+    ns = list(range(1, reference))
+    reports = compare_against_oracle(P, ns, cert, m_max=1, reference_level=reference)
+    pi = stationary(P)
+    for n, r in zip(ns, reports):
+        exact = tv_distance(stationary(lcb_truncate(P, n)), pi)
+        assert abs(r.measured_error - exact) <= 1e-14
+        assert 2.0 * pi.entries[n + 1:].sum() <= r.measured_error + 1e-15
 
 
 # --- banded stationary solver against the dense GTH oracle ---

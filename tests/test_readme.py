@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's library examples run as written."""
 
 import re
 from pathlib import Path
@@ -8,11 +8,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_library_example_runs(capsys):
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    namespace: dict = {}
-    exec(compile(code, str(README), "exec"), namespace)
-    assert capsys.readouterr().out
-    reports = namespace["reports"]
-    assert reports
-    for r in reports:
-        assert r.measured_error <= r.bound1 <= r.bound2
+    section = section.split("\n## ", 1)[0]
+    examples = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(examples) >= 2
+    for code in examples:
+        namespace: dict = {}
+        exec(compile(code, str(README), "exec"), namespace)
+        assert capsys.readouterr().out
+        reports = namespace["reports"]
+        assert reports
+        for r in reports:
+            assert r.measured_error <= r.bound1 <= r.bound2
