@@ -261,9 +261,11 @@ class BlockVector:
         return self.entries.reshape(-1)
 
     def padded(self, levels: int) -> np.ndarray:
-        """Entries zero-padded (or unchanged) to the requested level count."""
+        """Entries zero-padded to the requested level count; `entries` itself if none is needed."""
         if levels < self.levels:
             raise ValueError("padding cannot drop levels")
+        if levels == self.levels:
+            return self.entries
         out = np.zeros((levels, self.d))
         out[: self.levels] = self.entries
         return out
@@ -387,23 +389,25 @@ def lcb_truncate(P, n: int) -> BlockStochasticMatrix:
         raise ValueError(f"n={n} exceeds the {P.levels} stored levels")
     band = P.band[: n + 1].copy()
     first = max(0, n - P.upper)
-    band[first:] = _fold_levels(P.band, P.lower, n, first)
+    band[first:] = _fold_levels(P.band[first:n + 1], P.lower)
     return BlockStochasticMatrix(d=P.d, band=band, lower=P.lower)
 
 
-def _fold_levels(band: np.ndarray, lower: int, n: int, first: int) -> np.ndarray:
-    """LCB fold at level n of the block-band rows of levels first..n (a copy).
+def _fold_levels(rows: np.ndarray, lower: int) -> np.ndarray:
+    """LCB fold of block-band rows (..., levels, width, d, d) at their last level (a copy).
 
-    Each row's blocks in column levels >= n are summed, in slot order, into
-    its column-n slot. Rows below n - upper reach no column level >= n, so
-    first = max(0, n - upper) folds every row that changes.
+    Each row's blocks in column levels at or beyond the last row's level n
+    are summed, in slot order, into its column-n slot. Rows more than
+    `upper` levels below n reach no column level >= n, so the rows of levels
+    max(0, n - upper)..n are every row that changes. Leading axes stack
+    levels with the same number of rows, folded each at its own last level.
     """
-    rows = band[first:n + 1]
-    beyond = _slot_columns(n + 1, band.shape[1], lower)[first:] >= n
-    fold = np.where(beyond[:, :, None, None], rows, 0.0).sum(axis=1)
-    out = np.where(beyond[:, :, None, None], 0.0, rows)
-    k = np.arange(first, n + 1)
-    out[k - first, n - k + lower] = fold
+    span = rows.shape[-4] - 1
+    beyond = (_slot_columns(span + 1, rows.shape[-3], lower) >= span)[:, :, None, None]
+    fold = np.where(beyond, rows, 0.0).sum(axis=-3)
+    out = np.where(beyond, 0.0, rows)
+    i = np.arange(span + 1)
+    out[..., i, span - i + lower, :, :] = fold
     return out
 
 
@@ -415,17 +419,28 @@ def _state_band(P: BlockStochasticMatrix) -> tuple[np.ndarray, int, int]:
     of the bottom-up sweep (_upward_views), which read up to lo rows below
     a state, never leave the array.
     """
-    d, width = P.d, P.band.shape[1]
+    d = P.d
     lo = P.lower * d + d - 1
     up = P.upper * d + d - 1
     states = P.levels * d
     W = np.zeros((states + lo, lo + up + 1))
+    _place_states(W[:states], P.band)
+    return W, lo, up
+
+
+def _place_states(out: np.ndarray, band: np.ndarray):
+    """Write block-band rows (..., levels, width, d, d) into state-band rows (..., levels*d, slots).
+
+    Entry (k, o, i, j), column level k - lower + o, goes to row k*d + i,
+    slot o*d + j - i + d - 1: the slot lo + (column - row state) of a band
+    with lo = lower*d + d - 1 slots left of the diagonal.
+    """
+    *lead, levels, width, d, _ = band.shape
     o = np.arange(width)[:, None, None]
     i = np.arange(d)[None, :, None]
     j = np.arange(d)[None, None, :]
     rows = np.broadcast_to(i, (width, d, d))
-    W[:states].reshape(P.levels, d, lo + up + 1)[:, rows, o * d + j - i + d - 1] = P.band
-    return W, lo, up
+    out.reshape(*lead, levels, d, out.shape[-1])[..., rows, o * d + j - i + d - 1] = band
 
 
 def _closed_classes(band: np.ndarray, lower: int = 0) -> list[np.ndarray]:
@@ -509,17 +524,18 @@ def _upward_views(W: np.ndarray, lo: int, up: int):
 
     rows[s, c] = (s, s + 1 + c) is row s right of the diagonal, cols[s, r] =
     (s + 1 + r, s) column s below it, and windows[s, r, c] =
-    (s + 1 + r, s + 1 + c) the entries that eliminating s updates.
+    (s + 1 + r, s + 1 + c) the entries that eliminating s updates. Leading
+    axes of W stack bands, and the views keep them.
     """
-    states = W.shape[0] - lo
-    width = lo + up + 1
-    flat = W.reshape(-1)
-    step = flat.strides[0]
-    skew = (width * step, (width - 1) * step)
+    *lead, rows_total, width = W.shape
+    states = rows_total - lo
+    flat = W.reshape(*lead, -1)
+    step = flat.strides[-1]
+    skew = (*flat.strides[:-1], width * step, (width - 1) * step)
     below = width + lo
-    rows = W[:states, lo + 1:]
-    cols = as_strided(flat[below - 1:], (states, lo), skew)
-    windows = as_strided(flat[below:], (states, lo, up), skew + (step,))
+    rows = W[..., :states, lo + 1:]
+    cols = as_strided(flat[..., below - 1:], (*lead, states, lo), skew)
+    windows = as_strided(flat[..., below:], (*lead, states, lo, up), skew + (step,))
     return rows, cols, windows
 
 
@@ -541,6 +557,23 @@ def _sweep_up(views, start: int, stop: int, pivots: np.ndarray):
         pivots[s] = total
         if total > 0.0:
             window += np.multiply.outer(col, row / total)
+
+
+def _sweep_stack(views, pivots: np.ndarray):
+    """_sweep_up of every state of a stack of padded bands, one step per state for all.
+
+    views are the stack's _upward_views and pivots is (bands, states). Each
+    entry gets the arithmetic _sweep_up gives it; a state with pivot 0 has
+    no mass right of its diagonal and adds col * 0 = 0, which changes no
+    entry.
+    """
+    rows, cols, windows = views
+    for s in range(pivots.shape[1]):
+        row = rows[:, s]
+        total = np.add.reduce(row, axis=-1)
+        pivots[:, s] = total
+        scaled = row / np.where(total > 0.0, total, 1.0)[:, None]
+        windows[:, s] += cols[:, s, :, None] * scaled[:, None, :]
 
 
 class _SharedSweep:
@@ -582,6 +615,12 @@ class _SharedSweep:
     def _frontier(self, level: int) -> np.ndarray:
         f = level * self.d
         return self.W[f:f + self.lo]
+
+    def frontier(self, level: int) -> bytes:
+        """The bytes of F_level, for any level up to the one the sweep has reached."""
+        if level < self.level:
+            return self.frontiers[level]
+        return self._frontier(level)[self.mask].tobytes()
 
     def run_to(self, stop: int):
         """Eliminate (or copy) every state below level `stop`."""
@@ -628,21 +667,6 @@ class _SharedSweep:
         self._frontier(end)[self.mask] = np.frombuffer(self.frontiers[end - q], dtype=float)
         self.seen.update(zip(self.frontiers[end - q:end], range(end - q, end)))
         self.level = end
-
-
-def _fold_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndarray:
-    """LCB fold at level n of the state-band rows first..(n+1)d-1 (a copy).
-
-    Entries in column levels beyond n move into the same phase of level n.
-    """
-    count, width = rows.shape
-    out = rows.copy()
-    states = np.arange(first, first + count)
-    cols = states[:, None] + np.arange(width) - lo
-    r, c = np.nonzero(cols >= (n + 1) * d)
-    np.add.at(out, (r, n * d + cols[r, c] % d - states[r] + lo), out[r, c])
-    out[r, c] = 0.0
-    return out
 
 
 # The back-substitution multiplies x by up to max(1, column sum / pivot) per
@@ -1014,16 +1038,92 @@ def _class_top(rows, lower: int, pivots: np.ndarray) -> int:
     return int(cls[-1])
 
 
-def _level_vector(rows, lower: int, x: _Solution, deviation: float) -> BlockVector:
-    """Checked stationary vector of a square corner from its solved closed class x.
+# The product of P's own rows with a batch of vectors gathers a band row per
+# row of the batch; at most this many bytes of them at a time.
+_GATHER_BYTES = 1 << 18
 
-    `rows` are the corner's unreduced band row blocks in level order, and the
-    residual is checked on them; their largest |row sum - 1| is `deviation`.
+
+def _checked_levels(band, lower: int, ks, folds, x: np.ndarray, starts, deviation):
+    """Check the residual of a batch of levels, each on its truncation's band, from the lowest up.
+
+    Level i has the vector x[starts[i]:starts[i] + n_i + 1], and its corner's
+    band is P's own rows band[:ks[i]] followed by its folded rows, the
+    levels of the stacks `folds` (see _top_windows) taken in order. Each
+    vector is followed by width - 1 zero levels of x, where its product
+    x P_n spills. The product adds P's rows first, then the folded ones,
+    each by slot, as _left_product adds them, so every entry has the bits
+    it has there. The lowest level whose residual exceeds
+    STATIONARY_RESIDUAL_TOLERANCE plus its `deviation` raises
+    StationarySolveError, as _checked raises it; otherwise the max-norm
+    residuals come back, one per level.
     """
-    pi = np.zeros(sum(len(r) for r in rows) * rows[0].shape[2])
-    values = x.result()
-    pi[:values.size] = values / values.sum()
-    return _checked(rows, lower, pi, deviation)
+    width, d = band.shape[1], band.shape[2]
+    out = np.zeros((lower + len(x), d))  # out[lower + p] is row p of x P_n
+    # P's own rows first, on every row of x but the last width - 1 (zeros).
+    # The rows from each level's fold on count as zero here, which adds 0 and
+    # changes no entry. The chunks go from the top down, so each entry still
+    # gets its slots in order.
+    used = len(x) - width + 1
+    chunk = max(1, _GATHER_BYTES // (8 * width * d * d))
+    for a in reversed(range(0, used, chunk)):
+        b = min(a + chunk, used)
+        owner = np.searchsorted(starts, np.arange(a, b), side="right") - 1
+        level = np.arange(a, b) - starts[owner]
+        own = level < ks[owner]
+        part = np.where(own[:, None], x[a:b], 0.0)[:, None, :]
+        blocks = band.take(np.where(own, level, 0), axis=0)
+        for o in range(width):
+            out[a + o:b + o] += np.matmul(part, blocks[:, o])[:, 0]
+    i = 0
+    for rows in folds:
+        at = (starts + ks)[i:i + len(rows), None] + np.arange(rows.shape[1])
+        part = x[at][:, :, None, :]
+        for o in range(width):
+            out[at + o] += np.matmul(part, rows[:, :, o])[:, :, 0]
+        i += len(rows)
+    diff = out[lower:]
+    diff -= x
+    np.abs(diff, out=diff)
+    diff[np.append(starts[1:], len(x))[:, None] - np.arange(1, width)] = 0.0  # where products spill
+    residual = np.maximum.reduceat(diff, starts).max(axis=1)
+    bound = STATIONARY_RESIDUAL_TOLERANCE + deviation
+    failing = ~(residual <= bound)
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise StationarySolveError(f"stationary residual {residual[i]:.3e} exceeds {bound[i]:g}")
+    return residual
+
+
+def _top_windows(P: BlockStochasticMatrix, sweep: _SharedSweep, ks: np.ndarray, span: int):
+    """The top windows of the truncations at ks + span, folded and swept bottom-up as one stack.
+
+    The window of the truncation at n = k + span is its state band from
+    level k up, once the states below k are eliminated. Its first lo rows
+    are the frontier F_k, whose bytes the sweep keeps, and the rows above
+    are P's own, which no elimination below k reaches. The window is folded
+    as lcb_truncate folds: each entry beyond level n is added to the same
+    phase of level n, in column order. Its rows past n are zero, so no
+    elimination reaches beyond n. Returns the stack's cols view (see
+    _upward_views) and pivots, (len(ks), (span + 1) d) of them.
+    """
+    d, lo = P.d, sweep.lo
+    states, slots = (span + 1) * d, sweep.W.shape[1]
+    W = np.zeros((len(ks), states + lo, slots))
+    _place_states(W[:, :states], P.band[ks[:, None] + np.arange(span + 1)])
+    frontiers = np.frombuffer(b"".join(sweep.frontier(int(k)) for k in ks), dtype=float)
+    W[:, :lo][:, sweep.mask] = frontiers.reshape(len(ks), -1)
+    W[:, states:] = 0.0
+    column = np.arange(states)[:, None] - lo + np.arange(slots)
+    beyond = column >= states
+    above = column // d - span  # levels above n
+    for t in range(1, int(above.max()) + 1):
+        r, c = np.nonzero(beyond & (above == t))
+        W[:, r, c - t * d] += W[:, r, c]
+    W[:, :states][:, beyond] = 0.0
+    pivots = np.zeros((len(ks), states))
+    views = _upward_views(W, lo, slots - lo - 1)
+    _sweep_stack(views, pivots)
+    return views[1], pivots
 
 
 def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
@@ -1032,57 +1132,84 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     for n in levels:
         if not (1 <= n <= top or n == top):
             raise ValueError(f"level {n} is outside the corner's levels 1..{top}")
-    d = P.d
+    d, U = P.d, P.upper
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
     sweep = _SharedSweep(P, W, lo, up, pivots)
+    ns = np.array(sorted(set(levels)))
+    ks = np.maximum(ns - U, 0)
+    sweep.run_to(int(ks[-1]))
     cols = sweep.views[1]
-    descent = _Descent(cols, pivots, d)
     # deviation[k]: the largest |row sum - 1| of P's levels below k
     worst = np.abs(_row_sums(P.band) - 1.0).max(axis=1)
     deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
-    solved, failure = {}, None
-    for n in sorted(set(levels)):
-        # Rows below `first` reach no column level beyond n, so they are P's
-        # own rows, checked by P's constructor, in every truncation at n or
-        # above, and so is their reduction. Its fill reaches no column level
-        # beyond n either, so folding the reduced rows from `first` up equals
-        # reducing the folded rows: only those (U+1)d states are swept here,
-        # in place in W and pivots, and put back for the levels above. The
-        # folded band rows go to a scratch of their own, and the residual
-        # runs on P's rows below them plus the scratch.
-        sweep.run_to(max(0, n - P.upper))
-        k = sweep.level
-        first, states = k * d, (n + 1) * d
-        saved = W[first:states + lo].copy(), pivots[first:states].copy()
-        try:
-            folded = _fold_levels(P.band, P.lower, n, k)
-            sums = _checked_row_sums(folded, d, first=k)
-            W[first:states] = _fold_rows(W[first:states], first, n, d, lo)
-            # Their columns have no entries in rows above level n; cols[first + i, r]
-            # is the entry (first + i + 1 + r, first + i).
-            m = states - first
-            cols[first:states][np.add.outer(np.arange(m), np.arange(lo)) >= m - 1] = 0.0
-            _sweep_up(sweep.views, first, states, pivots)
-            rows = (P.band[:k], folded)
-            h = _class_top(rows, P.lower, pivots[:states])
-            own = slice(min(k, h // d) * d, h)
-            dev = max(deviation[k], float(np.max(np.abs(sums - 1.0))))
-            solved[n] = rows, (h, cols[own].copy(), pivots[own].copy()), dev
-        except (ValueError, StationarySolveError) as error:
-            failure = error  # raised once the levels below pass their residual checks
+    # stalls[f]: how many of the shared pivots below state f are not positive
+    stalls = np.concatenate(([0], np.cumsum(~(pivots[:ks[-1] * d] > 0.0))))
+    folds, devs, parts, failure = [], [], [], None
+    start = 0
+    while start < len(ns) and failure is None:
+        # Rows below k = n - span reach no column level beyond n, so they
+        # are P's own, checked by its constructor, in every truncation at n
+        # or above, and so is their reduction. The span is min(n, U): each
+        # level below U on its own, then all the others as one stack.
+        span = int(ns[start] - ks[start])
+        stop = start + 1 if span < U else len(ns)
+        k = ks[start:stop]
+        rows = _fold_levels(P.band[k[:, None] + np.arange(span + 1)], P.lower)
+        sums = _row_sums(rows.reshape(-1, *rows.shape[2:])).reshape(len(k), -1)
+        fits = np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE
+        bad = ~(fits.all(axis=1) & (rows.min(axis=(1, 2, 3, 4)) >= 0.0))
+        if bad.any():
+            g = int(np.argmax(bad))
+            try:
+                _checked_row_sums(rows[g], d, first=int(k[g]))
+            except ValueError as error:
+                failure = error  # raised once the levels below pass their residual checks
+                k, rows, sums = k[:g], rows[:g], sums[:g]
+        if not len(k):
             break
-        finally:
-            W[first:states + lo], pivots[first:states] = saved
-    solutions = descent.start([part for _, part, _ in solved.values()])
+        below, piv = _top_windows(P, sweep, k, span)
+        below = np.ascontiguousarray(below[:, :-1])
+        first = k * d
+        tops = first + piv.shape[1] - 1
+        # The class tops of levels off the fast path (see _class_top), lowest first.
+        for g in np.flatnonzero((stalls[first] > 0) | ~(piv[:, :-1] > 0.0).all(axis=1)):
+            try:
+                tops[g] = _class_top(
+                    (P.band[:k[g]], rows[g]), P.lower, np.concatenate((pivots[:first[g]], piv[g]))
+                )
+            except (ValueError, StationarySolveError) as error:
+                failure = error
+                k, rows, sums, tops = k[:g], rows[:g], sums[:g], tops[:g]
+                break
+        for g, (f, h) in enumerate(zip(first.tolist(), tops.tolist())):
+            if h >= f:
+                parts.append((h, below[g, :h - f], piv[g, :h - f]))
+            else:
+                own = slice(h // d * d, h)
+                parts.append((h, cols[own].copy(), pivots[own].copy()))
+        folds.append(rows)
+        devs.append(np.maximum(deviation[k], np.abs(sums - 1.0).max(axis=1)))
+        start = stop
+    if not parts:
+        raise failure
+    descent = _Descent(cols, pivots, d)
+    solutions = descent.start(parts)
     descent.finish(solutions, sweep.repeat)
-    checked = {
-        n: _level_vector(rows, P.lower, x, dev)
-        for (n, (rows, _, dev)), x in zip(solved.items(), solutions)
-    }
+    ns, ks = ns[:len(parts)], ks[:len(parts)]
+    width = P.band.shape[1]
+    starts = np.cumsum(ns + width) - (ns + width)
+    x = np.zeros((int(starts[-1] + ns[-1]) + width, d))
+    flat = x.reshape(-1)
+    for a, solution in zip(starts.tolist(), solutions):
+        values = solution.result()
+        flat[a * d:a * d + values.size] = values / values.sum()
+    del solutions  # frees their x and exponents, each as large as x, before the check
+    _checked_levels(P.band, P.lower, ks, folds, x, starts, np.concatenate(devs))
     if failure is not None:
         raise failure
-    return [checked[n] for n in levels]
+    solved = {n: BlockVector(d, x[a:a + n + 1]) for n, a in zip(ns.tolist(), starts.tolist())}
+    return [solved[n] for n in levels]
 
 
 def stationary(P: BlockStochasticMatrix, levels=None):
@@ -1092,26 +1219,31 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     for each n in levels, from one bottom-up GTH sweep (Masuyama's sequential
     update, Queueing Systems 2019). The states below level n - U are the
     same in every truncation at n or above, so the sweep eliminates them
-    once for all levels, and copies the levels where it repeats bit for bit
-    (see _SharedSweep). Each level then folds its last U+1 reduced levels in
-    place, eliminates those states and puts them back afterwards: O((U+1) d)
-    states of its own, with no corner of its own built. Its pivots decide its
-    closed class (see _class_top), and the reduced rows of its own states
-    are kept. Once the sweep has passed every level, those states are
+    once for all levels, up to the largest n - U, and copies the levels
+    where it repeats bit for bit (see _SharedSweep). Each level's own
+    states are its top window, levels n - U..n: the sweep's frontier there,
+    kept as bytes, and P's rows above it, folded at n (see _top_windows).
+    The windows of all levels with the same span n - k (k = max(0, n - U))
+    are stacked and swept together, one step per window state, with the
+    arithmetic the shared sweep gives each entry: O((U+1) d) states per
+    level, with no corner of its own built and nothing of P's padded to the
+    largest n. A level's pivots decide its closed class (see _class_top).
+    Once the sweep has passed every level, the window states are
     back-substituted one at a time, all levels in one loop, and the states
-    below each level's fold with maps the levels share: whole periods of
-    the range where the sweep copied, and a tree of level maps below it (see
-    _Descent). Each residual is checked on the band lcb_truncate(P, n) would
-    build: P's own rows below the fold and a scratch of the folded rows,
-    with no copy of P's band. The results are bit for bit those of
-    eliminating every state and back-substituting with the same maps, and a
-    level's vector depends on P and n alone, not on the other levels asked
-    for. A level may be any of 1..P.levels - 1 (0 on a one-level corner);
-    within U of the top it folds P's folded rows again, as lcb_truncate(P, n)
-    does. The levels are checked from the lowest up, each as a whole: its
-    folded rows and closed class as the sweep passes it, its residual once
-    it is solved. So the first level that fails a check raises its error:
-    with several reducible levels, the lowest one names its classes.
+    below each window with maps the levels share: whole periods of the
+    range where the sweep copied, and a tree of level maps below it (see
+    _Descent). The residuals of all levels are checked in one batch, each
+    on the band lcb_truncate(P, n) would build: P's own rows below the
+    window and its folded rows, with no copy of P's band (see
+    _checked_levels). The results are bit for bit those of eliminating
+    every state and back-substituting with the same maps, and a level's
+    vector depends on P and n alone, not on the other levels asked for. A
+    level may be any of 1..P.levels - 1 (0 on a one-level corner); within U
+    of the top it folds P's folded rows again, as lcb_truncate(P, n) does.
+    The levels are checked from the lowest up, each as a whole: its folded
+    rows and closed class, then its residual once it is solved. So the
+    first level that fails a check raises its error: with several
+    reducible levels, the lowest one names its classes.
 
     Without `levels`: the vector of P itself, stationary(P, [P.levels - 1])[0],
     in O(levels (L+1)(U+1) d^3) time and O(levels (L+U+1) d^2 log(levels))

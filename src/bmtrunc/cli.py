@@ -35,6 +35,7 @@ from .drift_bounds import (
     optimize_m,
 )
 from .gig1 import (  # noqa: F401 - find_alpha stays importable here for perfbench's tracer
+    MAX_ARRAY_BYTES,
     GIG1DriftData,
     GIG1Model,
     certificate_for_model,
@@ -216,12 +217,20 @@ def cmd_bound(args: argparse.Namespace, n_values: list[int]) -> int:
 
 def cmd_compare(args: argparse.Namespace, n_values: list[int]) -> int:
     model = _load_gig1(args.model)
+    levels = sorted(set(n_values))
+    # The solve holds one vector of n + 1 levels for every distinct n.
+    held = 8 * model.d * sum(n + 1 for n in levels)
+    if held > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the level vectors of --n need {held} bytes, above the limit of "
+            f"{MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)"
+        )
     _, _, cert = certificate_for_model(model)
     reference_level = args.reference_level
     if reference_level is None:
         reference_level = 8 * max(n_values)
     reports = compare_against_oracle(
-        model, sorted(set(n_values)), cert, m_max=args.m_max, reference_level=reference_level
+        model, levels, cert, m_max=args.m_max, reference_level=reference_level
     )
     _emit(_render_reports(reports, args.format), args.out)
     return EXIT_OK

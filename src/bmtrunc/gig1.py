@@ -269,7 +269,7 @@ class GIG1Model:
             raise ValueError("truncation level n must be >= 1")
         band, L = self._band(n + 1)
         first = max(0, n - max(self.U_A, self.U_B))
-        band[first:] = _fold_levels(band, L, n, first)
+        band[first:] = _fold_levels(band[first:n + 1], L)
         return BlockStochasticMatrix(d=self.d, band=band, lower=L)
 
     def _group_blocks(self):
@@ -474,11 +474,10 @@ def _perron(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     the A-sum that GIG1Model's constructor checked, so it skips perron's
     input checks; the residual checks stay.
     """
-    eigvals, right = np.linalg.eig(M)
+    (eigvals, eigvals_l), (right, left) = np.linalg.eig(np.stack((M, M.T)))
     idx = int(np.argmax(eigvals.real))
     delta = float(eigvals[idx].real)
     v = right[:, idx].real
-    eigvals_l, left = np.linalg.eig(M.T)
     idx_l = int(np.argmax(eigvals_l.real))
     mu = left[:, idx_l].real
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])

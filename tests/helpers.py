@@ -9,7 +9,9 @@ implementations. scan_optimize_m evaluates every horizon m, where the library
 solves for the minimizer in closed form. full_sweep and
 full_sweep_stationary eliminate every state of the shared bottom-up sweep,
 where the library copies the range in which the sweep repeats, and
-finish each level on its own whole corner with the csgraph class check;
+finish each level on its own whole corner with the csgraph class check,
+folding the shared sweep's reduced rows with fold_state_rows where the
+library rebuilds each level's window from the sweep's frontier;
 solve_up runs the library's descent for one level alone, and
 lapack_solve_up back-substitutes with LAPACK's banded triangular solve,
 where the library steps through the sweep's maps in numpy;
@@ -42,7 +44,6 @@ from bmtrunc.block_matrix import (
     _Descent,
     _SharedSweep,
     _checked,
-    _fold_rows,
     _one_class,
     _state_band,
     _sweep_up,
@@ -202,6 +203,22 @@ def sweep_repeat(P: BlockStochasticMatrix):
     return sweep.repeat
 
 
+def fold_state_rows(rows: np.ndarray, first: int, n: int, d: int, lo: int) -> np.ndarray:
+    """LCB fold at level n of the state-band rows first..(n+1)d-1 (a copy).
+
+    Entries in column levels beyond n move into the same phase of level n,
+    added one at a time in column order.
+    """
+    count, width = rows.shape
+    out = rows.copy()
+    states = np.arange(first, first + count)
+    cols = states[:, None] + np.arange(width) - lo
+    r, c = np.nonzero(cols >= (n + 1) * d)
+    np.add.at(out, (r, n * d + cols[r, c] % d - states[r] + lo), out[r, c])
+    out[r, c] = 0.0
+    return out
+
+
 def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
     """stationary(P, levels) the long way, with a shared sweep over every state.
 
@@ -228,7 +245,7 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         first = states if n == top else max(0, n - P.upper) * d
         _sweep_up(views, swept, first, pivots)
         swept = first
-        Wn[first:states] = _fold_rows(W[first:states], first, n, d, lo)
+        Wn[first:states] = fold_state_rows(W[first:states], first, n, d, lo)
         level_pivots = pivots[:states].copy()
         level_views = _upward_views(Wn, lo, up)
         _sweep_up(level_views, first, states, level_pivots)

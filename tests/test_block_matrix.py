@@ -295,6 +295,20 @@ class TestStationary:
             image[k + shift] += np.einsum("ki,kij->kj", x[k], P.band[k, o])
         assert np.abs(image - x).max() <= 1e-10
 
+    def test_linear_memory_on_many_levels_of_a_tall_corner(self):
+        # 401 levels solved at once: padding every vector to the 10 001
+        # levels of the largest would need 64 MB.
+        P = lcb_truncate(mg1_d2(), 10_000)
+        levels = list(range(1, 401)) + [10_000]
+        tracemalloc.start()
+        try:
+            solved = stationary(P, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert [pi.levels for pi in solved] == [n + 1 for n in levels]
+
     def test_residual_small_on_larger_corner(self):
         P = lcb_truncate(natural_walk(), 200)
         pi = stationary(P)
@@ -366,13 +380,19 @@ class TestStationarySweep:
     def swept_states(monkeypatch, P, levels) -> np.ndarray:
         """How often stationary(P, levels) eliminates each state for real."""
         counts = np.zeros(P.levels * P.d, dtype=int)
-        sweep = block_matrix._sweep_up
+        sweep, windows = block_matrix._sweep_up, block_matrix._top_windows
 
         def counted(views, start, stop, pivots):
             counts[start:stop] += 1
             return sweep(views, start, stop, pivots)
 
+        def counted_windows(P, shared, ks, span):
+            for k in ks:  # each level sweeps the states of its window
+                counts[k * P.d:(k + span + 1) * P.d] += 1
+            return windows(P, shared, ks, span)
+
         monkeypatch.setattr(block_matrix, "_sweep_up", counted)
+        monkeypatch.setattr(block_matrix, "_top_windows", counted_windows)
         stationary(P, levels)
         monkeypatch.undo()
         return counts
@@ -444,6 +464,22 @@ class TestStationarySweep:
         with pytest.raises(MultipleClosedClassesError):
             stationary(P, [5])
 
+    def test_a_folded_row_outside_the_tolerance_fails_the_lowest_level_that_holds_it(
+        self, monkeypatch
+    ):
+        # Row 6 is 5e-10 short: it passes P's check, and then the row
+        # tolerance drops to 1e-10. A level folds and checks its top U + 1 = 3
+        # levels, so levels 6..8 fail and the others pass; in one stack of
+        # levels the lowest failing one names the row.
+        P = band_corner(2, random_band(np.random.default_rng(0), 2, 12, 1, 2), 1)
+        band = P.band.copy()
+        band[6, :, 1, :] *= 1 - 5e-10
+        P = BlockStochasticMatrix(2, band, 1)
+        monkeypatch.setattr(block_matrix, "ROW_SUM_TOLERANCE", 1e-10)
+        assert len(stationary(P, [1, 2, 5, 9, 11])) == 5
+        with pytest.raises(ValueError, match=r"row \(level 6, phase 1\) sums to 0.9999999995"):
+            stationary(P, [3, 5, 7, 8, 11])
+
     def test_a_zero_pivot_takes_the_slow_path(self, monkeypatch):
         # An underflowed pivot inside the class cannot pass for a class top:
         # the slow path finds the class and rejects the zero pivot.
@@ -468,21 +504,28 @@ class TestStationarySweep:
     ])
     def test_residual_check_sees_the_truncated_band(self, monkeypatch, P):
         # Each level's residual runs on the band lcb_truncate(P, n) builds, with
-        # its largest |row sum - 1|, without building that corner or copying
-        # P's band: P's own rows below the fold, then the folded rows.
+        # its largest |row sum - 1|, without building that corner: P's own
+        # rows below the fold, read from P's band, then the folded rows. The
+        # batch gives each level the residual _left_product gives it on
+        # those rows.
         top = P.levels - 1
         levels = [1, 2, 10, top // 2, top - P.upper, top]
         seen = []
-        check = block_matrix._checked
+        check = block_matrix._checked_levels
 
-        def recorded(rows, lower, pi, deviation):
-            below, folded = rows
-            assert np.shares_memory(below, P.band) or below.size == 0
-            assert len(folded) <= P.upper + 1
-            seen.append((np.concatenate(rows), lower, deviation))
-            return check(rows, lower, pi, deviation)
+        def recorded(band, lower, ks, folds, x, starts, deviations):
+            assert np.shares_memory(band, P.band)
+            residuals = check(band, lower, ks, folds, x, starts, deviations)
+            folded = [rows for stack in folds for rows in stack]
+            for k, rows, a, deviation, residual in zip(ks, folded, starts, deviations, residuals):
+                assert len(rows) <= P.upper + 1
+                pi = x[a:a + k + len(rows)]
+                product = block_matrix._left_product((band[:k], rows), lower, pi)
+                assert residual == np.max(np.abs(product - pi))
+                seen.append((np.concatenate((band[:k], rows)), lower, deviation))
+            return residuals
 
-        monkeypatch.setattr(block_matrix, "_checked", recorded)
+        monkeypatch.setattr(block_matrix, "_checked_levels", recorded)
         stationary(P, levels)
         assert len(seen) == len(levels)
         for n, (band, lower, deviation) in zip(sorted(levels), seen):

@@ -365,6 +365,7 @@ class TestCompare:
         counts = {"graph": 0, "residual": 0}
         built = []
         graph, check = block_matrix._closed_classes, block_matrix._checked
+        check_levels = block_matrix._checked_levels
         init, solve = BlockStochasticMatrix.__init__, drift_bounds.stationary
 
         def counted_graph(*args):
@@ -374,6 +375,10 @@ class TestCompare:
         def counted_check(*args):
             counts["residual"] += solving  # and checks its own residual
             return check(*args)
+
+        def counted_levels(band, lower, ks, *args):
+            counts["residual"] += solving * len(ks)  # one residual per level of the batch
+            return check_levels(band, lower, ks, *args)
 
         def recorded_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -390,6 +395,7 @@ class TestCompare:
         solving = False
         monkeypatch.setattr(block_matrix, "_closed_classes", counted_graph)
         monkeypatch.setattr(block_matrix, "_checked", counted_check)
+        monkeypatch.setattr(block_matrix, "_checked_levels", counted_levels)
         monkeypatch.setattr(BlockStochasticMatrix, "__init__", recorded_init)
         monkeypatch.setattr(drift_bounds, "stationary", flagged_solve)
         code, out, _ = run(capsys, "--model", path, "--command", "compare", *argv)
@@ -449,6 +455,23 @@ class TestCompare:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert "MAX_N_VALUES" in err or f"{gig1.MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)" in err
         assert peak < 2**20
+
+    def test_level_vectors_above_the_byte_limit_are_refused_before_the_solve(self, capsys, tmp_path):
+        # Each level and the law's band fit their limits here, but the 20000
+        # level vectors would take 3.2 GB together. Listing the 20000 levels
+        # is most of what the refusal costs.
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "--model", path, "--command", "compare", "--n", "1:20000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"need {16 * (20000 * 20001 // 2 + 20000)} bytes" in err
+        assert f"{gig1.MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)" in err
+        assert peak < 2**23
 
     def test_rows_short_within_the_row_tolerance(self, capsys, tmp_path):
         # Rows 9e-10 short of 1 pass the 1e-9 row check. GTH solves the chain

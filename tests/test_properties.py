@@ -362,7 +362,7 @@ def test_repeat_shortcut_matches_the_full_sweep_bit_for_bit(seed, top, data):
     W_full, _, pivots_full = full_sweep(P)
     assert np.array_equal(pivots, pivots_full)
     assert np.array_equal(W[:, :lo], W_full[:, :lo])
-    levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=4))
+    levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=12))
     for got, want in zip(stationary(P, levels), full_sweep_stationary(P, levels)):
         assert np.array_equal(got.entries, want.entries)
 
@@ -376,7 +376,7 @@ def test_a_level_has_the_same_bits_whatever_else_is_solved(seed, top, data):
         P = lcb_truncate(random_monotone_gig1(seed), top)
     else:
         P = band_corner(2, random_band(make_rng(seed), 2, top // 4, 2, 1), 2)
-    levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=6))
+    levels = data.draw(st.lists(st.sampled_from(sweep_levels(P)), min_size=1, max_size=12))
     with mock.patch.object(block_matrix, "_CHUNK_BITS", data.draw(st.sampled_from([1000.0, 20.0]))):
         for n, pi in zip(levels, stationary(P, levels)):
             assert np.array_equal(pi.entries, stationary(P, [n])[0].entries)
