@@ -142,7 +142,8 @@ class BlockStochasticMatrix:
 
     Build from `band` with its `lower` width and `col_levels` (default: a
     square corner), or from a sparse block map with from_blocks. The band is
-    the only storage, and no library code builds an N x N view of a corner.
+    the only storage of entries, and no library code builds an N x N view of
+    a corner. row_sums keeps the (levels, d) row sums the constructor checked.
     """
 
     def __init__(self, d: int, band, lower: int = 0, col_levels: int | None = None):
@@ -162,7 +163,7 @@ class BlockStochasticMatrix:
         self.lower = lower
         self.col_levels = col_levels
         self._values = None
-        _checked_row_sums(band, d)
+        self.row_sums = _checked_row_sums(band, d)
 
     @property
     def levels(self) -> int:
@@ -1141,7 +1142,7 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     sweep.run_to(int(ks[-1]))
     cols = sweep.views[1]
     # deviation[k]: the largest |row sum - 1| of P's levels below k
-    worst = np.abs(_row_sums(P.band) - 1.0).max(axis=1)
+    worst = np.abs(P.row_sums - 1.0).max(axis=1)
     deviation = np.maximum.accumulate(np.concatenate(([0.0], worst)))
     # stalls[f]: how many of the shared pivots below state f are not positive
     stalls = np.concatenate(([0], np.cumsum(~(pivots[:ks[-1] * d] > 0.0))))

@@ -20,7 +20,10 @@ the top ones. axis_row_sums, axis_row_error and einsum_left_product are
 the row check and the band product in numpy's multi-axis reductions and
 einsum, where the library loops over the band's offset slots.
 halve_searched_delta makes the alpha search report half of delta(alpha), so
-a skip-free certificate built on it fails verification.
+a skip-free certificate built on it fails verification. per_level_compare
+forms compare_against_oracle's rows one level at a time through
+tv_distance, optimize_m and bound_theorem31, where the library forms all
+of them in one array pass.
 """
 
 from __future__ import annotations
@@ -49,8 +52,18 @@ from bmtrunc.block_matrix import (
     _sweep_up,
     _upward_views,
     lcb_truncate,
+    stationary,
+    tv_distance,
 )
-from bmtrunc.drift_bounds import _bound_terms
+from bmtrunc.drift_bounds import (
+    BOUND_CHECK_SLACK,
+    LOWER_BOUND_RELATIVE_SLACK,
+    BoundReport,
+    BoundViolationError,
+    _bound_terms,
+    bound_theorem31,
+    optimize_m,
+)
 
 # deterministic seed for the randomly generated acceptance model
 RANDOM_MODEL_SEED = 20260814
@@ -401,6 +414,55 @@ def scan_optimize_m(cert, n: int, m_max: int | None = None, top_mass=None):
         values = 4.0 * geom * prefactor + 2.0 * ms * total
     best = int(np.argmin(values))
     return best + 1, float(values[best])
+
+
+# --- per-level compare oracle (tests only) ---
+
+
+def per_level_compare(model, n_list, cert, m_max=None, *, reference_level, dominating=None):
+    """compare_against_oracle's reports, formed one level at a time.
+
+    The same solves, then for each n in turn: the measured error from
+    tv_distance, m from optimize_m, both bounds from bound_theorem31, then
+    the measured gate and the lower-bound gate. So the first failing level
+    raises, and within a level optimize_m's residue error comes first.
+    """
+    n_list = [int(n) for n in n_list]
+    if isinstance(model, BlockStochasticMatrix):
+        top = model.levels - 1
+        *solved, law = stationary(lcb_truncate(model, top), n_list + [top])
+        pi = BlockVector(model.d, law.entries[:reference_level + 1])
+        beyond = float(law.entries[reference_level + 1:].sum())
+    else:
+        pi, beyond = model.stationary_law(reference_level)
+        reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
+        solved = stationary(lcb_truncate(model, max(n_list) + reach), n_list)
+    above = np.cumsum(np.append(pi.entries.sum(axis=1), beyond)[::-1])[::-1]
+    if dominating is None:
+        masses = solved
+    else:
+        masses = stationary(lcb_truncate(dominating, max(n_list)), n_list)
+    reports = []
+    for n, pi_n, mass_n in zip(n_list, solved, masses):
+        measured = tv_distance(pi_n, BlockVector(pi.d, pi.entries[:n + 1])) + above[n + 1]
+        lower = 2.0 * above[n + 1]
+        top_mass = mass_n.entries[n]
+        m_star, _ = optimize_m(cert, n, m_max, top_mass=top_mass)
+        report = bound_theorem31(cert, m_star, n, top_mass=top_mass)
+        if measured > report.bound1 + BOUND_CHECK_SLACK:
+            raise BoundViolationError(
+                f"n={n}: measured error {measured:.6e} exceeds "
+                f"certified bound {report.bound1:.6e}"
+            )
+        if lower > report.bound1 * (1.0 + LOWER_BOUND_RELATIVE_SLACK):
+            raise BoundViolationError(
+                f"n={n}: twice the stationary mass above n, {lower:.6e}, a lower bound "
+                f"on the error, exceeds certified bound {report.bound1:.6e}"
+            )
+        reports.append(
+            BoundReport(n, report.m, report.bound2, report.bound1, float(measured), reference_level)
+        )
+    return reports
 
 
 # --- models ---

@@ -10,6 +10,7 @@ import pytest
 from bmtrunc import (
     BlockStochasticMatrix,
     BoundViolationError,
+    GIG1Model,
     OrderingViolationError,
     StationarySolveError,
     save_model,
@@ -297,7 +298,31 @@ class TestCompare:
         code, out, _ = run(capsys, "--model", mg1_path, "--command", "compare",
                            "--n", "50")
         assert code == EXIT_OK
-        assert int(out.splitlines()[1].split(",")[5]) == 400  # 8 * max n
+        assert int(out.splitlines()[1].split(",")[5]) == 51  # max n + 1
+
+    @pytest.mark.parametrize("build, n", [
+        (natural_walk, "10:200:10"),
+        (lambda: GIG1Model(d=1, A={-1: [[0.55]], 1: [[0.45]]},
+                           B={-1: [[0.55]], 0: [[0.55]], 1: [[0.45]]}), "10:300:10"),
+        (mg1_d2, "10:150:10"),
+        (gig1_d2, "10,20,50,100"),
+    ])
+    def test_default_reference_level_prints_what_eight_times_max_n_prints(
+        self, capsys, tmp_path, build, n
+    ):
+        # The law is exact, so forming it only through max n + 1 moves no
+        # printed figure: columns 0-4 match those at 8 max n, the former
+        # default, on the walks (the slow one has gamma near 1), mg1_d2 and
+        # gig1_d2.
+        path = str(tmp_path / "model.json")
+        save_model(build(), path)
+        argv = ("--model", path, "--command", "compare", "--n", n)
+        outs = []
+        for extra in ((), ("--reference-level", str(8 * max(parse_n_spec(n))))):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == EXIT_OK
+            outs.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+        assert outs[0] == outs[1]
 
     def test_reruns_are_byte_identical(self, capsys, mg1_path, monkeypatch):
         argv = ("--model", mg1_path, "--command", "compare",
@@ -408,23 +433,24 @@ class TestCompare:
         assert max(levels for levels, _ in built) == 50 + reach + 1
 
     def test_bound_columns_are_pinned(self, capsys, tmp_path):
-        # The digests of compare's stdout without the measured_error column,
-        # recorded while the oracle was the truncation at 8 max n checked
-        # against 16 max n: every solved level keeps its bits on the corner
-        # at max n plus the widest offset. On random_monotone_gig1(20) the
+        # The digests of compare's stdout without the measured_error column.
+        # Columns 0-3 were recorded while the oracle was the truncation at
+        # 8 max n checked against 16 max n: every solved level keeps its bits
+        # on the corner at max n plus the widest offset. The reference_level
+        # column holds the default, max n + 1. On random_monotone_gig1(20) the
         # sweep first repeats at level 95 of a 124-level corner; a repeat
         # search that gave up after 0.6 keys per level would miss it and
         # move the bits of both levels, which bound1 shows under a large m
         # cap.
         cases = {
             "walk": (natural_walk(), ["--n", "10:200:10"],
-                     "bff8ba216449a91ec97e2b1b2c8a941016cca7d52d8b9cd98706f84d641c0219"),
+                     "f4904ce1486649931ba7d249044af56834003b376078be5ba685a91827f2688a"),
             "mg1_d2": (mg1_d2(), ["--n", "10:150:10"],
-                       "1be528b26e3caa570de3719e8e5bee3f28b1fb36ea9d9b70944364eb6c3a1f37"),
+                       "92ec7172d7983e9a4eab70a37a9a8c7187d0806c924e8bd29c2edceca1ccdb47"),
             "gig1_d2": (gig1_d2(), ["--n", "10,20,50,100"],
-                        "48ee025cbb5eab0889c4619237397ce6b5720b4108b2c01b66c43fbac6605def"),
+                        "5f203192428c374d1850ff306ccd6e2494a81b26eabe51d582d6627fde926cde"),
             "late_repeat": (random_monotone_gig1(20), ["--n", "100,120", "--m-max", "10000000"],
-                            "e5c3e6f90b75a4053e3f26de53a1cedd1c4aa3a90f419e4275cbb95c369098eb"),
+                            "8ed0acaf6a6225e9872dbaf575936bbb31e26c4d37c0132417532d1900c29067"),
         }
         for name, (model, argv, digest) in cases.items():
             path = str(tmp_path / f"{name}.json")
@@ -538,22 +564,22 @@ class TestCouple:
             "natural_walk": (
                 "80581ab28f409751eeee75522ee63fd6eb6b3707959d42062fefd20945c16fc6",
                 "2b07b9141bb3c22617aec1d9cba15137d0fca2256ac19b359fbef23b616b5379",
-                "eb58d017d05b0ae40a53445d29327a72b5f11f1f4f4ee5af2d228329f108df13",
+                "46816434d698e5d69bbb2b90f41ad3f2cab9343a7f13ab66e3f9e0ff8f3f75c6",
             ),
             "mg1_walk": (
                 "609da06f3abcb4ef721d1ec287a25f6d8f8cfbadfcc5335c15700626a62510ce",
                 "8fbf161b2f6a91d53bfc9853d01f73e83e8c59b5654884f324d7b38806a1f4f9",
-                "7d3273719092b198dfcee76e17ad4096cc0eb741a081fe8759c95cf0d2db315b",
+                "90f554863905952f628bd258a2c36c3aea123ce6e9998865f43237db16c8daf4",
             ),
             "mg1_d2": (
                 "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
                 "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
-                "9fb61067aa4583cb8a54768f242ea9cea0d15b9529623286831eac6a67abfc05",
+                "eed9949f87c6bb878d75edf113a9c4e3dec82ce9909f20a755f5580cd29f6144",
             ),
             "gig1_d2": (
                 "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",
                 "b4cff6a80d385851afee96eaf5ae1469e98fbedcac699e35c41509aad6545c5c",
-                "e32ab021022a9d1873dc501323b6236208ff8e034269e1f6b49303db038a6f21",
+                "06c98ee434558fc56f04b018579ce0138dfc8c07ae836f58a299668ea7f783ee",
             ),
         }
         builders = {"natural_walk": natural_walk, "mg1_walk": mg1_walk,

@@ -18,9 +18,11 @@ from bmtrunc import (
     optimize_m,
     verify_certificate,
 )
+from bmtrunc import block_matrix, drift_bounds
 from bmtrunc.drift_bounds import VERIFY_TOLERANCE
 from bmtrunc.gig1 import assemble, certificate_for_model
 
+import helpers
 from helpers import (
     corner_from_dense,
     dense,
@@ -28,6 +30,7 @@ from helpers import (
     gig1_d2,
     mg1_d2,
     natural_walk,
+    per_level_compare,
     random_monotone_gig1,
     scan_optimize_m,
 )
@@ -398,6 +401,71 @@ class TestCompareAgainstOracle:
         bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-6)
         with pytest.raises(BoundViolationError, match="exceeds"):
             compare_against_oracle(natural_walk(), [5], bogus, reference_level=60)
+
+    @staticmethod
+    def raised(compare, *args, **kwargs):
+        with pytest.raises((ValueError, BoundViolationError)) as info:
+            compare(*args, **kwargs)
+        return type(info.value), str(info.value)
+
+    def assert_raises_as_the_loop(self, match, *args, **kwargs):
+        error = self.raised(compare_against_oracle, *args, **kwargs)
+        assert error == self.raised(per_level_compare, *args, **kwargs)
+        assert match in error[1]
+
+    def test_the_lowest_failing_level_raises_first(self):
+        # With b = 1e-12, bound1 is about 2 pi_n(n), against an error of
+        # 2 (2/3)^(n+1): levels below 50 fail both gates, and the measured
+        # gate names them; levels 50..63 fail only the lower-bound gate, and
+        # level 70 passes. Each list raises at its lowest failing level.
+        bogus = DriftCertificate(BlockVector(1, np.ones((80, 1))), 0.5, 1e-12)
+        for ns, match in (
+            ([40, 55, 70], "n=40: measured error"),
+            ([55, 60, 70], "n=55: twice the stationary mass"),
+        ):
+            self.assert_raises_as_the_loop(match, natural_walk(), ns, bogus, reference_level=80)
+        reports = compare_against_oracle(natural_walk(), [70], bogus, reference_level=80)
+        assert reports[0].measured_error <= reports[0].bound1
+
+    def test_a_residue_minimum_raises_before_the_gates(self, monkeypatch):
+        # With the top level's mass zeroed, bound1 is 4 gamma^m b/(1-gamma),
+        # which underflows to 0 near m = 10^6 (the tie goes to the smaller
+        # m): a rounding residue. The same levels fail both gates too, and
+        # the residue is named first.
+        solve = block_matrix.stationary
+
+        def topless(P, levels):
+            solved = solve(P, levels)
+            for n, x in zip(levels, solved):
+                x.entries[n] = 0.0
+            return solved
+
+        monkeypatch.setattr(drift_bounds, "stationary", topless)
+        monkeypatch.setattr(helpers, "stationary", topless)
+        cert = walk_certificate(WALK_GAMMA, WALK_B, levels=120)
+        self.assert_raises_as_the_loop(
+            "n=5: bound minimum 0.000e+00 at m=999999", natural_walk(), [5, 10], cert,
+            10**6, reference_level=60,
+        )
+        # under the default m cap the minimum is a normal double, and the
+        # measured gate fails at the same level
+        self.assert_raises_as_the_loop(
+            "n=5: measured error", natural_walk(), [5, 10], cert, reference_level=60
+        )
+
+    def test_an_undefined_weight_raises_in_level_order(self):
+        # A certificate of 80 stored levels and no tail defines no v beyond
+        # level 79: that level raises value_at's error, after the levels
+        # below it pass their gates, and not before a lower level fails.
+        stored = walk_certificate(WALK_GAMMA, WALK_B, levels=80).v
+        cert = DriftCertificate(stored, WALK_GAMMA, WALK_B)
+        self.assert_raises_as_the_loop(
+            "undefined at level 100", natural_walk(), [10, 60, 100], cert, reference_level=101
+        )
+        bogus = DriftCertificate(stored, 0.5, 1e-6)
+        self.assert_raises_as_the_loop(
+            "n=5: measured error", natural_walk(), [5, 100], bogus, reference_level=101
+        )
 
     def test_dominating_chain_supplies_the_top_mass(self):
         P, tilde = dominance_pair(levels=161)

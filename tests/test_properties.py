@@ -35,6 +35,7 @@ from bmtrunc.coupling import _CouplingKernel
 
 from bmtrunc import (
     BlockStochasticMatrix,
+    BoundViolationError,
     BlockVector,
     GIG1Model,
     DriftCertificate,
@@ -74,8 +75,11 @@ from helpers import (
     full_band_fold,
     full_sweep,
     full_sweep_stationary,
+    dominance_pair,
+    mg1_d2,
     oracle_block_monotone,
     oracle_dominates,
+    per_level_compare,
     random_block_increasing,
     random_bm_corner,
     random_corner,
@@ -695,3 +699,66 @@ def test_a_level_keeps_its_bits_on_the_smallest_corner(model, data):
     tall = stationary(lcb_truncate(model, 16 * levels[-1]), levels)
     for got, want in zip(small, tall):
         assert np.array_equal(got.entries, want.entries)
+
+
+# --- compare's array pass against the per-level loop ---
+
+
+def compare_outcome(compare, *args, **kwargs):
+    """The rows' (n, m, bound1, bound2, measured, reference) tuples, or the error raised."""
+    try:
+        reports = compare(*args, **kwargs)
+    except (ValueError, BoundViolationError) as exc:
+        return type(exc), str(exc)
+    return [
+        (r.n, r.m, r.bound1, r.bound2, r.measured_error, r.reference_level) for r in reports
+    ]
+
+
+def assert_rows_match_the_loop(*args, **kwargs):
+    got = compare_outcome(compare_against_oracle, *args, **kwargs)
+    assert got == compare_outcome(per_level_compare, *args, **kwargs)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_array_pass_matches_the_loop_on_random_models(seed):
+    # Every row keeps the bits the per-level loop gives it: m from optimize_m,
+    # gamma^m with Python's power as bound_theorem31 takes it, and one
+    # pairwise sum for the head of each error. Odd seeds lift the m cap, so
+    # m* sits at the real minimiser rather than at the default cap.
+    model = random_monotone_gig1(seed)
+    _, _, cert = certificate_for_model(model)
+    ns = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    m_max = 10**7 if seed % 2 else None
+    rows = assert_rows_match_the_loop(model, ns, cert, m_max, reference_level=90)
+    assert isinstance(rows, list) and len(rows) == len(ns)
+
+
+@settings(max_examples=25)
+@given(law_models(), st.data())
+def test_array_pass_matches_the_loop_on_every_shape(model, data):
+    levels = sorted(set(data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))))
+    m_max = data.draw(st.sampled_from([None, 1, 3, 10**7]))
+    _, _, cert = certificate_for_model(model)
+    assert_rows_match_the_loop(model, levels, cert, m_max, reference_level=levels[-1] + 1)
+
+
+def test_array_pass_matches_the_loop_with_a_dominating_chain():
+    P, tilde = dominance_pair(levels=161)
+    _, _, cert = certificate_for_model(tilde)
+    rows = assert_rows_match_the_loop(
+        P, [2, 5, 10, 20, 40, 80], cert, reference_level=100, dominating=assemble(tilde, 161)
+    )
+    assert len(rows) == 6
+
+
+def test_array_pass_matches_the_loop_on_a_stored_corner():
+    model = mg1_d2()
+    _, _, cert = certificate_for_model(model)
+    corner = lcb_truncate(model, 60)
+    for m_max in (None, 10**7):
+        rows = assert_rows_match_the_loop(
+            corner, list(range(1, 51)), cert, m_max, reference_level=55
+        )
+        assert len(rows) == 50
