@@ -61,12 +61,10 @@ from .model_io import (
     ModelSchemaError,
     format_float,
     load_model,
-    load_vector,
     render_json,
     reports_to_csv,
     reports_to_json,
     save_model,
-    save_vector,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +100,6 @@ __all__ = [
     "level_step",
     "lift_certificate",
     "load_model",
-    "load_vector",
     "mean_drift",
     "optimize_m",
     "perron",
@@ -114,7 +111,6 @@ __all__ = [
     "run_coupled_dominance_batch",
     "run_coupled_monotone_batch",
     "save_model",
-    "save_vector",
     "stationary",
     "transient_distribution",
     "tv_distance",

@@ -195,36 +195,24 @@ class BlockStochasticMatrix:
             self._values = blocks.reshape(self.levels * d, self.col_levels * d)
         return self._values
 
-    def block(self, k: int, l: int) -> np.ndarray:
-        """The d x d block at row level k, column level l (copy)."""
-        o = l - k + self.lower
-        if 0 <= o < self.band.shape[1] and 0 <= l < self.col_levels:
-            return self.band[k, o].copy()
-        return np.zeros((self.d, self.d))
-
     @classmethod
     def from_blocks(
-        cls,
-        d: int,
-        blocks: dict[tuple[int, int], np.ndarray],
-        levels: int | None = None,
-        col_levels: int | None = None,
+        cls, d: int, blocks: dict[tuple[int, int], np.ndarray]
     ) -> "BlockStochasticMatrix":
         """Assemble from a sparse {(k, l): d x d block} map; absent blocks are zero.
 
-        The blocks go straight into a band as wide as the largest downward and
-        upward offsets l - k among the nonzero blocks.
+        The corner has as many row and column levels as the largest k and l
+        need (at least square), and the blocks go straight into a band as
+        wide as the largest downward and upward offsets l - k among the
+        nonzero blocks.
         """
-        if not blocks and levels is None:
-            raise ValueError("empty block map needs explicit levels")
-        levels = max((k for k, _ in blocks), default=0) + 1 if levels is None else levels
-        if col_levels is None:
-            col_levels = max(max((l for _, l in blocks), default=0) + 1, levels)
+        levels = max((k for k, _ in blocks), default=0) + 1
+        col_levels = max(max((l for _, l in blocks), default=0) + 1, levels)
         arrays = [np.asarray(blk, dtype=float) for blk in blocks.values()]
         for (k, l), blk in zip(blocks, arrays):
             if blk.shape != (d, d):
                 raise ValueError(f"block ({k},{l}) has shape {blk.shape}, expected ({d},{d})")
-            if not (0 <= k < levels and 0 <= l < col_levels):
+            if k < 0 or l < 0:
                 raise ValueError(f"block ({k},{l}) lies outside the {levels} x {col_levels} corner")
         rows, cols = np.array(list(blocks), dtype=int).reshape(-1, 2).T
         stack = np.array(arrays).reshape(-1, d, d)
@@ -301,7 +289,7 @@ class PhaseMatrix:
     @cached_property
     def varpi(self) -> np.ndarray:
         """Stationary phase vector: varpi psi = varpi, summing to 1."""
-        return _kernel_stationary(self.psi)
+        return _kernel_stationary(self.psi, self.d)
 
 
 def _band_tails(P: BlockStochasticMatrix, levels: int, lower: int, upper: int) -> np.ndarray:
@@ -1317,16 +1305,19 @@ def phase_matrix(P: BlockStochasticMatrix) -> PhaseMatrix:
     return PhaseMatrix(psi=per_level[0])
 
 
-def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
-    """Stationary vector of a d x d stochastic kernel, by dense GTH on its closed class.
+def _kernel_stationary(psi: np.ndarray, d: int) -> np.ndarray:
+    """Stationary vector of a dense stochastic kernel, by GTH on its closed class.
 
-    The class comes from the kernel's graph as a one-level band. States are
-    eliminated top-down on the class's own submatrix (Grassmann, Taksar &
-    Heyman 1985); states off the class get 0. The residual is checked as
-    stationary checks it, with the kernel as a one-level corner of d phases.
+    The kernel's states are levels of d phases each: d = len(psi) for a
+    phase kernel, the model's d for a chain of several levels. The class
+    comes from the kernel's graph as a one-level band, and errors name
+    state s as (level s // d, phase s % d). States are eliminated top-down
+    on the class's own submatrix (Grassmann, Taksar & Heyman 1985); states
+    off the class get 0. The residual is checked as stationary checks it,
+    with the kernel as a one-level corner.
     """
     psi = np.asarray(psi, dtype=float)
-    cls = _one_class(_closed_classes(psi[None, None]), 1)
+    cls = _one_class(_closed_classes(psi[None, None]), d)
     A = psi[np.ix_(cls, cls)]
     trim = np.empty(cls.size)
     for s in range(cls.size - 1, 0, -1):
@@ -1334,8 +1325,8 @@ def _kernel_stationary(psi: np.ndarray) -> np.ndarray:
         trim[s] = row.sum()
         if trim[s] <= 0.0:
             raise StationarySolveError(
-                f"state (level {cls[s]}, phase 0) cannot reach lower states inside "
-                "its class (numerical degeneracy)"
+                f"state (level {cls[s] // d}, phase {cls[s] % d}) cannot reach lower states "
+                "inside its class (numerical degeneracy)"
             )
         A[:s, :s] += np.outer(A[:s, s], row / trim[s])
     x = np.empty(cls.size)

@@ -230,11 +230,9 @@ def cmd_compare(args: argparse.Namespace, n_values: list[int]) -> int:
             f"{MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)"
         )
     _, _, cert = certificate_for_model(model)
-    reference_level = args.reference_level
-    if reference_level is None:
-        reference_level = max(n_values) + 1
+    # The law is exact: formed past max n + 1 it prints the same figures.
     reports = compare_against_oracle(
-        model, levels, cert, m_max=args.m_max, reference_level=reference_level
+        model, levels, cert, m_max=args.m_max, reference_level=levels[-1] + 1
     )
     _emit(_render_reports(reports, args.format), args.out)
     return EXIT_OK
@@ -334,13 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncation levels: comma list and/or START:STOP[:STEP] ranges",
     )
     parser.add_argument("--m-max", type=int, default=None, help="cap for the horizon m")
-    parser.add_argument(
-        "--reference-level",
-        type=int,
-        default=None,
-        help="level through which the infinite chain's stationary law is formed "
-        "and checked (default: max n + 1)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="coupling seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -350,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        n_values = parse_n_spec(args.n)
-        if args.reference_level is not None and args.reference_level <= max(n_values):
-            raise ValueError("reference level must exceed every requested n")
-        return _COMMANDS[args.command](args, n_values)
+        return _COMMANDS[args.command](args, parse_n_spec(args.n))
     except (BoundViolationError, OrderingViolationError) as exc:
         print(f"soundness violation: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATED

@@ -205,7 +205,7 @@ class GIG1Model:
     @cached_property
     def a_stationary(self) -> np.ndarray:
         """Stationary vector of the summed A-kernel, solved on first use."""
-        return _kernel_stationary(self.a_sum())
+        return _kernel_stationary(self.a_sum(), self.d)
 
     @cached_property
     def boundary_corner(self) -> BlockStochasticMatrix:
@@ -351,7 +351,7 @@ class GIG1Model:
         I_U = _completed(level + up @ G, down.sum(axis=1) + up @ T.sum(axis=1))
         rates = _solve(I_U.T, np.vstack((up, B1)).T).T
         R, R0 = rates[:m], rates[m:]
-        pi0 = _kernel_stationary(B0 + B1 @ G)
+        pi0 = _kernel_stationary(B0 + B1 @ G, d)
 
         above = (pi0 @ R0)[None]  # rows pi_1, pi_2, ...
         sums = np.ones(m)  # sum_k R^k 1, one doubling at a time

@@ -1,11 +1,9 @@
-"""JSON model/vector files and deterministic report rendering.
+"""JSON model files and deterministic report rendering.
 
 Model files:
     {"d": 1, "kind": "finite", "blocks": [{"k": 0, "l": 0, "values": [[0.6]]}, ...]}
     {"d": 1, "kind": "gig1", "gig1": {"A": {"-1": [[0.6]], "1": [[0.4]]},
                                       "B": {"0": [[0.6]], "1": [[0.4]]}}}
-Vector files:
-    {"d": 2, "entries": [[0.5, 0.5], [0.0, 0.0]]}
 
 All floats in emitted reports are rendered with 17 significant digits so
 reruns are byte-identical and diffs are stable.
@@ -17,7 +15,7 @@ import json
 
 import numpy as np
 
-from .block_matrix import BlockStochasticMatrix, BlockVector
+from .block_matrix import BlockStochasticMatrix
 from .drift_bounds import BoundReport
 from .gig1 import GIG1Model
 
@@ -25,8 +23,6 @@ __all__ = [
     "ModelSchemaError",
     "load_model",
     "save_model",
-    "load_vector",
-    "save_vector",
     "format_float",
     "render_json",
     "reports_to_csv",
@@ -37,7 +33,7 @@ REPORT_COLUMNS = ("n", "m_star", "bound1", "bound2", "measured_error", "referenc
 
 
 class ModelSchemaError(ValueError):
-    """A model/vector file violates the JSON schema (message names the field)."""
+    """A model file violates the JSON schema (message names the field)."""
 
 
 def format_float(x: float) -> str:
@@ -195,33 +191,6 @@ def save_model(model, path: str):
         }
     else:
         raise TypeError(f"cannot save {type(model).__name__}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_json(doc))
-
-
-def load_vector(path: str) -> BlockVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ModelSchemaError(f"not valid JSON: {exc}") from None
-    _expect(isinstance(doc, dict), "top level: expected an object")
-    d = doc.get("d")
-    _expect(_json_is(d, int) and d >= 1, "d: expected a positive integer")
-    entries = doc.get("entries")
-    _expect(isinstance(entries, list) and entries, "entries: expected a non-empty list")
-    parsed = []
-    for r, row in enumerate(entries):
-        _expect(
-            isinstance(row, list) and len(row) == d and all(_json_is(x, (int, float)) for x in row),
-            f"entries[{r}]: expected {d} numbers",
-        )
-        parsed.append(row)
-    return BlockVector(d, np.asarray(parsed, dtype=float))
-
-
-def save_vector(vec: BlockVector, path: str):
-    doc = {"d": vec.d, "entries": vec.entries}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_json(doc))
 

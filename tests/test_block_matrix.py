@@ -31,6 +31,7 @@ from helpers import (
     band_corner,
     corner_from_dense,
     dense,
+    dense_blocks,
     dense_stationary,
     full_sweep,
     full_sweep_stationary,
@@ -90,16 +91,18 @@ class TestBlockStochasticMatrix:
     def test_block_indexing(self):
         P = corner(WALK3)
         assert P.levels == P.col_levels == 3
-        assert P.block(1, 2) == pytest.approx(np.array([[0.4]]))
-        assert P.block(2, 1) == pytest.approx(np.array([[0.6]]))
+        blocks = dense_blocks(P)
+        assert blocks[1, :, 2, :] == pytest.approx(np.array([[0.4]]))
+        assert blocks[2, :, 1, :] == pytest.approx(np.array([[0.6]]))
 
     def test_from_blocks_round_trip(self):
         P = BlockStochasticMatrix.from_blocks(
             2, {(0, 0): np.eye(2) * 0.5, (0, 1): np.eye(2) * 0.5, (1, 1): np.eye(2)}
         )
         assert P.levels == 2
-        assert P.block(0, 1) == pytest.approx(np.eye(2) * 0.5)
-        assert P.block(1, 0) == pytest.approx(np.zeros((2, 2)))
+        blocks = dense_blocks(P)
+        assert blocks[0, :, 1, :] == pytest.approx(np.eye(2) * 0.5)
+        assert blocks[1, :, 0, :] == pytest.approx(np.zeros((2, 2)))
 
     def test_from_blocks_keeps_only_nonzero_offsets(self):
         # the zero (1, 0) block widens neither the band nor the corner's levels
@@ -110,11 +113,15 @@ class TestBlockStochasticMatrix:
         np.testing.assert_array_equal(dense(P), [[0.5, 0, 0.5], [0, 1, 0], [0, 0, 1]])
 
     def test_from_blocks_names_a_block_outside_the_corner(self):
-        blocks = {(0, 0): [[1.0]], (1, 3): [[1.0]]}
-        with pytest.raises(ValueError, match=r"block \(1,3\) lies outside the 2 x 3 corner"):
-            BlockStochasticMatrix.from_blocks(1, blocks, levels=2, col_levels=3)
-        with pytest.raises(ValueError, match=r"block \(2,0\) lies outside the 2 x 2 corner"):
-            BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (2, 0): [[1.0]]}, levels=2)
+        # the corner grows to the largest k and l, so only a negative level lies outside
+        with pytest.raises(ValueError, match=r"block \(-1,0\) lies outside the 1 x 1 corner"):
+            BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (-1, 0): [[1.0]]})
+        with pytest.raises(ValueError, match=r"block \(1,-2\) lies outside the 2 x 2 corner"):
+            BlockStochasticMatrix.from_blocks(1, {(0, 0): [[1.0]], (1, -2): [[1.0]]})
+
+    def test_from_blocks_of_an_empty_map_fails_the_row_check(self):
+        with pytest.raises(ValueError, match=r"row \(level 0, phase 0\) sums to 0"):
+            BlockStochasticMatrix.from_blocks(1, {})
 
     def test_rejects_malformed_band(self):
         with pytest.raises(ValueError, match="band shape"):

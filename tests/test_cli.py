@@ -13,6 +13,8 @@ from bmtrunc import (
     GIG1Model,
     OrderingViolationError,
     StationarySolveError,
+    compare_against_oracle,
+    reports_to_csv,
     save_model,
 )
 from bmtrunc import block_matrix, cli, drift_bounds, gig1
@@ -104,9 +106,9 @@ class TestValidate:
         calls = []
         solve = gig1._kernel_stationary
 
-        def counted(psi):
+        def counted(psi, d):
             calls.append(psi)
-            return solve(psi)
+            return solve(psi, d)
 
         monkeypatch.setattr(gig1, "_kernel_stationary", counted)
         code, _, _ = run(capsys, "--model", path, "--command", "validate")
@@ -285,14 +287,14 @@ class TestBound:
 class TestCompare:
     def test_sound_reports(self, capsys, mg1_path):
         code, out, _ = run(capsys, "--model", mg1_path, "--command", "compare",
-                           "--n", "5,10", "--reference-level", "60")
+                           "--n", "5,10")
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [int(r[0]) for r in rows] == [5, 10]
         for r in rows:
             bound1, bound2, measured = float(r[2]), float(r[3]), float(r[4])
             assert measured <= bound1 <= bound2
-            assert int(r[5]) == 60
+            assert int(r[5]) == 11
 
     def test_default_reference_level(self, capsys, mg1_path):
         code, out, _ = run(capsys, "--model", mg1_path, "--command", "compare",
@@ -311,22 +313,24 @@ class TestCompare:
         self, capsys, tmp_path, build, n
     ):
         # The law is exact, so forming it only through max n + 1 moves no
-        # printed figure: columns 0-4 match those at 8 max n, the former
-        # default, on the walks (the slow one has gamma near 1), mg1_d2 and
-        # gig1_d2.
+        # printed figure: columns 0-4 of compare match the library's rows
+        # at 8 max n, the CLI's former default, on the walks (the slow one
+        # has gamma near 1), mg1_d2 and gig1_d2.
+        model = build()
         path = str(tmp_path / "model.json")
-        save_model(build(), path)
-        argv = ("--model", path, "--command", "compare", "--n", n)
-        outs = []
-        for extra in ((), ("--reference-level", str(8 * max(parse_n_spec(n))))):
-            code, out, _ = run(capsys, *argv, *extra)
-            assert code == EXIT_OK
-            outs.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+        save_model(model, path)
+        code, out, _ = run(capsys, "--model", path, "--command", "compare", "--n", n)
+        assert code == EXIT_OK
+        levels = sorted(set(parse_n_spec(n)))
+        _, _, cert = gig1.certificate_for_model(model)
+        deep = compare_against_oracle(model, levels, cert, reference_level=8 * levels[-1])
+        outs = [[line.rsplit(",", 1)[0] for line in text.splitlines()]
+                for text in (out, reports_to_csv(deep))]
         assert outs[0] == outs[1]
 
     def test_reruns_are_byte_identical(self, capsys, mg1_path, monkeypatch):
         argv = ("--model", mg1_path, "--command", "compare",
-                "--n", "5,10,15", "--reference-level", "80", "--format", "json")
+                "--n", "5,10,15", "--format", "json")
         _, first, _ = run(capsys, *argv)
         # a leftover BMTRUNC_THREADS setting changes nothing
         monkeypatch.setenv("BMTRUNC_THREADS", "3")
@@ -334,27 +338,32 @@ class TestCompare:
         assert code == EXIT_OK and second == first
 
     def test_reference_level_must_clear_n(self, capsys, mg1_path):
-        # main checks the flag for every command, bound included.
-        for command, n in (("compare", "10,50"), ("bound", "50")):
-            code, out, err = run(capsys, "--model", mg1_path, "--command", command,
-                                 "--n", n, "--reference-level", "30")
-            assert (code, out) == (EXIT_VALIDATION, "")
-            assert "reference level" in err
+        # The library keeps its check; the CLI has no flag to check, and
+        # argparse refuses it for every command, bound included.
+        model = mg1_walk()
+        _, _, cert = gig1.certificate_for_model(model)
+        for level in (30, 50):
+            with pytest.raises(ValueError, match="reference_level"):
+                compare_against_oracle(model, [10, 50], cert, reference_level=level)
+        for command in ("compare", "bound"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--model", mg1_path, "--command", command,
+                      "--n", "50", "--reference-level", "100"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "unrecognized arguments: --reference-level 100" in err
 
-    def test_reference_level_inside_the_top_fold_is_solved(self, capsys, tmp_path):
+    def test_reference_level_inside_the_top_fold_is_solved(self):
         # Level-0 rows reach 3 levels up, so the truncation at n = 1 folds
         # rows that reach past reference level 2 or 3. The stationary law
         # is formed through the reference level whatever the truncation
         # folds, so both levels give sound rows.
-        path = str(tmp_path / "random.json")
-        save_model(random_monotone_gig1(), path)
+        model = random_monotone_gig1()
+        _, _, cert = gig1.certificate_for_model(model)
         for level in (2, 3):
-            code, out, err = run(capsys, "--model", path, "--command", "compare",
-                                 "--n", "1", "--reference-level", str(level))
-            assert code == EXIT_OK, err
-            (row,) = [line.split(",") for line in out.splitlines()[1:]]
-            assert int(row[0]) == 1 and int(row[5]) == level
-            assert float(row[4]) <= float(row[2]) <= float(row[3])
+            (row,) = compare_against_oracle(model, [1], cert, reference_level=level)
+            assert (row.n, row.reference_level) == (1, level)
+            assert row.measured_error <= row.bound1 <= row.bound2
 
     def test_one_stationary_call_per_compare(self, capsys, mg1_path, monkeypatch):
         # perfbench/tracing.py wraps drift_bounds.stationary and reads the
@@ -368,7 +377,7 @@ class TestCompare:
 
         monkeypatch.setattr(drift_bounds, "stationary", counted)
         code, _, _ = run(capsys, "--model", mg1_path, "--command", "compare",
-                         "--n", "5,10,15", "--reference-level", "80")
+                         "--n", "5,10,15")
         assert code == EXIT_OK
         assert len(calls) == 1
         assert isinstance(calls[0], BlockStochasticMatrix)
@@ -467,7 +476,6 @@ class TestCompare:
         ["--command", "compare", "--n", "10000000"],
         ["--command", "couple", "--n", "1000000000"],
         ["--command", "bound", "--n", "1:1000000000000"],
-        ["--command", "compare", "--n", "10", "--reference-level", "1000000000000"],
     ])
     def test_too_large_input_is_refused_before_allocation(self, capsys, tmp_path, argv):
         path = str(tmp_path / "mg1d2.json")
@@ -753,7 +761,7 @@ class TestExitCodes:
         assert "not negative" in err
 
     def test_stationary_solve_failure_is_validation(self, capsys, walk_path, monkeypatch):
-        def failing(psi):
+        def failing(psi, d):
             raise StationarySolveError("stationary residual 2.000e-10 exceeds 1e-10")
 
         monkeypatch.setattr(gig1, "_kernel_stationary", failing)

@@ -322,9 +322,9 @@ class TestBandKernel:
         solve = block_matrix._kernel_stationary
         calls = []
 
-        def counted(psi):
+        def counted(psi, d):
             calls.append(psi)
-            return solve(psi)
+            return solve(psi, d)
 
         monkeypatch.setattr(block_matrix, "_kernel_stationary", counted)
         run_coupled_monotone_batch(deep, 0, 30, 0, T=20, seed=0, paths=4)

@@ -1,6 +1,7 @@
 """Tests for the repeating-structure models and their drift certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from bmtrunc import (
     BlockVector,
     DriftCertificate,
     GIG1Model,
+    MultipleClosedClassesError,
+    PhaseMatrix,
     PhaseStructureError,
     is_block_monotone,
+    lcb_truncate,
     save_model,
     stationary,
 )
@@ -453,7 +457,7 @@ class TestStationaryLaw:
         solve = gig1._kernel_stationary
         # a boundary vector 1e-6 off its censored chain's law
         monkeypatch.setattr(gig1, "_kernel_stationary",
-                            lambda K: solve(K) * np.linspace(1.0 - 1e-6, 1.0 + 1e-6, len(K)))
+                            lambda K, d: solve(K, d) * np.linspace(1.0 - 1e-6, 1.0 + 1e-6, len(K)))
         with pytest.raises(StationarySolveError, match="stationary residual"):
             mg1_d2().stationary_law(20)
         path = str(tmp_path / "model.json")
@@ -466,3 +470,31 @@ class TestStationaryLaw:
             natural_walk().stationary_law(10 ** 12)
         with pytest.raises(ValueError, match="level >= 0"):
             natural_walk().stationary_law(-1)
+
+    def test_too_large_law_is_refused_before_allocation(self):
+        # _band counts the bytes of the law's band before it builds anything
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                mg1_d2().stationary_law(10 ** 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{gig1.MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)" in str(err.value)
+        assert peak < 2**20
+
+    def test_reducible_group_zero_names_level_and_phase(self):
+        # Both phases of level 0 are absorbing. The censored group-0 chain
+        # has two phases per level, so its classes are named as the
+        # truncation's sweep names them: phases 0 and 1 of level 0.
+        M = np.full((2, 2), 0.5)
+        model = GIG1Model(d=2, A={-1: 0.6 * M, 1: 0.4 * M}, B={0: np.eye(2), -1: 0.6 * M})
+        want = [[(0, 0)], [(0, 1)]]
+        with pytest.raises(MultipleClosedClassesError) as law:
+            model.stationary_law(5)
+        with pytest.raises(MultipleClosedClassesError) as sweep:
+            stationary(lcb_truncate(model, 6))
+        assert law.value.classes == sweep.value.classes == want
+        with pytest.raises(MultipleClosedClassesError) as kernel:
+            PhaseMatrix(np.eye(2)).varpi
+        assert kernel.value.classes == want

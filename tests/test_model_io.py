@@ -1,4 +1,4 @@
-"""Tests for model/vector files and deterministic report rendering."""
+"""Tests for model files and deterministic report rendering."""
 
 import hashlib
 import json
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bmtrunc import (
-    BlockVector,
     assemble,
     BoundReport,
     GIG1Model,
@@ -16,12 +15,10 @@ from bmtrunc import (
     format_float,
     lcb_truncate,
     load_model,
-    load_vector,
     render_json,
     reports_to_csv,
     reports_to_json,
     save_model,
-    save_vector,
 )
 
 from helpers import dense, gig1_d2, mg1_d2, natural_walk
@@ -197,34 +194,6 @@ class TestModelSchemaErrors:
 
     def test_schema_error_is_a_value_error(self):
         assert issubclass(ModelSchemaError, ValueError)
-
-
-class TestVectorRoundTrip:
-    def test_round_trip(self, tmp_path):
-        vec = BlockVector(2, [[0.25, 0.25], [0.5, 0.0]])
-        path = str(tmp_path / "vec.json")
-        save_vector(vec, path)
-        loaded = load_vector(path)
-        assert loaded.d == 2
-        np.testing.assert_array_equal(loaded.entries, vec.entries)
-
-    def test_schema_errors(self, tmp_path):
-        path = tmp_path / "vec.json"
-        path.write_text('{"d": 2, "entries": [[0.5]]}')
-        with pytest.raises(ModelSchemaError, match="entries\\[0\\]"):
-            load_vector(str(path))
-        path.write_text('{"entries": [[0.5]]}')
-        with pytest.raises(ModelSchemaError, match="d: expected"):
-            load_vector(str(path))
-        path.write_text('{"d": 1, "entries": [[0.5]], "entries": [[1.0]]}')
-        with pytest.raises(ModelSchemaError, match="key 'entries' appears twice"):
-            load_vector(str(path))
-        path.write_text('{"d": true, "entries": [[1.0]]}')
-        with pytest.raises(ModelSchemaError, match="d: expected"):
-            load_vector(str(path))
-        path.write_text('{"d": 1, "entries": [[true]]}')
-        with pytest.raises(ModelSchemaError, match="entries\\[0\\]: expected 1 numbers"):
-            load_vector(str(path))
 
 
 class TestReports:

@@ -573,20 +573,21 @@ def test_block_maps_and_files_rebuild_the_band_read_off_the_dense_array(
         np.testing.assert_array_equal(got.band, want.band)
         assert (got.lower, got.col_levels) == (want.lower, want.col_levels)
 
-    want = corner_from_dense(d, dense(P))
-    k, o = np.nonzero(np.any(P.band != 0.0, axis=(2, 3)))
-    nonzero = {(r, r - lower + s): P.band[r, s] for r, s in zip(k.tolist(), o.tolist())}
-    assert_same(BlockStochasticMatrix.from_blocks(d, nonzero, col_levels=col_levels), want)
+    # Listing every block, zero ones included, gives the whole corner.
     blocks = dense_blocks(P)
     every = {(r, c): blocks[r, :, c, :] for r, c in np.ndindex(levels, col_levels)}
-    assert_same(BlockStochasticMatrix.from_blocks(d, every), want)
-    # A file lists the nonzero blocks only, so the loaded corner ends at the
-    # last column level that holds one.
+    assert_same(BlockStochasticMatrix.from_blocks(d, every), corner_from_dense(d, dense(P)))
+    # A map or a file of the nonzero blocks only ends at the last column
+    # level that holds one.
+    k, o = np.nonzero(np.any(P.band != 0.0, axis=(2, 3)))
+    nonzero = {(r, r - lower + s): P.band[r, s] for r, s in zip(k.tolist(), o.tolist())}
     last = max(levels, max(c for _, c in nonzero) + 1)
+    want = corner_from_dense(d, dense(P)[:, :last * d])
+    assert_same(BlockStochasticMatrix.from_blocks(d, nonzero), want)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corner.json")
         save_model(P, path)
-        assert_same(load_model(path), corner_from_dense(d, dense(P)[:, :last * d]))
+        assert_same(load_model(path), want)
 
 
 @given(seeds, dims, level_counts, band_widths, band_widths, st.sampled_from([1.0, 0.5]))

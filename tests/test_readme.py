@@ -1,7 +1,9 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its CLI section names the parser's flags."""
 
 import re
 from pathlib import Path
+
+from bmtrunc.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +21,17 @@ def test_library_example_runs(capsys):
         assert reports
         for r in reports:
             assert r.measured_error <= r.bound1 <= r.bound2
+
+
+def test_cli_section_names_every_flag_and_no_other():
+    # A flag the parser drops must leave the README, and a new one must enter it.
+    section = README.read_text(encoding="utf-8").split("\n## CLI", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    defined = {
+        flag
+        for action in build_parser()._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert named == defined

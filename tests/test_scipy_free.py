@@ -191,13 +191,13 @@ def test_kernel_classes_match_the_csgraph_classes(pattern, seed):
     want = dense_closed_classes(pattern)
     if len(want) > 1:
         with pytest.raises(MultipleClosedClassesError) as err:
-            _kernel_stationary(psi)
-        assert err.value.classes == [[(int(s), 0) for s in cls] for cls in want]
+            _kernel_stationary(psi, len(psi))
+        assert err.value.classes == [[(0, int(s)) for s in cls] for cls in want]
         return
     cls = want[0]
     expected = np.zeros(len(psi))
     expected[cls] = dense_gth(psi[np.ix_(cls, cls)])
-    pi = _kernel_stationary(psi)
+    pi = _kernel_stationary(psi, len(psi))
     assert np.array_equal(pi, expected)
     assert np.nonzero(pi)[0].tolist() == cls.tolist()
 
