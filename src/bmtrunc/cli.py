@@ -254,6 +254,8 @@ def _dominance_dump_path(out: str) -> str:
 
 
 def cmd_couple(args: argparse.Namespace, n_values: list[int]) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     model = load_model(args.model)
     n_top = max(n_values)
     corner = lcb_truncate(model, n_top)

@@ -11,17 +11,18 @@ mean level drift is negative. The weight vector alpha^k * v(alpha) then
 satisfies a geometric drift inequality up to finitely many boundary rows,
 which a boundary lift turns into a certificate for every row.
 
-The module needs numpy only. The root of the delta slope comes from a port
-of scipy's brentq (_brentq below), because importing scipy.optimize costs
-about 0.4 s per process on top of numpy's 0.1 s, several times the work of
-a `validate` or `bound` run. Irreducibility is read off the closed classes
-of block_matrix's Tarjan search.
+The module needs numpy only: alpha comes from a Newton search of its own
+(find_alpha), as importing scipy.optimize costs about 0.4 s per process on
+top of numpy's 0.1 s, several times the work of a `validate` or `bound`
+run. Irreducibility is read off the closed classes of block_matrix's
+Tarjan search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -68,18 +69,23 @@ B_PRIME_FLOOR = 1e-15
 PATH_SKIP_FREE = "skip-free-shortcut"
 PATH_BOUNDARY_LIFT = "boundary-lift"
 
-# Upper end of the doubling bracket in find_alpha. delta(z) can fall for ever
-# (U_A = 0, or every up-move forced straight back down), and then it has no
-# finite minimiser. Past 2^30 the weights alpha^k leave float range by level
-# 35, so a larger alpha would not give a usable certificate anyway.
+# Upper end of find_alpha's search. delta(z) can fall for ever (U_A = 0, or
+# every up-move forced straight back down), and then it has no finite
+# minimiser. Past 2^30 the weights alpha^k leave float range by level 35, so
+# a larger alpha would not give a usable certificate anyway.
 _ALPHA_LIMIT = 2.0 ** 30
 
 # Largest Perron eigen-residual accepted, relative to max(1, delta) * max(v).
 PERRON_TOLERANCE = 1e-12
 
-# scipy.optimize.brentq's relative tolerance and iteration limit.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAXITER = 100
+# find_alpha's tolerance on z, brentq's at xtol = 1e-15, and its step limit. A slope
+# sum_j j z^j mu A(j) v within _ALPHA_RTOL of its terms' scale sum_j |j| z^j mu A(j) v
+# is at its rounding level.
+_ALPHA_XTOL, _ALPHA_RTOL, _ALPHA_MAXITER = 1e-15, 4.0 * np.finfo(float).eps, 100
+
+# A Newton step s leaves an error in t of about |g'''| / (2 g'') s^2; g''
+# at the last two points estimates g''', and the error is taken 4 times over.
+_NEWTON_MARGIN = 4.0
 
 # The largest array a model builds, in bytes: the band of its complete rows,
 # from which its corners and the residual check of its stationary law are
@@ -206,6 +212,12 @@ class GIG1Model:
     def a_stationary(self) -> np.ndarray:
         """Stationary vector of the summed A-kernel, solved on first use."""
         return _kernel_stationary(self.a_sum(), self.d)
+
+    @cached_property
+    def _a_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The A offsets as floats, and the A blocks stacked as rows of d*d entries."""
+        offsets = np.array(list(self.A), dtype=float)
+        return offsets, np.stack(list(self.A.values())).reshape(len(offsets), -1)
 
     @cached_property
     def boundary_corner(self) -> BlockStochasticMatrix:
@@ -387,7 +399,8 @@ class GIG1Model:
                 "certificate lacks a closed-form tail; cannot cover the repeating rows"
             )
         k_tail = max(self.k_star, cert.tail.start + self.L_A)
-        dense = verify_certificate(assemble(self, levels=k_tail + 1), cert)
+        corner = self.boundary_corner if k_tail == self.k_star else assemble(self, k_tail + 1)
+        dense = verify_certificate(corner, cert)
         tail = _verify_tail_drift(self, cert, k_tail + 1)
         return CertificateCheck(
             dense.violations + tail.violations, max(dense.max_slack, tail.max_slack)
@@ -506,71 +519,24 @@ def mean_drift(model: GIG1Model) -> float:
     return float(model.a_stationary @ step)
 
 
-def _brentq(f, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None):
-    """Root of f in the sign-change bracket [a, b], as scipy.optimize.brentq finds it.
+def _transforms(model: GIG1Model, z: float) -> np.ndarray:
+    """ahat(z), its t-derivatives sum_j j^p z^j A(j) (p = 1, 2) and sum_j |j| z^j A(j)."""
+    offsets, blocks = model._a_stack
+    w = z ** offsets
+    rows = np.stack((w, offsets * w, offsets * offsets * w, np.abs(offsets) * w))
+    return (rows @ blocks).reshape(4, model.d, model.d)
 
-    A line-for-line port of scipy's Zeros/brentq.c with rtol = 4 eps and 100
-    iterations, so it returns the same bits. fa and fb are f(a) and f(b) when
-    the caller has them already; f is then not called there again.
 
-    Raises:
-        ValueError: a NaN value of f, or f(a) and f(b) of the same sign.
-        RuntimeError: no convergence in 100 iterations.
+def _log_derivatives(hats: np.ndarray, delta: float, mu: np.ndarray, v: np.ndarray, slope: float):
+    """g'(t) and g''(t), g(t) = ln delta(e^t), from the Perron triple of hats[0] (mu v = 1).
+
+    slope = mu hats[1] v is delta's t-derivative and mu hats[2] v + 2 mu hats[1] x
+    its second, where x solves (delta I - ahat + v mu) x = hats[1] v - slope v.
     """
-
-    def value(x: float, fx: float | None) -> float:
-        fx = float(f(x)) if fx is None else float(fx)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre, fa), value(xcur, fb)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur, None)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
-def _delta_slope(model: GIG1Model, z: float) -> float:
-    """delta'(z) = mu(z) A'(z) v(z), the slope of the Perron eigenvalue at z."""
-    _, mu, v = _perron(a_hat(model, z))
-    transform_slope = sum(
-        (j * z ** (j - 1) * blk for j, blk in model.A.items() if j != 0),
-        np.zeros((model.d, model.d)),
-    )
-    return float(mu @ transform_slope @ v)
+    ahat, first, second = hats[:3]
+    x = np.linalg.solve(delta * np.eye(len(v)) - ahat + np.outer(v, mu), first @ v - slope * v)
+    g1 = slope / delta
+    return g1, float(mu @ second @ v + 2.0 * (mu @ first @ x)) / delta - g1 * g1
 
 
 def find_alpha(model: GIG1Model) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -578,34 +544,54 @@ def find_alpha(model: GIG1Model) -> tuple[float, float, np.ndarray, np.ndarray]:
 
     Returns (alpha, delta, mu, v) with the Perron triple of perron(a_hat(alpha)).
 
-    log delta(e^t) is convex in t (Kingman 1961), and the slope
-    delta'(z) = mu(z) A'(z) v(z) (first-order perturbation of a simple
-    eigenvalue) equals the mean drift at z = 1, which is negative. So the
-    minimiser is the one sign change of the slope on z > 1: doubling from
-    [1, 2] brackets it and Brent's method finds it to machine precision,
-    where minimizing delta itself would stall at ~sqrt(eps). The minimized
-    delta(alpha) becomes the drift rate of the constructed certificates, so
-    smaller is directly better.
+    g(t) = ln delta(e^t) is convex (Kingman 1961), and g'(0) is the mean
+    drift, which is negative. So the minimiser is the one sign change of g'
+    on z > 1, which Newton's method on g' finds to machine precision, where
+    minimizing delta itself would stall at ~sqrt(eps). The first step needs
+    no eigen-solve: at z = 1, delta = 1, v = 1 and mu is the A-sum's
+    stationary vector. A step that would leave the sign-change bracket
+    bisects it in t; before g' has changed sign, a g'' <= 0 or a step past
+    2^30 tries z = 2^30. The last step, within brentq's tolerance itself or
+    by the error Newton leaves after it, is taken without an eigen-solve,
+    and only where g' has changed sign or is at its rounding level. The
+    minimized delta(alpha) becomes the certificates' drift rate, so smaller
+    is directly better.
 
     Raises:
         ValueError: non-negative mean drift, or delta(z) still falling at
             z = 2^30 (no finite minimiser, e.g. no upward A-block).
+        RuntimeError: no convergence in _ALPHA_MAXITER steps.
     """
     drift = mean_drift(model)
     if drift >= 0:
         raise ValueError(f"mean drift {drift:.6g} is not negative; no certificate exists")
 
-    delta_slope = partial(_delta_slope, model)
-    lo, hi = 1.0, 2.0
-    f_lo, f_hi = None, delta_slope(hi)
-    while f_hi < 0.0:
-        if hi >= _ALPHA_LIMIT:
-            raise ValueError(
-                f"delta(z) has no finite minimiser: it still falls at z = {hi:.6g}"
-            )
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        f_hi = delta_slope(hi)
-    alpha = _brentq(delta_slope, lo, hi, xtol=1e-15, fa=f_lo, fb=f_hi)
+    z, hats, mu, v = 1.0, _transforms(model, 1.0), model.a_stationary, np.ones(model.d)
+    slope, (g1, g2) = drift, _log_derivatives(hats, 1.0, mu, v, drift)
+    lo, hi, rate = 1.0, None, math.inf  # g' < 0 at lo and >= 0 at hi; see _NEWTON_MARGIN
+    for _ in range(_ALPHA_MAXITER):
+        step = -g1 / g2 if g2 > 0.0 else math.nan
+        if math.log(lo / z) < step <= math.log((hi or _ALPHA_LIMIT) / z):
+            nxt, error = z * math.exp(step), rate * step * step
+        else:
+            nxt, error = (_ALPHA_LIMIT if hi is None else math.sqrt(lo * hi)), math.inf
+        settled = hi is not None or abs(slope) <= _ALPHA_RTOL * float(mu @ hats[3] @ v)
+        if settled and min(abs(nxt - z), nxt * error) <= _ALPHA_XTOL + _ALPHA_RTOL * z:
+            break
+        g2_old, t_old = g2, math.log(z)
+        z, hats = nxt, _transforms(model, nxt)
+        delta, mu, v = _perron(hats[0])
+        slope = float(mu @ hats[1] @ v)
+        if slope < 0.0 and z >= _ALPHA_LIMIT:
+            raise ValueError(f"delta(z) has no finite minimiser: it still falls at z = {z:.6g}")
+        lo, hi = (z, hi) if slope < 0.0 else (lo, z)
+        g1, g2 = _log_derivatives(hats, delta, mu, v, slope)
+        moved = abs(math.log(z) - t_old)
+        if g2 > 0.0 and moved > 0.0:
+            rate = _NEWTON_MARGIN * abs(g2 - g2_old) / (2.0 * g2 * moved)
+    else:
+        raise RuntimeError(f"the alpha search did not converge in {_ALPHA_MAXITER} steps")
+    alpha = nxt
     delta, mu, v = perron(a_hat(model, alpha))
     if delta >= 1.0:
         raise ValueError(f"refined delta({alpha:.9g}) = {delta:.9g} is not below 1")

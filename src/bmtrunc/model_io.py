@@ -96,11 +96,15 @@ def _unique_keys(pairs: list) -> dict:
 
 def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
     _expect(isinstance(raw, list) and len(raw) == d, f"{where}: expected {d} rows")
-    for r, row in enumerate(raw):
-        _expect(
-            isinstance(row, list) and len(row) == d and all(_json_is(x, (int, float)) for x in row),
-            f"{where}[{r}]: expected {d} numbers",
-        )
+    # json reads numbers as int or float: one pass checks every entry's type,
+    # and the rows are walked only to name the first bad one
+    rows_ok = all(isinstance(row, list) and len(row) == d for row in raw)
+    if not (rows_ok and {type(x) for row in raw for x in row} <= {int, float}):
+        for r, row in enumerate(raw):
+            _expect(
+                isinstance(row, list) and len(row) == d and all(_json_is(x, (int, float)) for x in row),
+                f"{where}[{r}]: expected {d} numbers",
+            )
     return np.asarray(raw, dtype=float)
 
 

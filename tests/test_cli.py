@@ -276,7 +276,7 @@ class TestBound:
         bounds = [float(r[3]) for r in rows]
         assert all(b > 0.0 for b in bounds)
         assert bounds == sorted(bounds, reverse=True)
-        assert [(r[1], r[3]) for r in rows[1:]] == [("7490", "1.2920841943087323e-303")] * 2
+        assert [(r[1], r[3]) for r in rows[1:]] == [("7490", "1.2920841943087345e-303")] * 2
 
     def test_finite_models_are_rejected(self, capsys, finite_path):
         code, _, err = run(capsys, "--model", finite_path, "--command", "bound")
@@ -455,9 +455,9 @@ class TestCompare:
             "walk": (natural_walk(), ["--n", "10:200:10"],
                      "f4904ce1486649931ba7d249044af56834003b376078be5ba685a91827f2688a"),
             "mg1_d2": (mg1_d2(), ["--n", "10:150:10"],
-                       "92ec7172d7983e9a4eab70a37a9a8c7187d0806c924e8bd29c2edceca1ccdb47"),
+                       "83fd5cda9d3e388b60e4a904bf294d50d1eb3fa258d8c4ed450a38c77103362d"),
             "gig1_d2": (gig1_d2(), ["--n", "10,20,50,100"],
-                        "5f203192428c374d1850ff306ccd6e2494a81b26eabe51d582d6627fde926cde"),
+                        "b2fabcb8076c8ce08396577de661ae02c98dc01ca1c470f26c561b65d6258cb9"),
             "late_repeat": (random_monotone_gig1(20), ["--n", "100,120", "--m-max", "10000000"],
                             "8ed0acaf6a6225e9872dbaf575936bbb31e26c4d37c0132417532d1900c29067"),
         }
@@ -526,6 +526,15 @@ class TestCompare:
 
 
 class TestCouple:
+    def test_negative_seed_is_refused_by_name(self, capsys, tmp_path):
+        path = str(tmp_path / "mg1d2.json")
+        save_model(mg1_d2(), path)
+        code, out, err = run(capsys, "--model", path, "--command", "couple",
+                             "--n", "8", "--seed", "-1")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "validation failure: --seed must be a non-negative integer, got -1\n"
+
     def test_summary_and_dumps(self, capsys, tmp_path):
         path = str(tmp_path / "mg1d2.json")
         save_model(mg1_d2(), path)
@@ -580,14 +589,14 @@ class TestCouple:
                 "90f554863905952f628bd258a2c36c3aea123ce6e9998865f43237db16c8daf4",
             ),
             "mg1_d2": (
-                "0851fedc32b1b9b34dda5a54e00b5bdab3ba8c9388d0472c5ed4a5e01edeedb4",
-                "7947246615dcb97a0235b9b56ce4b62c0ba177f092b3d7985d093029ed19b5c9",
-                "eed9949f87c6bb878d75edf113a9c4e3dec82ce9909f20a755f5580cd29f6144",
+                "0ea321c3346efcf9a0817e3a48500dd5bbe12a3b8b0a900b763bfbbe8181e1df",
+                "f61ce994aab6d0f47e80985cc28331f015b37e8439ce16ae471b28d9061dd5e2",
+                "34c6a9b9b9241bcf1495f69641f8cb9bff47dcd93c053d0faab467cb2e377913",
             ),
             "gig1_d2": (
-                "36ff45c664ec40b85c50193db8d8b059792ee5e2f1c8e938d50d5b8ca37855de",
-                "b4cff6a80d385851afee96eaf5ae1469e98fbedcac699e35c41509aad6545c5c",
-                "06c98ee434558fc56f04b018579ce0138dfc8c07ae836f58a299668ea7f783ee",
+                "66fcfd62f122bb46c3a0790b44a33c5cc6846205a511e2783d22ab26a0f6cf5e",
+                "299c0241f7bf2c2d033fab9321442303dee8671e311b660b87595b26c46c784c",
+                "dd8e851271458cebf39b3b83f434a306f7d5f8c41f708ad8125d37171fcaf443",
             ),
         }
         builders = {"natural_walk": natural_walk, "mg1_walk": mg1_walk,

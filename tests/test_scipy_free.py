@@ -1,6 +1,7 @@
 """The replacements for scipy in the package, checked against scipy.
 
-The Brent port must return scipy.optimize.brentq's bits, the Tarjan search
+The alpha search must find a delta no larger, to 4 eps, than the one at
+scipy.optimize.brentq's root of the slope, the Tarjan search
 must give csgraph's classes in csgraph's order, the kernel solve must give
 the dense GTH oracle's bits, and the numpy back-substitution of the shared
 sweep must agree with LAPACK's banded triangular solve (dtbtrs). A fresh
@@ -10,7 +11,6 @@ no module of the package imports it.
 
 import ast
 import json
-import math
 import os
 import subprocess
 import sys
@@ -25,7 +25,13 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 import bmtrunc
-from bmtrunc import BlockStochasticMatrix, MultipleClosedClassesError, closed_classes, save_model
+from bmtrunc import (
+    BlockStochasticMatrix,
+    MultipleClosedClassesError,
+    closed_classes,
+    load_model,
+    save_model,
+)
 from bmtrunc import block_matrix, gig1, lcb_truncate
 from bmtrunc.block_matrix import (
     _Descent,
@@ -34,7 +40,7 @@ from bmtrunc.block_matrix import (
     _kernel_stationary,
     _upward_views,
 )
-from bmtrunc.gig1 import _brentq, _delta_slope, _is_irreducible, find_alpha
+from bmtrunc.gig1 import _is_irreducible, a_hat, find_alpha, perron
 
 from helpers import (
     band_corner,
@@ -53,92 +59,79 @@ from helpers import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-tolerances = st.sampled_from([1e-15, 1e-12, 2e-12, 1e-8, 1e-3])
+
+EPS = np.finfo(float).eps
 
 
-@st.composite
-def monotone_functions(draw):
-    """A strictly increasing cubic or exponential with its root strictly inside a bracket."""
-    floats = st.floats
-    root = draw(floats(-5.0, 5.0))
-    if draw(st.booleans()):
-        c1, c3 = draw(floats(0.0, 5.0)), draw(floats(0.01, 5.0))
-        f = lambda x: c3 * (x - root) ** 3 + c1 * (x - root)  # noqa: E731
-    else:
-        rate = draw(floats(0.05, 5.0))
-        f = lambda x: math.exp(rate * (x - root)) - 1.0  # noqa: E731
-    a = root - draw(floats(1e-6, 20.0))
-    b = root + draw(floats(1e-6, 20.0))
-    return f, a, b
+def oracle_slope(model, z):
+    """delta'(z) = mu(z) A'(z) v(z) from the public Perron triple."""
+    _, mu, v = perron(a_hat(model, z))
+    return mu @ sum(j * z ** (j - 1) * blk for j, blk in model.A.items()) @ v
 
 
-def outcome(solve, *args, **kwargs):
-    """The root, or the type of the error (a flat cubic root can exhaust the iterations)."""
-    try:
-        return solve(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
-@given(monotone_functions(), tolerances)
-def test_brent_port_returns_scipys_root(problem, xtol):
-    f, a, b = problem
-    assert outcome(_brentq, f, a, b, xtol=xtol) == outcome(brentq, f, a, b, xtol=xtol)
-    assert outcome(_brentq, f, b, a, xtol=xtol) == outcome(brentq, f, b, a, xtol=xtol)
-
-
-@given(seeds)
-def test_brent_port_returns_scipys_alpha(seed):
-    slope = partial(_delta_slope, random_monotone_gig1(seed))
+def brentq_alpha(model):
+    """alpha as scipy's brentq finds the root of the slope, bracketed by doubling from [1, 2]."""
     lo, hi = 1.0, 2.0
-    while slope(hi) < 0.0:
+    while oracle_slope(model, hi) < 0.0:
         lo, hi = hi, 2.0 * hi
-    want = brentq(slope, lo, hi, xtol=1e-15)
-    assert _brentq(slope, lo, hi, xtol=1e-15) == want
-    assert _brentq(slope, lo, hi, xtol=1e-15, fa=slope(lo), fb=slope(hi)) == want
-    assert find_alpha(random_monotone_gig1(seed))[0] == want
+    return brentq(partial(oracle_slope, model), lo, hi, xtol=1e-15)
 
 
-def assert_same_error(f, a, b, error, match):
-    with pytest.raises(error, match=match):
-        brentq(f, a, b, xtol=1e-12)
-    with pytest.raises(error, match=match):
-        _brentq(f, a, b, xtol=1e-12)
+def searched(model, monkeypatch):
+    """find_alpha's result, and the points at which its search solved an eigenproblem."""
+    points = []
+    transforms = gig1._transforms
+
+    def recorded(model, z):
+        points.append(z)
+        return transforms(model, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gig1, "_transforms", recorded)
+        found = find_alpha(model)
+    assert points[0] == 1.0  # the first step reads z = 1 without an eigen-solve
+    return found, points[1:]
 
 
-def test_brent_port_rejects_nan():
-    assert_same_error(lambda x: math.nan, 0.0, 1.0, ValueError, "NaN")
-    assert_same_error(lambda x: math.nan if x > 0.3 else -1.0, 0.0, 1.0, ValueError, "NaN")
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=1e-12, fb=math.nan)
-
-
-def test_brent_port_rejects_a_bracket_without_a_sign_change():
-    assert_same_error(lambda x: x * x + 1.0, -1.0, 2.0, ValueError, "different signs")
-    assert_same_error(lambda x: -x - 1.0, 0.0, 2.0, ValueError, "different signs")
-
-
-def test_brent_port_gives_up_after_100_iterations():
-    def step(x):  # no root, and the jump at 1e-300 needs some 2000 halvings to pin
-        return -1.0 if x < 1e-300 else 1.0
-
-    assert_same_error(step, -1e300, 1e300, RuntimeError, "converge")
+def assert_matches_brentq(model, monkeypatch):
+    (alpha, delta, _, _), points = searched(model, monkeypatch)
+    assert delta <= perron(a_hat(model, brentq_alpha(model)))[0] * (1.0 + 4.0 * EPS)
+    assert len(points) == len(set(points)) <= 5
+    assert alpha not in points  # perron(a_hat(alpha)) is the one solve at alpha
 
 
 @pytest.mark.parametrize("up", [0.4, 0.01, 0.001])
 def test_find_alpha_evaluates_the_slope_once_per_point(up, monkeypatch):
-    points = []
-
-    def counted(model, z):
-        points.append(z)
-        return _delta_slope(model, z)
-
-    monkeypatch.setattr(gig1, "_delta_slope", counted)
     model = gig1.GIG1Model(
         d=1, A={-1: [[1.0 - up]], 1: [[up]]}, B={-1: [[1.0 - up]], 0: [[1.0 - up]], 2: [[up]]}
     )
-    find_alpha(model)
+    _, points = searched(model, monkeypatch)
     assert len(points) == len(set(points))
+
+
+def test_alpha_search_matches_brentq_on_random_models(monkeypatch):
+    for seed in range(200):
+        assert_matches_brentq(random_monotone_gig1(seed), monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def benchmark_gig1_models(tmp_path_factory):
+    """The GI/G/1 models of the benchmark at seeds 3 and 7."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import models, workloads
+    found = []
+    for seed in (3, 7):
+        files = models.generate(seed, tmp_path_factory.mktemp(f"models{seed}"),
+                                workloads.reference_levels())
+        found += [load_model(str(f.path)) for f in files.values()]
+    return [model for model in found if isinstance(model, gig1.GIG1Model)]
+
+
+def test_alpha_search_matches_brentq_on_benchmark_models(benchmark_gig1_models, monkeypatch):
+    assert len(benchmark_gig1_models) == 12
+    for model in benchmark_gig1_models:
+        assert_matches_brentq(model, monkeypatch)
 
 
 @st.composite
