@@ -62,6 +62,10 @@ CHECK_TOLERANCE = 1e-12
 ROW_SUM_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL_TOLERANCE = 1e-10
 
+# The largest array the package builds, in bytes: a GI/G/1 model's band of complete
+# rows (gig1) or one stationary solve's level vectors, refused before allocation.
+MAX_ARRAY_BYTES = 2 ** 27
+
 
 class MultipleClosedClassesError(ValueError):
     """The chain has more than one closed communicating class."""
@@ -720,19 +724,21 @@ def _growth(below: np.ndarray, pivots: np.ndarray) -> np.ndarray:
 
 
 class _Solution:
-    """x(0..h) of one closed class, solved from its top state h down.
+    """x(0..h) of one closed class, solved from its top state h down into its slot.
 
-    x(h) = 1. The states b..h solved so far keep a power-of-two exponent
-    each, applied at the end, where what underflows is negligible against the
-    largest x. The feed x(b..b+lo-1) is held at the current exponent with its
-    largest entry in [1/2, 1), so a product grows from it by at most its
-    map's row sums.
+    x is the class's slot of the level buffer, zero on entry, with x(h) = 1
+    and h = x.size - 1. Each run of states stored at once keeps the
+    power-of-two exponent it was solved at, applied by `normalize`, where
+    what underflows is negligible against the largest x. The feed
+    x(b..b+lo-1) is held at the current exponent with its largest entry in
+    [1/2, 1), so a product grows from it by at most its map's row sums.
     """
 
-    def __init__(self, h: int, lo: int):
-        self.x = np.zeros(h + 1)
-        self.x[h] = 1.0
-        self.scale = np.zeros(h + 1, dtype=int)
+    def __init__(self, x: np.ndarray, lo: int):
+        h = x.size - 1
+        x[h] = 1.0
+        self.x = x
+        self.runs = [(h, h + 1, 0)]  # (a, b, exponent): x[a:b] is stored at 2^exponent
         self.feed = np.zeros(lo)
         self.feed[:1] = 1.0
         self.exponent = 0
@@ -743,7 +749,7 @@ class _Solution:
         lo = self.feed.size
         a = self.b - (z.size - lo)
         self.x[a:self.b] = z[:z.size - lo]
-        self.scale[a:self.b] = self.exponent
+        self.runs.append((a, self.b, self.exponent))
         self.feed = z[:lo]
         top = float(self.feed.max(initial=0.0))
         if top > 0.0:
@@ -756,28 +762,40 @@ class _Solution:
         """Solve the states of the map M (see _compose) below b with one product."""
         self._store(M @ self.feed)
 
-    def states(self, below: np.ndarray, pivots: np.ndarray):
-        """Solve the states just below b one at a time, in chunks that fit _CHUNK_BITS.
+    def normalize(self):
+        """Bring every run to the largest exponent and scale x to sum 1, in place."""
+        top = max(e for _, _, e in self.runs)
+        for a, b, e in self.runs:
+            if e != top:
+                np.ldexp(self.x[a:b], e - top, out=self.x[a:b])
+        self.x /= self.x.sum()
 
-        below and pivots are the rows of those states (see _upward_views). A
-        chunk takes as many states as fit, at least one (see _growth).
-        """
-        count, lo = len(pivots), self.feed.size
-        if count == 0:
-            return
-        pivots = np.where(pivots > 0.0, pivots, 1.0)
-        bits = np.concatenate(([0.0], np.cumsum(_growth(below, pivots)[::-1])))  # bits[k]: top k states
-        k = 0
-        while k < count:
-            stop = max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
-            part = slice(count - stop, count - k)
-            z = np.zeros((1, stop - k + lo, 1))
-            z[0, stop - k:, 0] = self.feed
-            self._store(_recur(below[None, part], pivots[None, part], z)[0, :, 0])
-            k = stop
 
-    def result(self) -> np.ndarray:
-        return np.ldexp(self.x, self.scale - self.scale.max())
+def _descend(xs, below: np.ndarray, pivots: np.ndarray):
+    """Solve the states just below b of every solution in xs, in chunks that fit _CHUNK_BITS.
+
+    below (batch, count, lo) and pivots (batch, count) are the rows of those
+    states (see _upward_views), one batch entry per solution. A chunk takes
+    as many states as the batch's largest growth per state lets fit, at
+    least one (see _growth). A chunk boundary only rescales each feed by a
+    power of two, which moves no bit of x unless a feed entry is subnormal.
+    """
+    count, lo = below.shape[1:]
+    if count == 0:
+        return
+    pivots = np.where(pivots > 0.0, pivots, 1.0)
+    growth = _growth(below, pivots).max(axis=0)
+    bits = np.concatenate(([0.0], np.cumsum(growth[::-1])))  # bits[k]: top k states
+    k = 0
+    while k < count:
+        stop = max(int(np.searchsorted(bits, bits[k] + _CHUNK_BITS, side="right")) - 1, k + 1)
+        part = slice(count - stop, count - k)
+        z = np.zeros((len(xs), stop - k + lo, 1))
+        z[:, stop - k:, 0] = [x.feed for x in xs]
+        _recur(below[:, part], pivots[:, part], z)
+        for x, values in zip(xs, z[:, :, 0]):
+            x._store(values)
+        k = stop
 
 
 def _tree_nodes(base: int, top: int):
@@ -859,33 +877,25 @@ class _Descent:
             self._node(x, t - 1, end - (1 << (t - 1)))
         else:
             part = slice((end - 1) * self.d, end * self.d)
-            x.states(self.cols[part], self.pivots[part])
+            _descend([x], self.cols[None, part], self.pivots[None, part])
 
     def start(self, parts) -> list[_Solution]:
         """Solutions of closed classes, each solved down to its level's boundary.
 
-        parts are (h, below, pivots): a class's top state h, and the rows (see
-        _upward_views) of the states from the level's boundary, or from the
-        boundary below h, up to h. Those are the level's own, and they go one
-        at a time. Where they fit _CHUNK_BITS, the parts with as many of them
-        take each step together; the others go in chunks (_Solution.states).
+        parts are (x, below, pivots): a class's slot x (see _Solution), and
+        the rows (see _upward_views) of the states from the level's boundary,
+        or from the boundary below its top state, up to that top. Those are
+        the level's own, and they go one at a time, the parts with as many of
+        them in one batch (_descend).
         """
         solutions, groups = [], {}
-        for h, below, pivots in parts:
-            x = _Solution(h, self.lo)
-            solutions.append(x)
-            pivots = np.where(pivots > 0.0, pivots, 1.0)
-            if _growth(below, pivots).sum() <= _CHUNK_BITS:
-                groups.setdefault(len(pivots), []).append((x, below, pivots))
-            else:
-                x.states(below, pivots)
-        for count, group in groups.items():
+        for x, below, pivots in parts:
+            solution = _Solution(x, self.lo)
+            solutions.append(solution)
+            groups.setdefault(len(pivots), []).append((solution, below, pivots))
+        for group in groups.values():
             xs, below, pivots = zip(*group)
-            z = np.zeros((len(xs), count + self.lo, 1))
-            z[:, count:, 0] = [x.feed for x in xs]
-            _recur(np.array(below), np.array(pivots), z)
-            for x, values in zip(xs, z[:, :, 0]):
-                x._store(values)
+            _descend(xs, np.array(below), np.array(pivots))
         return solutions
 
     def finish(self, solutions, repeat):
@@ -924,7 +934,7 @@ class _Descent:
             return
         for x in periodic:
             part = slice(min(x.b, end * d), x.b)
-            x.states(cols[part], pivots[part])
+            _descend([x], cols[None, part], pivots[None, part])
             for t, top in _tree_nodes(j, j + (x.b // d - j) % q):
                 self._node(x, t, top)
         counts = [(x.b // d - j) // q for x in periodic]
@@ -942,24 +952,18 @@ class _Descent:
                 left -= step
 
 
-def _left_product(rows, lower: int, x: np.ndarray) -> np.ndarray:
-    """x P for x of shape (levels, d) and P a square corner; same shape.
+def _left_product(band: np.ndarray, lower: int, x: np.ndarray) -> np.ndarray:
+    """x P for x of shape (levels, d) and P a square corner with band `band`; same shape.
 
-    P's band is `rows`, a sequence of band row blocks in level order, so a
-    corner whose rows live in separate arrays needs no copy. Each offset
-    slot o of a block adds the stacked 1 x d by d x d products x(k) band[k, o]
-    at column level k - lower + o: one matmul per slot.
+    Each offset slot o adds the stacked 1 x d by d x d products
+    x(k) band[k, o] at column level k - lower + o: one matmul per slot.
     """
     levels, d = x.shape
-    width = rows[0].shape[1]
+    m, width = band.shape[:2]
     out = np.zeros((levels + width - 1, d))
-    k = 0
-    for band in rows:
-        m = len(band)
-        part = x[k:k + m, None, :]
-        for o in range(width):
-            out[k + o:k + o + m] += np.matmul(part, band[:, o])[:, 0]
-        k += m
+    part = x[:m, None, :]
+    for o in range(width):
+        out[o:o + m] += np.matmul(part, band[:, o])[:, 0]
     return out[lower:lower + levels]
 
 
@@ -978,10 +982,9 @@ def _right_product(P: BlockStochasticMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked(rows, lower: int, pi: np.ndarray, deviation: float, levels=None) -> BlockVector:
+def _checked(band, lower: int, pi: np.ndarray, deviation: float, levels=None) -> BlockVector:
     """pi (flat) as a BlockVector, once its residual on a square corner's band passes.
 
-    The band is `rows`, band row blocks in level order (see _left_product).
     GTH takes each diagonal entry as the complement of the rest of its row,
     so on rows that sum to 1 - e the exact solution has a residual of up to
     e. The bound is STATIONARY_RESIDUAL_TOLERANCE plus `deviation`, the
@@ -990,33 +993,32 @@ def _checked(rows, lower: int, pi: np.ndarray, deviation: float, levels=None) ->
     checked: rows of an infinite chain, whose columns near the last row
     miss the rows above it.
     """
-    d = rows[0].shape[2]
+    d = band.shape[2]
     pi = pi.reshape(-1, d)
     bound = STATIONARY_RESIDUAL_TOLERANCE + float(deviation)
-    residual = float(np.max(np.abs(_left_product(rows, lower, pi)[:levels] - pi[:levels])))
+    residual = float(np.max(np.abs(_left_product(band, lower, pi)[:levels] - pi[:levels])))
     if not residual <= bound:
         raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {bound:g}")
     return BlockVector(d, pi)
 
 
-def _class_top(rows, lower: int, pivots: np.ndarray) -> int:
+def _class_top(band: np.ndarray, lower: int, pivots: np.ndarray) -> int:
     """Top state h of the one closed class of a square corner, from its bottom-up pivots.
 
     The top state of every closed class gets a pivot of exactly 0.0: it
     reaches no higher state, and no elimination puts an entry right of its
     diagonal. So when every pivot below the corner's top state is positive,
     the corner has one closed class and it holds the top state. Otherwise
-    (the slow path) the classes are read off the graph of its band row
-    blocks `rows`: several raise MultipleClosedClassesError, and one gives
-    its own top state. A pivot that underflows to 0.0 sends a corner to the
-    slow path, never past it, and a zero pivot below h inside the class is a
-    StationarySolveError.
+    (the slow path) the classes are read off the graph of its band: several
+    raise MultipleClosedClassesError, and one gives its own top state. A
+    pivot that underflows to 0.0 sends a corner to the slow path, never past
+    it, and a zero pivot below h inside the class is a StationarySolveError.
     """
     h = pivots.size - 1
     if np.all(pivots[:h] > 0.0):
         return h
-    d = rows[0].shape[2]
-    cls = _one_class(_closed_classes(np.concatenate(rows), lower), d)
+    d = band.shape[2]
+    cls = _one_class(_closed_classes(band, lower), d)
     stalled = cls[:-1][pivots[cls[:-1]] <= 0.0]
     if stalled.size:
         s = int(stalled[0])
@@ -1039,16 +1041,24 @@ def _checked_levels(band, lower: int, ks, folds, x: np.ndarray, starts, deviatio
     band is P's own rows band[:ks[i]] followed by its folded rows, the
     levels of the stacks `folds` (see _top_windows) taken in order. Each
     vector is followed by width - 1 zero levels of x, where its product
-    x P_n spills. The product adds P's rows first, then the folded ones,
-    each by slot, as _left_product adds them, so every entry has the bits
-    it has there. The lowest level whose residual exceeds
-    STATIONARY_RESIDUAL_TOLERANCE plus its `deviation` raises
-    StationarySolveError, as _checked raises it; otherwise the max-norm
-    residuals come back, one per level.
+    x P_n spills. The product adds the folded rows first, then P's own,
+    each by slot: a higher row reaches an entry through a lower slot, so
+    every entry gets its terms in the order _left_product adds them on the
+    concatenated band, and has the bits it has there. The lowest level
+    whose residual exceeds STATIONARY_RESIDUAL_TOLERANCE plus its
+    `deviation` raises StationarySolveError, as _checked raises it;
+    otherwise the max-norm residuals come back, one per level.
     """
     width, d = band.shape[1], band.shape[2]
     out = np.zeros((lower + len(x), d))  # out[lower + p] is row p of x P_n
-    # P's own rows first, on every row of x but the last width - 1 (zeros).
+    i = 0
+    for rows in folds:
+        at = (starts + ks)[i:i + len(rows), None] + np.arange(rows.shape[1])
+        part = x[at][:, :, None, :]
+        for o in range(width):
+            out[at + o] += np.matmul(part, rows[:, :, o])[:, :, 0]
+        i += len(rows)
+    # Then P's own rows, on every row of x but the last width - 1 (zeros).
     # The rows from each level's fold on count as zero here, which adds 0 and
     # changes no entry. The chunks go from the top down, so each entry still
     # gets its slots in order.
@@ -1063,13 +1073,6 @@ def _checked_levels(band, lower: int, ks, folds, x: np.ndarray, starts, deviatio
         blocks = band.take(np.where(own, level, 0), axis=0)
         for o in range(width):
             out[a + o:b + o] += np.matmul(part, blocks[:, o])[:, 0]
-    i = 0
-    for rows in folds:
-        at = (starts + ks)[i:i + len(rows), None] + np.arange(rows.shape[1])
-        part = x[at][:, :, None, :]
-        for o in range(width):
-            out[at + o] += np.matmul(part, rows[:, :, o])[:, :, 0]
-        i += len(rows)
     diff = out[lower:]
     diff -= x
     np.abs(diff, out=diff)
@@ -1122,10 +1125,21 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
         if not (1 <= n <= top or n == top):
             raise ValueError(f"level {n} is outside the corner's levels 1..{top}")
     d, U = P.d, P.upper
+    ns = np.array(sorted(set(levels)))
+    # Level i's vector is x[starts[i]:starts[i] + n_i + 1], followed by the
+    # width - 1 zero levels where its product x P_n spills (_checked_levels).
+    ends = np.cumsum(ns + P.band.shape[1])
+    starts = ends - (ns + P.band.shape[1])
+    size = 8 * d * int(ends[-1])
+    if size > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the vectors of {len(ns)} levels need {size} bytes, above the limit of "
+            f"{MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)"
+        )
+    x = np.zeros((int(ends[-1]), d))
     W, lo, up = _state_band(P)
     pivots = np.zeros(P.levels * d)
     sweep = _SharedSweep(P, W, lo, up, pivots)
-    ns = np.array(sorted(set(levels)))
     ks = np.maximum(ns - U, 0)
     sweep.run_to(int(ks[-1]))
     cols = sweep.views[1]
@@ -1164,19 +1178,19 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
         # The class tops of levels off the fast path (see _class_top), lowest first.
         for g in np.flatnonzero((stalls[first] > 0) | ~(piv[:, :-1] > 0.0).all(axis=1)):
             try:
-                tops[g] = _class_top(
-                    (P.band[:k[g]], rows[g]), P.lower, np.concatenate((pivots[:first[g]], piv[g]))
-                )
+                band = np.concatenate((P.band[:k[g]], rows[g]))
+                tops[g] = _class_top(band, P.lower, np.concatenate((pivots[:first[g]], piv[g])))
             except (ValueError, StationarySolveError) as error:
                 failure = error
                 k, rows, sums, tops = k[:g], rows[:g], sums[:g], tops[:g]
                 break
         for g, (f, h) in enumerate(zip(first.tolist(), tops.tolist())):
+            slot = x.reshape(-1)[int(starts[len(parts)]) * d:][:h + 1]
             if h >= f:
-                parts.append((h, below[g, :h - f], piv[g, :h - f]))
+                parts.append((slot, below[g, :h - f], piv[g, :h - f]))
             else:
                 own = slice(h // d * d, h)
-                parts.append((h, cols[own].copy(), pivots[own].copy()))
+                parts.append((slot, cols[own].copy(), pivots[own].copy()))
         folds.append(rows)
         devs.append(np.maximum(deviation[k], np.abs(sums - 1.0).max(axis=1)))
         start = stop
@@ -1185,16 +1199,10 @@ def _stationary_levels(P: BlockStochasticMatrix, levels) -> list[BlockVector]:
     descent = _Descent(cols, pivots, d)
     solutions = descent.start(parts)
     descent.finish(solutions, sweep.repeat)
-    ns, ks = ns[:len(parts)], ks[:len(parts)]
-    width = P.band.shape[1]
-    starts = np.cumsum(ns + width) - (ns + width)
-    x = np.zeros((int(starts[-1] + ns[-1]) + width, d))
-    flat = x.reshape(-1)
-    for a, solution in zip(starts.tolist(), solutions):
-        values = solution.result()
-        flat[a * d:a * d + values.size] = values / values.sum()
-    del solutions  # frees their x and exponents, each as large as x, before the check
-    _checked_levels(P.band, P.lower, ks, folds, x, starts, np.concatenate(devs))
+    for solution in solutions:
+        solution.normalize()
+    i, devs = len(parts), np.concatenate(devs)
+    _checked_levels(P.band, P.lower, ks[:i], folds, x[:ends[i - 1]], starts[:i], devs)
     if failure is not None:
         raise failure
     solved = {n: BlockVector(d, x[a:a + n + 1]) for n, a in zip(ns.tolist(), starts.tolist())}
@@ -1221,9 +1229,10 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     back-substituted one at a time, all levels in one loop, and the states
     below each window with maps the levels share: whole periods of the
     range where the sweep copied, and a tree of level maps below it (see
-    _Descent). The residuals of all levels are checked in one batch, each
-    on the band lcb_truncate(P, n) would build: P's own rows below the
-    window and its folded rows, with no copy of P's band (see
+    _Descent), each level straight into its slot of the one buffer that
+    holds every vector. The residuals of all levels are checked in one
+    batch, each on the band lcb_truncate(P, n) would build: P's own rows
+    below the window and its folded rows, with no copy of P's band (see
     _checked_levels). The results are bit for bit those of eliminating
     every state and back-substituting with the same maps, and a level's
     vector depends on P and n alone, not on the other levels asked for. A
@@ -1251,8 +1260,9 @@ def stationary(P: BlockStochasticMatrix, levels=None):
     Raises:
         MultipleClosedClassesError: more than one closed class (lists them).
         ValueError: non-square input, a level outside 1..P.levels-1 that
-            is not P's top level, or a folded row whose sum leaves the row
-            tolerance.
+            is not P's top level, a folded row whose sum leaves the row
+            tolerance, or vectors whose one buffer, Σ (n+L+U+1)·d·8 bytes
+            over the distinct n, exceeds MAX_ARRAY_BYTES (before any solve).
         StationarySolveError: a zero pivot, or a max-norm residual of pi*P - pi
             above STATIONARY_RESIDUAL_TOLERANCE plus the corner's largest
             |row sum - 1|.
@@ -1335,7 +1345,7 @@ def _kernel_stationary(psi: np.ndarray, d: int) -> np.ndarray:
         x[s] = (x[:s] @ A[:s, s]) / trim[s]
     pi = np.zeros(len(psi))
     pi[cls] = x / x.sum()
-    return _checked((psi[None, None],), 0, pi, np.max(np.abs(psi.sum(axis=1) - 1.0))).flat
+    return _checked(psi[None, None], 0, pi, np.max(np.abs(psi.sum(axis=1) - 1.0))).flat
 
 
 def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) -> BlockVector:
@@ -1352,5 +1362,5 @@ def transient_distribution(P: BlockStochasticMatrix, init: BlockVector, m: int) 
         raise ValueError("init has more levels than the matrix")
     x = init.padded(P.levels)
     for _ in range(m):
-        x = _left_product((P.band,), P.lower, x)
+        x = _left_product(P.band, P.lower, x)
     return BlockVector(P.d, x)

@@ -35,7 +35,6 @@ from .drift_bounds import (
     optimize_m,
 )
 from .gig1 import (  # noqa: F401 - find_alpha stays importable here for perfbench's tracer
-    MAX_ARRAY_BYTES,
     GIG1DriftData,
     GIG1Model,
     certificate_for_model,
@@ -80,18 +79,19 @@ def parse_n_spec(spec: str) -> list[int]:
         token = token.strip()
         if not token:
             raise ValueError("empty entry in --n")
+        try:
+            numbers = [int(part) for part in token.split(":")]
+        except ValueError:
+            raise ValueError(f"--n entry {token!r} is not an integer or START:STOP[:STEP]") from None
         if ":" in token:
-            parts = token.split(":")
-            if len(parts) not in (2, 3):
+            if len(numbers) not in (2, 3):
                 raise ValueError(f"range {token!r} is not START:STOP[:STEP]")
-            start, stop = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
+            start, stop, step = numbers if len(numbers) == 3 else (*numbers, 1)
             if step < 1 or stop < start:
                 raise ValueError(f"range {token!r} is empty or has step < 1")
             levels = range(start, stop + 1, step)
         else:
-            n = int(token)
-            levels = range(n, n + 1)
+            levels = range(numbers[0], numbers[0] + 1)
         count += len(levels)
         if count > MAX_N_VALUES:
             raise ValueError(f"--n asks for more than {MAX_N_VALUES} levels (MAX_N_VALUES)")
@@ -222,13 +222,6 @@ def cmd_bound(args: argparse.Namespace, n_values: list[int]) -> int:
 def cmd_compare(args: argparse.Namespace, n_values: list[int]) -> int:
     model = _load_gig1(args.model)
     levels = sorted(set(n_values))
-    # The solve holds one vector of n + 1 levels for every distinct n.
-    held = 8 * model.d * sum(n + 1 for n in levels)
-    if held > MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"the level vectors of --n need {held} bytes, above the limit of "
-            f"{MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)"
-        )
     _, _, cert = certificate_for_model(model)
     # The law is exact: formed past max n + 1 it prints the same figures.
     reports = compare_against_oracle(

@@ -445,8 +445,8 @@ def compare_against_oracle(
 
     Raises:
         ValueError: no levels, a reference level at or below max(n_list) or
-            above a stored corner's top level, or an array above the
-            model's byte limit.
+            above a stored corner's top level, or a model's band or the
+            level vectors above MAX_ARRAY_BYTES.
         StationarySolveError: the stationary law or a truncation fails its
             solve or residual check.
         BoundViolationError: a measured error, or twice the mass above n,
@@ -466,12 +466,12 @@ def compare_against_oracle(
         pi = BlockVector(model.d, law.entries[:reference_level + 1])
         beyond = float(law.entries[reference_level + 1:].sum())
     else:
-        pi, beyond = model.stationary_law(reference_level)
-        # On this corner every band row the sweep reads for a requested
-        # level is unfolded, so each level has the bits it has on any
-        # taller corner.
+        # On this corner every band row the sweep reads for a requested level is
+        # unfolded, so each level has the bits it has on any taller corner. The
+        # solve goes first, so too many level vectors are refused before the law.
         reach = max(model.L_A, model.L_B, model.U_A, model.U_B)
         solved = stationary(lcb_truncate(model, max(n_list) + reach), n_list)
+        pi, beyond = model.stationary_law(reference_level)
     if dominating is None:
         masses = solved
     else:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .block_matrix import (
     CHECK_TOLERANCE,
+    MAX_ARRAY_BYTES,
     ROW_SUM_TOLERANCE,
     BlockStochasticMatrix,
     BlockVector,
@@ -37,7 +38,6 @@ from .block_matrix import (
     _closed_classes,
     _fold_levels,
     _kernel_stationary,
-    _row_sums,
     is_block_monotone,
     phase_matrix,
 )
@@ -86,11 +86,6 @@ _ALPHA_XTOL, _ALPHA_RTOL, _ALPHA_MAXITER = 1e-15, 4.0 * np.finfo(float).eps, 100
 # A Newton step s leaves an error in t of about |g'''| / (2 g'') s^2; g''
 # at the last two points estimates g''', and the error is taken 4 times over.
 _NEWTON_MARGIN = 4.0
-
-# The largest array a model builds, in bytes: the band of its complete rows,
-# from which its corners and the residual check of its stationary law are
-# built. Larger input is refused before anything is allocated.
-MAX_ARRAY_BYTES = 2 ** 27
 
 # Steps of the logarithmic reduction and of the doubling of R's powers. Step
 # t covers 2^t groups of levels, so 64 steps reach past any level there is.
@@ -381,8 +376,8 @@ class GIG1Model:
         pi = np.concatenate((pi0[None], above[:groups - 1])).reshape(-1, d) / total
         beyond = float(above[groups - 1] @ sums) / total
         # rows 0..k_star hold every row sum: the rows above repeat row k_star's
-        deviation = np.abs(_row_sums(self.boundary_corner.band) - 1.0).max()
-        pi = _checked((band,), L, pi, deviation, levels=through + 1).entries
+        deviation = np.abs(self.boundary_corner.row_sums - 1.0).max()
+        pi = _checked(band, L, pi, deviation, levels=through + 1).entries
         return BlockVector(d, pi[:through + 1]), float(pi[through + 1:].sum() + beyond)
 
     def verify_drift(self, cert: DriftCertificate) -> CertificateCheck:

@@ -266,24 +266,26 @@ def full_sweep_stationary(P: BlockStochasticMatrix, levels) -> list:
         assert np.all(level_pivots[cls[:-1]] > 0.0)
         below = np.concatenate((views[1][:min(first, h)], level_views[1][min(first, h):h]))
         pi = np.zeros(states)
-        x = solve_up(_Descent(below, level_pivots[:h], d), h, max(0, n - P.upper), repeat)
-        pi[:h + 1] = x / x.sum()
+        descent = _Descent(below, level_pivots[:h], d)
+        pi[:h + 1] = solve_up(descent, h, max(0, n - P.upper), repeat)
         deviation = np.abs(corner.band.sum(axis=(1, 3)) - 1.0).max()
-        solved[n] = _checked((corner.band,), corner.lower, pi, deviation)
+        solved[n] = _checked(corner.band, corner.lower, pi, deviation)
     return [solved[n] for n in levels]
 
 
 def solve_up(descent: _Descent, h: int, level: int, repeat) -> np.ndarray:
-    """x(0..h) of a closed class with top state h, by the library's descent of one level.
+    """x(0..h), summing to 1, of a closed class with top state h, by the descent of one level.
 
     The states from `level`'s boundary up to h are the level's own, and
-    repeat is the sweep's (j, q, end) or None; stationary runs the same two
+    repeat is the sweep's (j, q, end) or None; stationary runs the same
     steps for all its levels at once.
     """
     own = slice(min(level, h // descent.d) * descent.d, h)
-    (x,) = descent.start([(h, descent.cols[own], descent.pivots[own])])
-    descent.finish([x], repeat)
-    return x.result()
+    x = np.zeros(h + 1)
+    (solution,) = descent.start([(x, descent.cols[own], descent.pivots[own])])
+    descent.finish([solution], repeat)
+    solution.normalize()
+    return x
 
 
 def lapack_solve_up(below: np.ndarray, pivots: np.ndarray, chunk_bits: float = 1000.0) -> np.ndarray:

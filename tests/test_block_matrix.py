@@ -13,6 +13,8 @@ from bmtrunc import (
     PhaseStructureError,
     assemble,
     block_dominates,
+    certificate_for_model,
+    compare_against_oracle,
     is_block_increasing,
     is_block_monotone,
     lcb_truncate,
@@ -316,6 +318,42 @@ class TestStationary:
         assert peak < 32 * 2**20
         assert [pi.levels for pi in solved] == [n + 1 for n in levels]
 
+    def test_level_vectors_are_most_of_a_many_level_solve(self):
+        # The vectors of these 240 levels take 4.4 MiB, and the descent
+        # writes them in place: the residual check's product of the same
+        # size is the only other array that large.
+        P = lcb_truncate(mg1_d2(), 2410)
+        tracemalloc.start()
+        try:
+            solved = stationary(P, range(10, 2401, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert solved[-1].levels == 2401
+
+    def test_level_vectors_above_the_byte_limit_are_refused_before_the_sweep(self):
+        # The vectors of these 20000 levels would take 3.2 GB. stationary
+        # counts them for every caller, and compare_against_oracle solves
+        # its truncations before it forms the law.
+        model = mg1_d2()
+        P = lcb_truncate(model, 20_020)
+        cert = certificate_for_model(model)[2]
+        levels = range(1, 20_001)
+        limit = rf"{block_matrix.MAX_ARRAY_BYTES} bytes \(MAX_ARRAY_BYTES\)"
+        for solve in (
+            lambda: stationary(P, levels),
+            lambda: compare_against_oracle(model, levels, cert, reference_level=20_001),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=limit):
+                    solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
     def test_residual_small_on_larger_corner(self):
         P = lcb_truncate(natural_walk(), 200)
         pi = stationary(P)
@@ -492,7 +530,7 @@ class TestStationarySweep:
         # the slow path finds the class and rejects the zero pivot.
         P = lcb_truncate(mg1_d2(), 20)
         _, _, pivots = full_sweep(P)
-        assert block_matrix._class_top((P.band,), P.lower, pivots) == pivots.size - 1
+        assert block_matrix._class_top(P.band, P.lower, pivots) == pivots.size - 1
         calls = []
         graph = block_matrix._closed_classes
         monkeypatch.setattr(
@@ -500,7 +538,7 @@ class TestStationarySweep:
         )
         pivots[7] = 0.0
         with pytest.raises(StationarySolveError, match=r"level 3, phase 1"):
-            block_matrix._class_top((P.band,), P.lower, pivots)
+            block_matrix._class_top(P.band, P.lower, pivots)
         assert calls == [1]
 
     @pytest.mark.parametrize("P", [
@@ -527,9 +565,10 @@ class TestStationarySweep:
             for k, rows, a, deviation, residual in zip(ks, folded, starts, deviations, residuals):
                 assert len(rows) <= P.upper + 1
                 pi = x[a:a + k + len(rows)]
-                product = block_matrix._left_product((band[:k], rows), lower, pi)
+                truncated = np.concatenate((band[:k], rows))
+                product = block_matrix._left_product(truncated, lower, pi)
                 assert residual == np.max(np.abs(product - pi))
-                seen.append((np.concatenate((band[:k], rows)), lower, deviation))
+                seen.append((truncated, lower, deviation))
             return residuals
 
         monkeypatch.setattr(block_matrix, "_checked_levels", recorded)

@@ -84,8 +84,9 @@ class TestParsing:
         for bad in ("", "0", "5:1", "1:10:0", "2:4:6:8"):
             with pytest.raises(ValueError):
                 parse_n_spec(bad)
-        with pytest.raises(ValueError):
-            parse_n_spec("abc")
+        for bad, token in (("abc", "'abc'"), ("5, 1:x", "'1:x'"), ("1:10:y", "'1:10:y'")):
+            with pytest.raises(ValueError, match=f"--n entry {token} is not an integer"):
+                parse_n_spec(bad)
 
     def test_missing_required_flags_exit_via_argparse(self):
         for argv in (
@@ -492,8 +493,10 @@ class TestCompare:
 
     def test_level_vectors_above_the_byte_limit_are_refused_before_the_solve(self, capsys, tmp_path):
         # Each level and the law's band fit their limits here, but the 20000
-        # level vectors would take 3.2 GB together. Listing the 20000 levels
-        # is most of what the refusal costs.
+        # level vectors would take 3.2 GB together: each holds n + 1 levels
+        # and the width - 1 = 3 levels its product spills into. Listing the
+        # 20000 levels and truncating the model at 20002 are most of what
+        # the refusal costs.
         path = str(tmp_path / "mg1d2.json")
         save_model(mg1_d2(), path)
         tracemalloc.start()
@@ -503,7 +506,7 @@ class TestCompare:
         finally:
             tracemalloc.stop()
         assert (code, out) == (EXIT_VALIDATION, "")
-        assert f"need {16 * (20000 * 20001 // 2 + 20000)} bytes" in err
+        assert f"need {16 * (20000 * 20001 // 2 + 4 * 20000)} bytes" in err
         assert f"{gig1.MAX_ARRAY_BYTES} bytes (MAX_ARRAY_BYTES)" in err
         assert peak < 2**23
 

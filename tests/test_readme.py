@@ -1,8 +1,11 @@
-"""The README's library examples run as written, and its CLI section names the parser's flags."""
+"""The README's library examples run as written, its CLI section names the parser's flags,
+and every constant it names is defined in the package."""
 
+import ast
 import re
 from pathlib import Path
 
+import bmtrunc
 from bmtrunc.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +38,16 @@ def test_cli_section_names_every_flag_and_no_other():
         if flag.startswith("--")
     }
     assert named == defined
+
+
+def test_named_constants_are_defined_at_module_level():
+    # A constant that moves to another module or goes must be renamed or
+    # dropped in the README too; a name a module only imports does not count.
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", README.read_text(encoding="utf-8")))
+    defined = set()
+    for path in Path(bmtrunc.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert named
+    assert named <= defined, sorted(named - defined)

@@ -217,7 +217,7 @@ def test_descent_matches_lapack_dtbtrs(bits, P, data):
     W, lo, pivots = full_sweep(P)
     cols = _upward_views(W, lo, P.upper * P.d + P.d - 1)[1]
     try:
-        h = _class_top((P.band,), P.lower, pivots)
+        h = _class_top(P.band, P.lower, pivots)
     except MultipleClosedClassesError:
         return
     level = data.draw(st.integers(0, h // P.d))
